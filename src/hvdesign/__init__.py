@@ -15,6 +15,7 @@ from .data import (
     save_model,
 )
 from .errors import (
+    ConfigError,
     ConstraintError,
     DataError,
     DimensionError,
@@ -25,14 +26,12 @@ from .errors import (
 )
 from .evolve import (
     GAConfig,
-    Individual,
     ParetoFront,
     dominates,
     evolve_generation,
     hypervolume,
     initialize_population,
     rank_population,
-    repair,
     run_optimization,
 )
 from .hypervector import (
@@ -63,7 +62,6 @@ from .objectives import (
     ObjectiveScores,
     avg_similarity,
     confusion_matrix,
-    evaluate_candidate,
     feasibility,
     pairwise_similarities,
     total_accuracy,

@@ -3,22 +3,25 @@
 Subcommands: train, optimize, sweep, eval, synth, export-embeddings.
 Flags override values from an optional JSON config file (--config); every
 run logs its fully resolved configuration so results can be reproduced.
-Exit codes: 0 success, 2 for bad input (missing files, malformed data).
+Exit codes: 0 success, 2 for bad input (a flag value, a config file, a CSV
+or a model file), reported as one `error:` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
+import os
 import sys
+import tempfile
 import time
-
-import numpy as np
 
 from . import __version__
 from .data import (
     Dataset,
+    atomic_open,
     calibrate_quantizer,
     export_sample_hypervectors,
     generate_motivational,
@@ -26,9 +29,8 @@ from .data import (
     load_model,
     save_dataset_csv,
     save_model,
-    _atomic_open,
 )
-from .errors import HvError
+from .errors import ConfigError, HvError
 from .evolve import GAConfig, run_optimization
 from .model import fit_baseline, predict_batch, train_model
 from .objectives import (
@@ -127,8 +129,14 @@ def _config_file_defaults(argv) -> dict:
             path = arg.split("=", 1)[1]
         else:
             continue
-        with open(path) as fh:
-            return {k.replace("-", "_"): v for k, v in json.load(fh).items()}
+        try:
+            with open(path) as fh:
+                values = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config file {path}: {exc}") from None
+        if not isinstance(values, dict):
+            raise ConfigError(f"config file {path}: expected a JSON object")
+        return {k.replace("-", "_"): v for k, v in values.items()}
     return {}
 
 
@@ -177,12 +185,10 @@ def cmd_train(args) -> int:
         _print_metrics("test", report["test"])
     if args.out:
         save_model(model, args.out)
-        import os
-
         report["modelBytes"] = os.path.getsize(args.out)
         print(f"model written to {args.out} ({report['modelBytes']} bytes)")
     if args.metrics_out:
-        with _atomic_open(args.metrics_out) as fh:
+        with atomic_open(args.metrics_out) as fh:
             json.dump(report, fh, indent=2)
     return 0
 
@@ -214,9 +220,10 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import csv as _csv
-
-    dims = [int(d) for d in str(args.dims).split(",") if d]
+    try:
+        dims = [int(d) for d in str(args.dims).split(",") if d]
+    except ValueError:
+        dims = []
     if not dims or any(d % 2 for d in dims):
         raise HvError(f"--dims must list even dimensions, got {args.dims!r}")
     train = _load(args.data, args.label_col)
@@ -224,8 +231,6 @@ def cmd_sweep(args) -> int:
     for dim in dims:
         model = fit_baseline(train, dim, args.levels, args.seed)
         metrics = _metrics(model, train)
-        import os, tempfile
-
         tmp = tempfile.NamedTemporaryFile(suffix=".hdcm", delete=False)
         tmp.close()
         save_model(model, tmp.name)
@@ -234,8 +239,8 @@ def cmd_sweep(args) -> int:
         rows.append((dim, metrics["wAcc"], metrics["totalAcc"], metrics["avgSim"], size))
         print(f"D={dim}: wAcc={metrics['wAcc']:.4f} totalAcc={metrics['totalAcc']:.4f} "
               f"avgSim={metrics['avgSim']:.4f} modelBytes={size}")
-    with _atomic_open(args.out) as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+    with atomic_open(args.out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["D", "wAcc", "totalAcc", "avgSim", "modelBytes"])
         for dim, wacc, total, sim, size in rows:
             writer.writerow([dim, repr(wacc), repr(total), repr(sim), size])
@@ -255,7 +260,7 @@ def cmd_eval(args) -> int:
         print(f"  recall[{name}] = {'n/a' if recall is None else f'{recall:.4f}'}")
     print(f"  confusion = {metrics['confusion']}")
     if args.metrics_out:
-        with _atomic_open(args.metrics_out) as fh:
+        with atomic_open(args.metrics_out) as fh:
             json.dump(metrics, fh, indent=2)
     return 0
 
@@ -290,21 +295,18 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
-    defaults = _config_file_defaults(argv)
-    if defaults:
-        for sub_action in parser._subparsers._group_actions[0].choices.values():
-            sub_action.set_defaults(**{
-                k: v for k, v in defaults.items()
-                if any(a.dest == k for a in sub_action._actions)
-            })
-    args = parser.parse_args(argv)
-    log.info("resolved config: %s", json.dumps(_resolved(args), default=str, sort_keys=True))
     try:
+        defaults = _config_file_defaults(argv)
+        if defaults:
+            for sub_action in parser._subparsers._group_actions[0].choices.values():
+                sub_action.set_defaults(**{
+                    k: v for k, v in defaults.items()
+                    if any(a.dest == k for a in sub_action._actions)
+                })
+        args = parser.parse_args(argv)
+        log.info("resolved config: %s", json.dumps(_resolved(args), default=str, sort_keys=True))
         return COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HvError as exc:
+    except (FileNotFoundError, HvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

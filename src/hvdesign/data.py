@@ -25,12 +25,12 @@ import os
 import struct
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParseError, ShapeError
-from .hypervector import FlipBudget, LevelTable, build_level_table, pack_signs, unpack_signs
+from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
+from .hypervector import FlipBudget, build_level_table, encode_quantized, pack_signs, unpack_signs
 
 MODEL_MAGIC = b"HDCM"
 MODEL_VERSION = 1
@@ -133,7 +133,7 @@ def quantize_value(x: float, feature: int, quantizer: Quantizer) -> int:
 def calibrate_quantizer(train: Dataset, levels: int) -> Quantizer:
     """Per-feature min/max from the training split only."""
     if levels < 2:
-        raise ValueError(f"need at least 2 quantization levels, got {levels}")
+        raise ConfigError(f"need at least 2 quantization levels, got {levels}")
     mins = train.features.min(axis=0)
     maxs = train.features.max(axis=0)
     q = Quantizer(mins=mins, maxs=maxs, levels=levels)
@@ -222,7 +222,7 @@ def load_dataset_csv(path, label_column, label_names=None, split="train") -> Dat
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """Write a dataset back out in the ingestible CSV layout (label last)."""
     feature_names = dataset.feature_names or [f"f{i + 1}" for i in range(dataset.n_features)]
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(feature_names + ["label"])
         for x, y in zip(dataset.features, dataset.labels):
@@ -257,7 +257,7 @@ def motivational_label(x1: float, x2: float) -> int:
 def generate_motivational(grid_per_axis: int, seed=0) -> Dataset:
     """Deterministic grid over the unit square with the four-class layout."""
     if grid_per_axis < 20:
-        raise ValueError(f"grid_per_axis must be >= 20, got {grid_per_axis}")
+        raise ConfigError(f"grid_per_axis must be >= 20, got {grid_per_axis}")
     axis = np.linspace(0.0, 1.0, grid_per_axis)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     features = np.column_stack([xx.ravel(), yy.ravel()])
@@ -274,7 +274,7 @@ def generate_motivational(grid_per_axis: int, seed=0) -> Dataset:
     )
 
 
-def _atomic_open(path, mode="w"):
+def atomic_open(path, mode="w"):
     """Write to a temp file in the target directory, rename on close."""
     directory = os.path.dirname(os.path.abspath(path))
 
@@ -325,7 +325,7 @@ def save_model(model, path) -> None:
 
     table_bits = pack_signs(model.table.signs.reshape(-1))
 
-    with _atomic_open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<IIIII", MODEL_VERSION, dim, n_feat, n_lvl, n_cls))
         fh.write(struct.pack("<Q", int(model.metadata["seed"])))
@@ -344,7 +344,7 @@ def save_model(model, path) -> None:
 def load_model(path):
     """Inverse of save_model; the flip schedule is rebuilt from the stored
     seed and budget and checked against the stored table bits."""
-    from .model import TrainedModel
+    from .model import TrainedModel  # here, not at the top: model imports data
 
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -399,11 +399,9 @@ def load_model(path):
 def export_sample_hypervectors(model, dataset: Dataset, path) -> None:
     """Write the S x D sample-hypervector matrix plus labels as CSV, for
     external embedding tools."""
-    from .hypervector import encode_quantized
-
     levels = model.quantizer.quantize_matrix(dataset.features)
     encoded = encode_quantized(levels, model.table)
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"d{i}" for i in range(model.table.dim)] + ["label"])
         for x, y in zip(encoded, dataset.labels):

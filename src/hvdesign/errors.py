@@ -27,3 +27,7 @@ class ParseError(HvError, ValueError):
 
 class FormatError(HvError, ValueError):
     """Corrupt or incompatible serialized model file."""
+
+
+class ConfigError(HvError, ValueError):
+    """Invalid run settings (GA parameters, level count, grid size) or config file."""

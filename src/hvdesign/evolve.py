@@ -2,10 +2,15 @@
 
 The two objectives are (maximize wAcc, minimize avgSim), with
 feasibility-first dominance: a feasible individual always dominates an
-infeasible one. Variation is per-gene uniform crossover plus uniform-reset
-mutation on the integer genes, followed by a floor-rescale repair that
-keeps every row sum within D/2, so only feasible individuals are ever
-evaluated as candidates for the front.
+infeasible one. Dominance is decided in one place, an array kernel shared
+by ranking, front extraction and the hypervolume; `dominates` is its
+reference predicate on a single pair. A population is a list of
+(FlipBudget, ObjectiveScores) pairs, the same shape as a front's members.
+
+Variation is per-gene uniform crossover plus uniform-reset mutation on the
+integer genes, followed by a floor-rescale repair that keeps every row sum
+within D/2, so only feasible individuals are ever evaluated as candidates
+for the front.
 
 Randomness comes from explicitly indexed substreams of the master seed
 (one for initialization, one per generation for variation), so results are
@@ -15,16 +20,14 @@ a pure function of (dataset, config).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Quantizer
-from .errors import ShapeError
+from .data import Dataset, Quantizer, atomic_open
+from .errors import ConfigError, ShapeError
 from .hypervector import FlipBudget, repair_budget, uniform_flip_budget
 from .objectives import CandidateEvaluator, ObjectiveScores
-
-repair = repair_budget
 
 
 @dataclass(frozen=True)
@@ -40,20 +43,13 @@ class GAConfig:
 
     def __post_init__(self):
         if self.population_size < 4 or self.population_size % 2 != 0:
-            raise ValueError("population size must be even and >= 4")
+            raise ConfigError("population size must be even and >= 4")
         if self.generations < 1:
-            raise ValueError("need at least 1 generation")
+            raise ConfigError("need at least 1 generation")
         if not (0.0 <= self.crossover_rate <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
-            raise ValueError("crossover and mutation rates must be in [0, 1]")
+            raise ConfigError("crossover and mutation rates must be in [0, 1]")
         if self.tournament_size < 2:
-            raise ValueError("tournament size must be >= 2")
-
-
-@dataclass
-class Individual:
-    budget: FlipBudget
-    id: int
-    scores: ObjectiveScores | None = None
+            raise ConfigError("tournament size must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -67,9 +63,7 @@ class ParetoFront:
     def write_csv(self, path) -> None:
         """Columns: member index, objectives, per-feature row sums and the
         flattened budget matrix (both semicolon-joined, row-major)."""
-        from .data import _atomic_open
-
-        with _atomic_open(path) as fh:
+        with atomic_open(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
                 ["memberIndex", "wAcc", "avgSim", "robustness", "rowSums", "budget"]
@@ -96,36 +90,34 @@ def dominates(a: ObjectiveScores, b: ObjectiveScores) -> bool:
     return a.wacc > b.wacc or a.avg_sim < b.avg_sim
 
 
+def _dominance(scored: list) -> np.ndarray:
+    """(P, P) boolean matrix whose [p, q] entry is dominates(scored[p], scored[q])."""
+    f, w, s = np.array(
+        [[x.feasible, x.wacc, x.avg_sim] for x in scored], dtype=np.float64
+    ).reshape(-1, 3).T
+    fp, wp, sp = f[:, None], w[:, None], s[:, None]
+    # Negated comparisons, as in `dominates`, so a NaN compares the same way.
+    pareto = ~(wp < w) & ~(sp > s) & ((wp > w) | (sp < s))
+    return np.where(fp == f, pareto, fp > f)
+
+
 def rank_population(scored: list) -> tuple[np.ndarray, np.ndarray]:
-    """Fast non-dominated sorting plus per-front crowding distance.
+    """Non-dominated sorting plus per-front crowding distance.
 
     Returns (ranks, crowding); rank 0 is the non-dominated front, boundary
     points of each front get infinite crowding.
     """
     n = len(scored)
-    dominated_by = [[] for _ in range(n)]
-    domination_count = np.zeros(n, dtype=np.int64)
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            if dominates(scored[p], scored[q]):
-                dominated_by[p].append(q)
-            elif dominates(scored[q], scored[p]):
-                domination_count[p] += 1
-
+    dominance = _dominance(scored)
     ranks = np.full(n, -1, dtype=np.int64)
-    current = [p for p in range(n) if domination_count[p] == 0]
+    remaining = np.ones(n, dtype=bool)
     rank = 0
-    while current:
-        next_front = []
-        for p in current:
-            ranks[p] = rank
-            for q in dominated_by[p]:
-                domination_count[q] -= 1
-                if domination_count[q] == 0:
-                    next_front.append(q)
-        current = next_front
+    while True:
+        front = remaining & ~dominance[remaining].any(axis=0)
+        if not front.any():
+            break
+        ranks[front] = rank
+        remaining &= ~front
         rank += 1
 
     crowding = np.zeros(n, dtype=np.float64)
@@ -153,13 +145,10 @@ def initialize_population(config: GAConfig, n_features: int) -> list:
     """P random feasible budgets; index 0 is the uniform-budget anchor."""
     rng = np.random.default_rng([config.seed, 0])
     half = config.dim // 2
-    population = []
-    anchor = uniform_flip_budget(config.dim, config.levels, features=n_features)
-    population.append(Individual(budget=anchor, id=0))
-    for i in range(1, config.population_size):
+    population = [uniform_flip_budget(config.dim, config.levels, features=n_features)]
+    for _ in range(1, config.population_size):
         raw = rng.integers(0, half + 1, size=(n_features, config.levels - 1))
-        budget = repair_budget(FlipBudget(budgets=raw, dim=config.dim))
-        population.append(Individual(budget=budget, id=i))
+        population.append(repair_budget(FlipBudget(budgets=raw, dim=config.dim)))
     return population
 
 
@@ -184,22 +173,20 @@ def evolve_generation(
     evaluator: CandidateEvaluator,
     config: GAConfig,
     generation: int,
-    next_id: int,
-) -> tuple[list, int]:
-    """One (mu + lambda) NSGA-II step; returns the new population and the
-    next unused individual id."""
-    scored = [ind.scores for ind in population]
-    ranks, crowding = rank_population(scored)
+) -> list:
+    """One (mu + lambda) NSGA-II step on (budget, scores) pairs; returns
+    the surviving pairs."""
+    ranks, crowding = rank_population([scores for _, scores in population])
     rng = np.random.default_rng([config.seed, 1, generation])
     half = config.dim // 2
-    shape = population[0].budget.budgets.shape
+    shape = population[0][0].budgets.shape
 
     children = []
     for _ in range(config.population_size // 2):
         i = _tournament(rng, ranks, crowding, config.tournament_size)
         j = _tournament(rng, ranks, crowding, config.tournament_size)
-        p1 = population[i].budget.budgets.copy()
-        p2 = population[j].budget.budgets.copy()
+        p1 = population[i][0].budgets.copy()
+        p2 = population[j][0].budgets.copy()
         swap = rng.random(shape) < config.crossover_rate
         c1 = np.where(swap, p2, p1)
         c2 = np.where(swap, p1, p2)
@@ -208,33 +195,22 @@ def evolve_generation(
             fresh = rng.integers(0, half + 1, size=shape)
             genes[mutate] = fresh[mutate]
             budget = repair_budget(FlipBudget(budgets=genes, dim=config.dim))
-            child = Individual(budget=budget, id=next_id)
-            child.scores = evaluator.evaluate(budget)
-            children.append(child)
-            next_id += 1
+            children.append((budget, evaluator.evaluate(budget)))
 
     combined = population + children
-    ranks, crowding = rank_population([ind.scores for ind in combined])
+    ranks, crowding = rank_population([scores for _, scores in combined])
     order = _selection_order(ranks, crowding)
-    survivors = [combined[i] for i in order[: config.population_size]]
-    return survivors, next_id
-
-
-def _nondominated(members: list) -> list:
-    """Filter (budget, scores) pairs down to the mutually non-dominated set."""
-    out = []
-    for i, (_, si) in enumerate(members):
-        if not any(dominates(sj, si) for j, (_, sj) in enumerate(members) if j != i):
-            out.append(members[i])
-    return out
+    return [combined[i] for i in order[: config.population_size]]
 
 
 def hypervolume(members: list, ref=(0.0, 1.0)) -> float:
     """Area dominated by the (wAcc, avgSim) points relative to the
     reference corner (wAcc=ref[0], avgSim=ref[1])."""
-    points = _nondominated([(None, s) for _, s in members])
+    scored = [s for _, s in members]
+    kept = ~_dominance(scored).any(axis=0)
     coords = sorted(
-        ((s.wacc, s.avg_sim) for _, s in points), key=lambda p: -p[1]
+        ((s.wacc, s.avg_sim) for s, keep in zip(scored, kept) if keep),
+        key=lambda p: -p[1],
     )
     area = 0.0
     prev_sim = ref[1]
@@ -245,10 +221,9 @@ def hypervolume(members: list, ref=(0.0, 1.0)) -> float:
 
 
 def _front_of(population: list) -> list:
-    feasible = [
-        (ind.budget, ind.scores) for ind in population if ind.scores.feasible
-    ]
-    return _nondominated(feasible)
+    """Feasible members that no member dominates."""
+    kept = ~_dominance([s for _, s in population]).any(axis=0)
+    return [m for m, keep in zip(population, kept) if keep and m[1].feasible]
 
 
 def run_optimization(
@@ -258,16 +233,13 @@ def run_optimization(
     if quantizer.levels != config.levels:
         raise ShapeError("config levels do not match the calibrated quantizer")
     evaluator = CandidateEvaluator(train, quantizer, config.seed)
-    population = initialize_population(config, train.n_features)
-    for ind in population:
-        ind.scores = evaluator.evaluate(ind.budget)
-
-    next_id = config.population_size
+    population = [
+        (budget, evaluator.evaluate(budget))
+        for budget in initialize_population(config, train.n_features)
+    ]
     hypervolumes = [hypervolume(_front_of(population))]
     for gen in range(config.generations):
-        population, next_id = evolve_generation(
-            population, evaluator, config, gen, next_id
-        )
+        population = evolve_generation(population, evaluator, config, gen)
         hypervolumes.append(hypervolume(_front_of(population)))
 
     front = _front_of(population)

@@ -13,12 +13,12 @@ Hamming control between any two levels of the same feature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstraintError, DimensionError, ShapeError
+from .errors import ConfigError, ConstraintError, DimensionError, ShapeError
 
 
 def pack_signs(signs: np.ndarray) -> np.ndarray:
@@ -145,7 +145,7 @@ def uniform_flip_budget(dim: int, levels: int, features: int = 1) -> FlipBudget:
     feasible by construction.
     """
     if levels < 2:
-        raise ValueError(f"need at least 2 quantization levels, got {levels}")
+        raise ConfigError(f"need at least 2 quantization levels, got {levels}")
     if dim < 2 or dim % 2 != 0:
         raise DimensionError(f"dimension must be even and >= 2, got {dim}")
     per_transition = dim // (2 * (levels - 1))

@@ -131,9 +131,3 @@ class CandidateEvaluator:
             feasible=feasible,
         )
 
-
-def evaluate_candidate(
-    budget: FlipBudget, train: Dataset, quantizer: Quantizer, base_seed
-) -> ObjectiveScores:
-    """One-shot form of CandidateEvaluator.evaluate."""
-    return CandidateEvaluator(train, quantizer, base_seed).evaluate(budget)

@@ -185,3 +185,25 @@ class TestConfigFile:
              "--seed", "9", "--out", out_b]
         )
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--data", "{data}", "--pop", "3", "--out", "{tmp}/front.csv"],
+            ["train", "--data", "{data}", "--levels", "1"],
+            ["train", "--data", "{data}", "--config", "{tmp}/nope.json"],
+            ["train", "--data", "{data}", "--config", "{tmp}/bad.json"],
+            ["sweep", "--data", "{data}", "--dims", "32,abc", "--out", "{tmp}/sweep.csv"],
+            ["synth", "--grid", "5", "--out", "{tmp}/synth5.csv"],
+        ],
+        ids=["pop-3", "levels-1", "missing-config", "malformed-config", "dims-abc", "grid-5"],
+    )
+    def test_exits_2_with_one_error_line(self, argv, synth_csv, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("{bad")
+        code = main([arg.format(data=synth_csv, tmp=tmp_path) for arg in argv])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        lines = [line for line in err if not line.startswith("INFO ")]
+        assert len(lines) == 1 and lines[0].startswith("error: ")

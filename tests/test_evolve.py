@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvdesign import (
     CandidateEvaluator,
@@ -11,7 +13,7 @@ from hvdesign import (
     hypervolume,
     initialize_population,
     rank_population,
-    repair,
+    repair_budget,
     run_optimization,
     uniform_flip_budget,
 )
@@ -34,6 +36,47 @@ def exhaustive_front(dataset, quantizer, base_seed):
     }
 
 
+def reference_ranks(scored):
+    """Fast non-dominated sort (Deb et al. 2002) over pairwise `dominates`."""
+    n = len(scored)
+    dominated_by = [[q for q in range(n) if dominates(scored[p], scored[q])] for p in range(n)]
+    count = [sum(dominates(scored[q], scored[p]) for q in range(n)) for p in range(n)]
+    ranks = [-1] * n
+    current = [p for p in range(n) if count[p] == 0]
+    rank = 0
+    while current:
+        following = []
+        for p in current:
+            ranks[p] = rank
+            for q in dominated_by[p]:
+                count[q] -= 1
+                if count[q] == 0:
+                    following.append(q)
+        current = following
+        rank += 1
+    return ranks
+
+
+def union_area(points, ref=(0.0, 1.0)):
+    """Area of the union of the boxes [ref[0], wAcc] x [avgSim, ref[1]]."""
+    cuts = sorted({sim for _, sim in points} | {ref[1]})
+    area = 0.0
+    for low, high in zip(cuts, cuts[1:]):
+        reach = max((wacc for wacc, sim in points if sim <= low), default=ref[0])
+        area += max(0.0, reach - ref[0]) * max(0.0, high - low)
+    return area
+
+
+# Objective values on a 1/8 grid: many ties, and every sum and product in
+# the hypervolume is exact in float64, so areas compare with ==.
+grid = st.integers(0, 8).map(lambda k: k / 8)
+scores = st.builds(ObjectiveScores, wacc=grid, avg_sim=grid, feasible=st.booleans())
+# Members drawn from a small pool repeat the same ObjectiveScores object.
+populations = st.lists(scores, min_size=1, max_size=10).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=40)
+)
+
+
 def front_budgets(front):
     return {tuple(int(v) for v in budget.budgets.ravel()) for budget, _ in front.members}
 
@@ -43,13 +86,13 @@ class TestInitializePopulation:
         config = GAConfig(population_size=30, generations=1, seed=1, dim=32, levels=5)
         population = initialize_population(config, n_features=3)
         assert len(population) == 30
-        assert all(ind.budget.feasible for ind in population)
+        assert all(budget.feasible for budget in population)
 
     def test_baseline_anchor_present_once(self):
         config = GAConfig(population_size=30, generations=1, seed=1, dim=32, levels=5)
         population = initialize_population(config, n_features=3)
         anchor = uniform_flip_budget(32, 5, features=3)
-        assert sum(ind.budget == anchor for ind in population) == 1
+        assert sum(budget == anchor for budget in population) == 1
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -63,10 +106,10 @@ class TestInitializePopulation:
 class TestRepair:
     def test_examples(self):
         feasible = FlipBudget(budgets=np.array([[2, 2]]), dim=16)
-        assert repair(feasible) == feasible
+        assert repair_budget(feasible) == feasible
         violating = FlipBudget(budgets=np.array([[6, 6]]), dim=16)
-        assert repair(violating).budgets.tolist() == [[4, 4]]
-        assert repair(repair(violating)) == repair(violating)
+        assert repair_budget(violating).budgets.tolist() == [[4, 4]]
+        assert repair_budget(repair_budget(violating)) == repair_budget(violating)
 
 
 class TestRankPopulation:
@@ -102,30 +145,50 @@ class TestRankPopulation:
         assert crowding[0] == crowding[2] == np.inf
         assert np.isfinite(crowding[1])
 
+    @given(populations)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_dominates_oracle(self, scored):
+        ranks, crowding = rank_population(scored)
+        assert ranks.tolist() == reference_ranks(scored)
+        objectives = np.array([[s.wacc, s.avg_sim] for s in scored]).reshape(-1, 2)
+        for r in set(ranks.tolist()):
+            front = ranks == r
+            infinite = np.isinf(crowding[front])
+            for vals in objectives[front].T:
+                assert infinite[vals == vals.min()].any()
+                assert infinite[vals == vals.max()].any()
+        kept = [
+            (s.wacc, s.avg_sim)
+            for i, s in enumerate(scored)
+            if not any(dominates(t, s) for j, t in enumerate(scored) if j != i)
+        ]
+        assert hypervolume([(None, s) for s in scored]) == union_area(kept)
+
+
+def scored_population(config, evaluator):
+    return [
+        (budget, evaluator.evaluate(budget))
+        for budget in initialize_population(config, evaluator.train.n_features)
+    ]
+
 
 class TestEvolveGeneration:
     def test_population_size_and_feasibility_preserved(self, micro_dataset, micro_quantizer):
         config = GAConfig(seed=3, **MICRO_CONFIG)
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, config.seed)
-        population = initialize_population(config, 1)
-        for ind in population:
-            ind.scores = evaluator.evaluate(ind.budget)
-        survivors, next_id = evolve_generation(population, evaluator, config, 0, len(population))
+        population = scored_population(config, evaluator)
+        survivors = evolve_generation(population, evaluator, config, 0)
         assert len(survivors) == config.population_size
-        assert all(ind.budget.feasible for ind in survivors)
-        assert next_id == 2 * config.population_size
+        assert all(budget.feasible for budget, _ in survivors)
 
     def test_elitism_keeps_nondominated_parents(self, micro_dataset, micro_quantizer):
         config = GAConfig(seed=3, **MICRO_CONFIG)
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, config.seed)
-        population = initialize_population(config, 1)
-        for ind in population:
-            ind.scores = evaluator.evaluate(ind.budget)
-        ranks, _ = rank_population([ind.scores for ind in population])
-        elite_ids = {ind.id for ind, r in zip(population, ranks) if r == 0}
-        survivors, _ = evolve_generation(population, evaluator, config, 0, len(population))
-        surviving_ids = {ind.id for ind in survivors}
-        assert elite_ids <= surviving_ids
+        population = scored_population(config, evaluator)
+        ranks, _ = rank_population([scores for _, scores in population])
+        elite = {id(pair) for pair, r in zip(population, ranks) if r == 0}
+        survivors = evolve_generation(population, evaluator, config, 0)
+        assert elite <= {id(pair) for pair in survivors}
 
 
 class TestRunOptimization:

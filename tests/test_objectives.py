@@ -14,7 +14,6 @@ from hvdesign import (
     calibrate_quantizer,
     confusion_matrix,
     cosine_similarity,
-    evaluate_candidate,
     feasibility,
     fit_baseline,
     pairwise_similarities,
@@ -132,8 +131,8 @@ class TestFeasibility:
 class TestEvaluateCandidate:
     def test_uniform_budget_matches_baseline_pipeline(self, toy_dataset):
         quantizer = calibrate_quantizer(toy_dataset, 5)
-        scores = evaluate_candidate(
-            uniform_flip_budget(64, 5, features=2), toy_dataset, quantizer, 7
+        scores = CandidateEvaluator(toy_dataset, quantizer, 7).evaluate(
+            uniform_flip_budget(64, 5, features=2)
         )
         model = fit_baseline(toy_dataset, 64, 5, seed=7)
         predicted = predict_batch(toy_dataset.features, model)
@@ -145,7 +144,7 @@ class TestEvaluateCandidate:
     def test_infeasible_flagged_but_scored(self, toy_dataset):
         quantizer = calibrate_quantizer(toy_dataset, 5)
         budget = FlipBudget(budgets=np.full((2, 4), 30), dim=64)
-        scores = evaluate_candidate(budget, toy_dataset, quantizer, 7)
+        scores = CandidateEvaluator(toy_dataset, quantizer, 7).evaluate(budget)
         assert not scores.feasible
         assert 0.0 <= scores.wacc <= 1.0
         assert 0.0 < scores.avg_sim <= 1.0
