@@ -140,6 +140,17 @@ def _config_file_defaults(argv) -> dict:
     return {}
 
 
+def _config_value(action, value):
+    """Parse a config file value the way argparse parses the flag's string."""
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        return (action.type or str)(text)
+    except (TypeError, ValueError):  # str never raises: action.type is set
+        raise ConfigError(
+            f"config value {action.dest}={value!r} is not a valid {action.type.__name__}"
+        ) from None
+
+
 def _resolved(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "config")}
 
@@ -296,17 +307,18 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
+        args = parser.parse_args(argv)
         defaults = _config_file_defaults(argv)
         if defaults:
-            for sub_action in parser._subparsers._group_actions[0].choices.values():
-                sub_action.set_defaults(**{
-                    k: v for k, v in defaults.items()
-                    if any(a.dest == k for a in sub_action._actions)
-                })
-        args = parser.parse_args(argv)
+            sub = parser._subparsers._group_actions[0].choices[args.command]
+            sub.set_defaults(**{
+                a.dest: _config_value(a, defaults[a.dest])
+                for a in sub._actions if defaults.get(a.dest) is not None
+            })
+            args = parser.parse_args(argv)
         log.info("resolved config: %s", json.dumps(_resolved(args), default=str, sort_keys=True))
         return COMMANDS[args.command](args)
-    except (FileNotFoundError, HvError) as exc:
+    except (OSError, HvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -357,26 +357,40 @@ def load_model(path):
         offset += n
         return chunk
 
+    def take_json():
+        (n,) = struct.unpack("<I", take(4))
+        blob = take(n)
+        try:
+            return json.loads(blob.decode("utf-8"))
+        except ValueError:  # invalid UTF-8 or invalid JSON
+            raise FormatError(f"{path}: corrupt JSON block") from None
+
     offset = 0
     if take(4) != MODEL_MAGIC:
         raise FormatError(f"{path}: bad magic bytes, not a model file")
     version, dim, n_feat, n_lvl, n_cls = struct.unpack("<IIIII", take(20))
     if version != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
+    if n_lvl < 2:
+        raise FormatError(f"{path}: {n_lvl} quantization levels, need at least 2")
+    if dim == 0 or dim % 2:
+        raise FormatError(f"{path}: dimension {dim} is not even and positive")
     (seed,) = struct.unpack("<Q", take(8))
     mins = np.frombuffer(take(8 * n_feat), dtype="<f8").copy()
     maxs = np.frombuffer(take(8 * n_feat), dtype="<f8").copy()
     budgets = np.frombuffer(take(4 * n_feat * (n_lvl - 1)), dtype="<i4")
     budgets = budgets.reshape(n_feat, n_lvl - 1).astype(np.int64)
+    if np.any(budgets < 0):
+        raise FormatError(f"{path}: negative entries in the flip budget")
     n_table_bytes = -(-n_feat * n_lvl * dim // 8)
     table_bits = np.frombuffer(take(n_table_bytes), dtype=np.uint8)
     encoders = np.frombuffer(take(4 * n_cls * dim), dtype="<i4")
     encoders = encoders.reshape(n_cls, dim).astype(np.int64)
     counts = np.frombuffer(take(4 * n_cls), dtype="<u4").astype(np.int64)
-    (n,) = struct.unpack("<I", take(4))
-    labels = json.loads(take(n).decode("utf-8"))
-    (n,) = struct.unpack("<I", take(4))
-    feature_names = json.loads(take(n).decode("utf-8"))
+    labels = take_json()
+    if not isinstance(labels, list) or len(labels) != n_cls:
+        raise FormatError(f"{path}: label list does not name {n_cls} classes")
+    feature_names = take_json()
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
 

@@ -172,18 +172,50 @@ def _feature_rng(base_seed, feature: int) -> np.random.Generator:
     return np.random.default_rng([int(base_seed), int(feature)])
 
 
+def _schedule(base_seed, features: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flip schedule of every feature: (N, D) int8 base signs and the
+    (N, D) rank of each index in that feature's flip permutation. Level m
+    negates the indices whose rank is below its prefix sum."""
+    bases = np.empty((features, dim), dtype=np.int8)
+    ranks = np.empty((features, dim), dtype=np.int64)
+    for n in range(features):
+        rng = _feature_rng(base_seed, n)
+        bases[n] = (rng.integers(0, 2, size=dim).astype(np.int8) << 1) - 1
+        ranks[n, rng.permutation(dim)] = np.arange(dim)
+    return bases, ranks
+
+
+def _prefix_flips(budget: FlipBudget) -> np.ndarray:
+    """(N, M) flips applied up to each level; the first column is zero."""
+    prefix = np.zeros((budget.features, budget.levels), dtype=np.int64)
+    prefix[:, 1:] = np.cumsum(budget.budgets, axis=1)
+    return prefix
+
+
+def _level_signs(bases: np.ndarray, ranks: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """(N, M, D) int8 signs of every level, built in one broadcast."""
+    flipped = (ranks[:, None] < prefix[:, :, None]).astype(np.int8)
+    return bases[:, None] * (1 - 2 * flipped)
+
+
+def _bundle(signs: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """(S, D) int64 sums of the (N, M, D) level signs each (S, N) row of
+    levels (values 1..M) picks."""
+    picked = signs[np.arange(signs.shape[0])[None, :], levels - 1]  # (S, N, D)
+    return picked.sum(axis=1, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class LevelTable:
     """All N x M level hypervectors, bit-packed.
 
-    `permutations` and `prefix_flips` are present when the table was built
-    from a flip budget (they realize the no-reflip schedule); a table
-    reconstructed from serialized bits alone carries only the packed levels.
+    `prefix_flips` and `budgets` are present when the table was built from a
+    flip budget (they realize the no-reflip schedule); a table reconstructed
+    from serialized bits alone carries only the packed levels.
     """
 
     packed: np.ndarray  # (N, M, ceil(D/8)) uint8
     dim: int
-    permutations: np.ndarray | None = None  # (N, D)
     prefix_flips: np.ndarray | None = None  # (N, M), first column all zero
     budgets: FlipBudget | None = None
 
@@ -221,24 +253,11 @@ def build_level_table(base_seed, budget: FlipBudget) -> LevelTable:
         raise ConstraintError(
             f"budget row sums {budget.row_sums.tolist()} exceed D/2 = {budget.dim // 2}"
         )
-    dim, n_feat, n_lvl = budget.dim, budget.features, budget.levels
-    prefix = np.zeros((n_feat, n_lvl), dtype=np.int64)
-    prefix[:, 1:] = np.cumsum(budget.budgets, axis=1)
-
-    signs = np.empty((n_feat, n_lvl, dim), dtype=np.int8)
-    perms = np.empty((n_feat, dim), dtype=np.int64)
-    for n in range(n_feat):
-        rng = _feature_rng(base_seed, n)
-        base = (rng.integers(0, 2, size=dim).astype(np.int8) << 1) - 1
-        perms[n] = rng.permutation(dim)
-        signs[n, :] = base
-        for m in range(1, n_lvl):
-            signs[n, m, perms[n, : prefix[n, m]]] *= -1
-
+    prefix = _prefix_flips(budget)
+    bases, ranks = _schedule(base_seed, budget.features, budget.dim)
     return LevelTable(
-        packed=pack_signs(signs),
-        dim=dim,
-        permutations=perms,
+        packed=pack_signs(_level_signs(bases, ranks, prefix)),
+        dim=budget.dim,
         prefix_flips=prefix,
         budgets=budget,
     )
@@ -266,6 +285,4 @@ def encode_sample(x, quantizer, table: LevelTable) -> np.ndarray:
 
 def encode_quantized(levels: np.ndarray, table: LevelTable) -> np.ndarray:
     """Bundle pre-quantized samples; `levels` is (S, N) with values in 1..M."""
-    n_feat = table.features
-    picked = table.signs[np.arange(n_feat)[None, :], levels - 1]  # (S, N, D)
-    return picked.sum(axis=1, dtype=np.int64)
+    return _bundle(table.signs, levels)

@@ -70,6 +70,12 @@ class Prediction:
     similarities: np.ndarray  # (K,)
 
 
+def _check_labels(labels: np.ndarray, n_classes: int) -> None:
+    if np.any(labels < 1) or np.any(labels > n_classes):
+        bad = labels[(labels < 1) | (labels > n_classes)]
+        raise DataError(f"labels {np.unique(bad).tolist()} outside 1..{n_classes}")
+
+
 def train_encoders(samples: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
     """Sum sample hypervectors per class: encoders[k-1] = sum of X_s with y_s == k."""
     samples = np.asarray(samples, dtype=np.int64)
@@ -78,9 +84,7 @@ def train_encoders(samples: np.ndarray, labels: np.ndarray, n_classes: int) -> n
         raise DataError("training set must be a non-empty (S, D) matrix")
     if labels.shape != (samples.shape[0],):
         raise ShapeError("label count does not match sample count")
-    if np.any(labels < 1) or np.any(labels > n_classes):
-        bad = labels[(labels < 1) | (labels > n_classes)]
-        raise DataError(f"labels {np.unique(bad).tolist()} outside 1..{n_classes}")
+    _check_labels(labels, n_classes)
     encoders = np.zeros((n_classes, samples.shape[1]), dtype=np.int64)
     np.add.at(encoders, labels - 1, samples)
     empty = np.setdiff1d(np.arange(1, n_classes + 1), labels)

@@ -17,8 +17,15 @@ import numpy as np
 
 from .data import Dataset, Quantizer
 from .errors import DataError, ShapeError
-from .hypervector import FlipBudget, build_level_table, encode_quantized, repair_budget
-from .model import _similarities_to_encoders, train_encoders
+from .hypervector import (
+    FlipBudget,
+    _bundle,
+    _level_signs,
+    _prefix_flips,
+    _schedule,
+    repair_budget,
+)
+from .model import _check_labels, _similarities_to_encoders
 
 SIMILARITY_CLAMP = 1e-12
 
@@ -95,20 +102,30 @@ def feasibility(budget: FlipBudget) -> bool:
 class CandidateEvaluator:
     """Evaluates flip budgets against a fixed calibrated training split.
 
-    Quantization levels and class structure are precomputed once; each
-    evaluation then only rebuilds the level table and re-runs the
-    single-pass pipeline. Pure: identical budgets give identical scores.
+    Work that does not depend on the budget is done once: the training rows
+    are quantized and deduplicated, their labels become a (K, U) class-count
+    matrix, and the flip schedule is drawn once per dimension. Each
+    evaluation then builds the level signs from the budget's prefix sums,
+    bundles only the U unique rows and sums class encoders as an exact
+    integer product with the counts, with no bit packing in between.
+    Pure: identical budgets give identical scores.
     """
 
     def __init__(self, train: Dataset, quantizer: Quantizer, base_seed):
         if quantizer.features != train.n_features:
             raise ShapeError("quantizer and dataset disagree on feature count")
+        _check_labels(train.labels, train.n_classes)
         self.train = train
         self.quantizer = quantizer
         self.base_seed = int(base_seed)
-        self.levels = quantizer.quantize_matrix(train.features)
-        self.labels = train.labels
         self.n_classes = train.n_classes
+        # (U, N) distinct quantized rows; counts[k-1, u] = samples of class k at row u.
+        self.rows, row_of = np.unique(
+            quantizer.quantize_matrix(train.features), axis=0, return_inverse=True
+        )
+        self.counts = np.zeros((self.n_classes, len(self.rows)), dtype=np.int64)
+        np.add.at(self.counts, (train.labels - 1, row_of.reshape(-1)), 1)
+        self._schedules = {}  # dim -> (bases, ranks)
 
     def evaluate(self, budget: FlipBudget) -> ObjectiveScores:
         if budget.features != self.train.n_features or budget.levels != self.quantizer.levels:
@@ -116,18 +133,15 @@ class CandidateEvaluator:
                 f"budget shape ({budget.features}, {budget.levels - 1}) does not match "
                 f"dataset N={self.train.n_features}, M={self.quantizer.levels}"
             )
-        feasible = budget.feasible
-        table = build_level_table(self.base_seed, repair_budget(budget))
-        samples = encode_quantized(self.levels, table)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            encoders = train_encoders(samples, self.labels, self.n_classes)
-        sims = _similarities_to_encoders(samples, encoders)
-        predicted = np.argmax(sims, axis=1) + 1
-        confusion = confusion_matrix(self.labels, predicted, self.n_classes)
+        if budget.dim not in self._schedules:
+            self._schedules[budget.dim] = _schedule(self.base_seed, budget.features, budget.dim)
+        prefix = _prefix_flips(repair_budget(budget))
+        samples = _bundle(_level_signs(*self._schedules[budget.dim], prefix), self.rows)
+        encoders = self.counts @ samples
+        predicted = np.argmax(_similarities_to_encoders(samples, encoders), axis=1)
+        confusion = self.counts @ np.eye(self.n_classes, dtype=np.int64)[predicted]
         return ObjectiveScores(
             wacc=weighted_accuracy(confusion),
             avg_sim=avg_similarity(encoders),
-            feasible=feasible,
+            feasible=budget.feasible,
         )
-

@@ -197,11 +197,16 @@ class TestBadInput:
             ["train", "--data", "{data}", "--config", "{tmp}/bad.json"],
             ["sweep", "--data", "{data}", "--dims", "32,abc", "--out", "{tmp}/sweep.csv"],
             ["synth", "--grid", "5", "--out", "{tmp}/synth5.csv"],
+            ["optimize", "--data", "{data}", "--config", "{tmp}/list.json",
+             "--out", "{tmp}/front.csv"],
+            ["train", "--data", "{tmp}"],
         ],
-        ids=["pop-3", "levels-1", "missing-config", "malformed-config", "dims-abc", "grid-5"],
+        ids=["pop-3", "levels-1", "missing-config", "malformed-config", "dims-abc", "grid-5",
+             "config-pop-list", "data-is-directory"],
     )
     def test_exits_2_with_one_error_line(self, argv, synth_csv, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{bad")
+        (tmp_path / "list.json").write_text('{"pop": [1]}')
         code = main([arg.format(data=synth_csv, tmp=tmp_path) for arg in argv])
         assert code == 2
         err = capsys.readouterr().err.splitlines()

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -214,6 +215,38 @@ class TestModelFile:
         save_model(model, str(path))
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError, match="truncated|trailing"):
+            load_model(str(path))
+
+    # Header: magic, then u32 version, D, N, M, K, then the u64 seed; with
+    # N=2 the budget block starts after 2 * 16 bytes of calibration minima
+    # and maxima, at byte 64.
+    @pytest.mark.parametrize(
+        "offset, patch, match",
+        [
+            (64, struct.pack("<i", -1), "negative"),
+            (16, struct.pack("<I", 1), "levels"),
+            (16, struct.pack("<I", 0), "levels"),
+            (8, struct.pack("<I", 63), "dimension"),
+            (8, struct.pack("<I", 0), "dimension"),
+            (None, b'["x", "y"]     ', "label list does not name 3"),
+            (None, b'{"x": "y"}     ', "label list does not name 3"),
+            (None, b'\xff"x", "y", "z"]', "corrupt"),
+            (None, b'["x", "y", "z"}', "corrupt"),
+        ],
+        ids=["negative-budget", "one-level", "zero-levels", "odd-dim", "zero-dim",
+             "two-labels-for-three-classes", "labels-not-a-list", "labels-not-utf8",
+             "labels-not-json"],
+    )
+    def test_bad_header_or_budget_rejected(self, model, tmp_path, offset, patch, match):
+        path = tmp_path / "m.hdcm"
+        save_model(model, str(path))
+        raw = bytearray(path.read_bytes())
+        if offset is None:  # same-length replacement of the label list
+            offset = raw.index(b'["x", "y", "z"]')
+            assert len(patch) == 15
+        raw[offset : offset + len(patch)] = patch
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=match):
             load_model(str(path))
 
 

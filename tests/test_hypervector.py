@@ -120,6 +120,41 @@ class TestBuildLevelTable:
         assert flipped_small <= flipped_large
 
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 8, 64, 2048]),
+        st.integers(1, 6),
+        st.integers(2, 20),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_level_flip_loop(self, seed, dim, n_feat, levels, data):
+        # Sorted cut points in 0..D/2: a feasible row, any prefix shape.
+        rows = [
+            np.diff([0, *sorted(data.draw(st.lists(
+                st.integers(0, dim // 2), min_size=levels - 1, max_size=levels - 1
+            )))]).tolist()
+            for _ in range(n_feat)
+        ]
+        budget = FlipBudget(budgets=np.array(rows), dim=dim)
+        # Reference: per feature, a base vector and a permutation from
+        # default_rng([seed, feature]); level m negates the permutation's
+        # first (b_1 + ... + b_{m-1}) indices of the base vector.
+        expected = np.empty((n_feat, levels, dim), dtype=np.int8)
+        for n in range(n_feat):
+            rng = np.random.default_rng([seed, n])
+            base = (rng.integers(0, 2, size=dim).astype(np.int8) << 1) - 1
+            perm = rng.permutation(dim)
+            expected[n] = base
+            flipped = 0
+            for m in range(1, levels):
+                flipped += rows[n][m - 1]
+                expected[n, m, perm[:flipped]] *= -1
+        table = build_level_table(seed, budget)
+        assert np.array_equal(table.signs, expected)
+        assert table.prefix_flips.tolist() == [[0, *np.cumsum(r).tolist()] for r in rows]
+
+
 class TestLevelVector:
     @pytest.fixture
     def table(self):

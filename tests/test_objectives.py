@@ -1,23 +1,33 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvdesign import (
     CandidateEvaluator,
+    DataError,
+    Dataset,
     FlipBudget,
+    ObjectiveScores,
+    Quantizer,
     ShapeError,
+    TrainedModel,
     avg_similarity,
+    build_level_table,
     calibrate_quantizer,
     confusion_matrix,
     cosine_similarity,
+    encode_quantized,
     feasibility,
     fit_baseline,
     pairwise_similarities,
     predict_batch,
+    repair_budget,
+    train_encoders,
     uniform_flip_budget,
     weighted_accuracy,
 )
@@ -43,6 +53,60 @@ def reference_avg_sim(encoders):
         if i != j:
             product *= max(cosine_similarity(encoders[i], encoders[j]), CLAMP)
     return product ** (1.0 / k)
+
+
+def reference_scores(train, quantizer, seed, budget):
+    """The candidate scores composed from the public single-pass pipeline:
+    level table, encoding of every training row, encoders, predictions."""
+    table = build_level_table(seed, repair_budget(budget))
+    samples = encode_quantized(quantizer.quantize_matrix(train.features), table)
+    encoders = train_encoders(samples, train.labels, train.n_classes)
+    model = TrainedModel(
+        quantizer=quantizer,
+        table=table,
+        encoders=encoders,
+        labels=list(train.label_names),
+        feature_names=[],
+        metadata={"seed": seed},
+    )
+    predicted = predict_batch(train.features, model)
+    confusion = confusion_matrix(train.labels, predicted, train.n_classes)
+    return ObjectiveScores(
+        wacc=weighted_accuracy(confusion),
+        avg_sim=avg_similarity(encoders),
+        feasible=budget.feasible,
+    )
+
+
+@st.composite
+def scoring_problems(draw):
+    """A small training split whose features are already level numbers
+    (so rows repeat), K classes of which some may be empty, and a budget
+    whose rows may sum to zero, to D/2 or beyond."""
+    dim = draw(st.sampled_from([2, 4, 16, 64]))
+    n_feat = draw(st.integers(1, 3))
+    levels = draw(st.integers(2, 5))
+    n_classes = draw(st.integers(2, 4))
+    n_samples = draw(st.integers(1, 30))
+    rows = draw(st.lists(
+        st.lists(st.integers(1, levels), min_size=n_feat, max_size=n_feat),
+        min_size=n_samples, max_size=n_samples,
+    ))
+    labels = draw(st.lists(st.integers(1, n_classes), min_size=n_samples, max_size=n_samples))
+    budget = draw(st.lists(
+        st.lists(st.integers(0, dim), min_size=levels - 1, max_size=levels - 1),
+        min_size=n_feat, max_size=n_feat,
+    ))
+    train = Dataset(
+        features=np.array(rows, dtype=np.float64),
+        labels=np.array(labels),
+        label_names=[f"c{k}" for k in range(1, n_classes + 1)],
+    )
+    # Level m covers [m, m + 1): feature value m quantizes to level m.
+    quantizer = Quantizer(
+        mins=np.ones(n_feat), maxs=np.full(n_feat, levels + 1.0), levels=levels
+    )
+    return train, quantizer, FlipBudget(budgets=np.array(budget), dim=dim)
 
 
 class TestWeightedAccuracy:
@@ -177,6 +241,50 @@ class TestEvaluateCandidate:
         )
         # Frozen from the exhaustive enumeration over all feasible pairs.
         assert best == pytest.approx(0.7857142857142857)
+
+    @given(scoring_problems(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    @example(  # D=2, zero budget, duplicate rows, class 3 without samples
+        (
+            Dataset(
+                features=np.array([[1.0], [2.0], [2.0], [1.0]]),
+                labels=np.array([1, 2, 2, 1]),
+                label_names=["a", "b", "c"],
+            ),
+            Quantizer(mins=np.ones(1), maxs=np.full(1, 3.0), levels=2),
+            FlipBudget(budgets=np.array([[0]]), dim=2),
+        ),
+        0,
+    )
+    @example(  # rows at D/2 and above it
+        (
+            Dataset(
+                features=np.array([[1.0, 3.0], [3.0, 1.0], [2.0, 2.0], [3.0, 1.0]]),
+                labels=np.array([1, 2, 2, 1]),
+                label_names=["a", "b"],
+            ),
+            Quantizer(mins=np.ones(2), maxs=np.full(2, 4.0), levels=3),
+            FlipBudget(budgets=np.array([[4, 4], [9, 2]]), dim=16),
+        ),
+        7,
+    )
+    def test_matches_public_pipeline(self, problem, seed):
+        train, quantizer, budget = problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty classes warn
+            expected = reference_scores(train, quantizer, seed, budget)
+            assert CandidateEvaluator(train, quantizer, seed).evaluate(budget) == expected
+
+    @pytest.mark.parametrize("label", [0, 3])
+    def test_labels_outside_classes_rejected(self, label):
+        train = Dataset(
+            features=np.array([[0.0], [1.0]]),
+            labels=np.array([1, label]),
+            label_names=["a", "b"],
+        )
+        quantizer = calibrate_quantizer(train, 2)
+        with pytest.raises(DataError, match=rf"\[{label}\] outside 1..2"):
+            CandidateEvaluator(train, quantizer, 0)
 
     @given(st.integers(0, 8), st.integers(0, 8))
     @settings(max_examples=30, deadline=None)
