@@ -10,7 +10,6 @@ from .data import (
     generate_motivational,
     load_dataset_csv,
     load_model,
-    quantize_value,
     save_dataset_csv,
     save_model,
 )
@@ -40,7 +39,6 @@ from .hypervector import (
     LevelTable,
     build_level_table,
     encode_quantized,
-    encode_sample,
     level_vector,
     random_bipolar,
     repair_budget,

@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 import time
 
 from . import __version__
@@ -27,6 +26,7 @@ from .data import (
     generate_motivational,
     load_dataset_csv,
     load_model,
+    model_file_size,
     save_dataset_csv,
     save_model,
 )
@@ -242,11 +242,11 @@ def cmd_sweep(args) -> int:
     for dim in dims:
         model = fit_baseline(train, dim, args.levels, args.seed)
         metrics = _metrics(model, train)
-        tmp = tempfile.NamedTemporaryFile(suffix=".hdcm", delete=False)
-        tmp.close()
-        save_model(model, tmp.name)
-        size = os.path.getsize(tmp.name)
-        os.unlink(tmp.name)
+        size = model_file_size(
+            dim, train.n_features, args.levels, model.n_classes,
+            len(json.dumps(model.labels).encode("utf-8")),
+            len(json.dumps(model.feature_names).encode("utf-8")),
+        )
         rows.append((dim, metrics["wAcc"], metrics["totalAcc"], metrics["avgSim"], size))
         print(f"D={dim}: wAcc={metrics['wAcc']:.4f} totalAcc={metrics['totalAcc']:.4f} "
               f"avgSim={metrics['avgSim']:.4f} modelBytes={size}")

@@ -121,15 +121,6 @@ class Quantizer:
         return out
 
 
-def quantize_value(x: float, feature: int, quantizer: Quantizer) -> int:
-    """Quantization level of a single scalar for one feature."""
-    if not math.isfinite(x):
-        raise DataError(f"cannot quantize non-finite value {x!r}")
-    sample = quantizer.mins.copy()
-    sample[feature] = x
-    return int(quantizer.quantize_sample(sample)[feature])
-
-
 def calibrate_quantizer(train: Dataset, levels: int) -> Quantizer:
     """Per-feature min/max from the training split only."""
     if levels < 2:

@@ -198,13 +198,6 @@ def _level_signs(bases: np.ndarray, ranks: np.ndarray, prefix: np.ndarray) -> np
     return bases[:, None] * (1 - 2 * flipped)
 
 
-def _bundle(signs: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """(S, D) int64 sums of the (N, M, D) level signs each (S, N) row of
-    levels (values 1..M) picks."""
-    picked = signs[np.arange(signs.shape[0])[None, :], levels - 1]  # (S, N, D)
-    return picked.sum(axis=1, dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class LevelTable:
     """All N x M level hypervectors, bit-packed.
@@ -272,17 +265,10 @@ def level_vector(table: LevelTable, feature: int, level: int) -> Hypervector:
     return Hypervector(packed=table.packed[feature, level - 1].copy(), dim=table.dim)
 
 
-def encode_sample(x, quantizer, table: LevelTable) -> np.ndarray:
-    """Bundle one sample: sum of the level hypervectors its features fall in."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (table.features,):
-        raise ShapeError(f"expected {table.features} features, got shape {x.shape}")
-    if quantizer.levels != table.levels or quantizer.features != table.features:
-        raise ShapeError("quantizer and level table disagree on N or M")
-    levels = quantizer.quantize_sample(x)
-    return encode_quantized(levels[None, :], table)[0]
-
-
 def encode_quantized(levels: np.ndarray, table: LevelTable) -> np.ndarray:
-    """Bundle pre-quantized samples; `levels` is (S, N) with values in 1..M."""
-    return _bundle(table.signs, levels)
+    """Bundle pre-quantized samples: the (S, D) int64 sums of the level
+    hypervectors each (S, N) row of levels (values 1..M) picks."""
+    picked = table.signs[np.arange(table.features)[None, :], levels - 1]  # (S, N, D)
+    # |sum| <= N, and N < 2**31 for any table that fits in memory; an int32
+    # accumulator is about twice as fast as int64 for one row.
+    return picked.sum(axis=1, dtype=np.int32).astype(np.int64)

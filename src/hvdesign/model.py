@@ -1,16 +1,35 @@
 """Single-pass classifier training and cosine-similarity inference.
 
 Class encoders are plain integer sums of sample hypervectors, one sweep
-over the training data. Inference encodes the query the same way and takes
-the argmax of cosine similarity against the encoders; ties break toward
-the lowest class index, and a zero-norm vector has similarity 0 to
-everything by convention.
+over the training data. Inference takes the argmax of cosine similarity
+between a query's hypervector and the encoders; ties break toward the
+lowest class index, and a zero-norm vector has similarity 0 to everything
+by convention.
+
+Training, inference and candidate scoring never build a sample
+hypervector. They work in level space: a sample is the sum of the level
+hypervectors its features fall in, x_s = sum_n L[n, l_sn], so
+
+- the encoders are E = H @ L, where H counts the training samples of each
+  class at each (feature, level);
+- a dot product is x_s . e_k = sum_n P[n, l_sn, k], where P = L @ E^T
+  projects every level hypervector on every encoder;
+- the label is the argmax of (x_s . e_k) / |e_k|: |x_s| is the same for
+  every class of a row, so it cannot move the argmax.
+
+E, P, the squared norms and the dot products are exact integers (float64
+products are used only under a checked bound that keeps every partial sum
+below 2**53), and scores that come within float rounding of each other are
+compared exactly in integers. A label therefore depends neither on the
+batch it is scored in nor on the BLAS and its summation order.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +42,78 @@ from .hypervector import (
     encode_quantized,
     uniform_flip_budget,
 )
+
+# Scores closer than this (relative) to a row's best are compared exactly;
+# float rounding of an exact dot over a rounded norm is below 1e-15.
+_NEAR_TIE = 1e-9
+
+
+def _level_histogram(levels: np.ndarray, labels: np.ndarray, n_classes: int,
+                     n_levels: int) -> np.ndarray:
+    """(K, N*M) int64 counts: [k-1, n*M + l-1] = samples of class k whose
+    feature n is at level l."""
+    n_features = levels.shape[1]
+    index = ((labels[:, None] - 1) * n_features + np.arange(n_features)) * n_levels + levels - 1
+    counts = np.bincount(index.ravel(), minlength=n_classes * n_features * n_levels)
+    return counts.reshape(n_classes, n_features * n_levels)
+
+
+def _class_encoders(signs: np.ndarray, histogram: np.ndarray) -> np.ndarray:
+    """(K, D) int64 encoders E = H @ L from the (N, M, D) level signs.
+
+    |E| is at most the N*S_k level hypervectors a class sums, so under the
+    checked bound each float64 product is exact."""
+    n_features, n_levels, dim = signs.shape
+    if histogram.sum(axis=1).max(initial=0) >= 2**53:
+        raise DataError("training set too large for exact encoder sums")
+    per_feature = histogram.reshape(-1, n_features, n_levels).astype(np.float64)
+    encoders = np.zeros((histogram.shape[0], dim))
+    for n in range(n_features):
+        encoders += per_feature[:, n] @ signs[n]
+    return encoders.astype(np.int64)
+
+
+def _projection(signs: np.ndarray, encoders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M, K) int64 P[n, m-1, k-1] = L[n, m] . e_k and the (K,) squared
+    encoder norms.
+
+    A sum of N entries of P is bounded by N*D*max|E|; keeping that below
+    2**53 makes every float64 product, every dot product and its float64
+    value exact."""
+    n_features, n_levels, dim = signs.shape
+    top = int(np.abs(encoders).max(initial=0))
+    if n_features * dim * top >= 2**53 or dim * top * top >= 2**63:
+        raise DataError(f"encoder entries up to {top} are too large for exact scoring")
+    columns = encoders.T.astype(np.float64)
+    projection = np.empty((n_features, n_levels, encoders.shape[0]))
+    for n in range(n_features):
+        np.matmul(signs[n], columns, out=projection[n])
+    return projection.astype(np.int64), np.einsum("kd,kd->k", encoders, encoders)
+
+
+def _exact_score(dot: int, sq_norm: int) -> Fraction:
+    """sign(dot) * dot**2 / |e|**2: increases with dot / |e|; 0 for a zero encoder."""
+    return Fraction(dot * abs(dot), sq_norm) if sq_norm else Fraction(0)
+
+
+def _nearest(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Labels (1..K) of the (S, N) rows of levels (values 1..M): the argmax
+    of x_s . e_k / |e_k|, ties to the lowest k."""
+    n_features, n_levels, n_classes = projection.shape
+    picks = levels.T - 1 + n_levels * np.arange(n_features)[:, None]  # (N, S)
+    dots = projection.reshape(-1, n_classes)[picks].sum(axis=0).T.copy()  # (K, S)
+    norms = np.sqrt(sq_norms.astype(np.float64))
+    norms[norms == 0.0] = np.inf  # zero encoder: score 0
+    scores = dots / norms[:, None]
+    best = scores.max(axis=0)
+    near = scores >= best - _NEAR_TIE * np.abs(best)
+    labels = near.argmax(axis=0)
+    for s in np.flatnonzero(near.sum(axis=0) > 1):  # settle near ties exactly
+        labels[s] = max(
+            np.flatnonzero(near[:, s]),
+            key=lambda k: (_exact_score(int(dots[k, s]), int(sq_norms[k])), -k),
+        )
+    return labels + 1
 
 
 @dataclass(frozen=True)
@@ -48,6 +139,11 @@ class TrainedModel:
     @property
     def n_classes(self) -> int:
         return self.encoders.shape[0]
+
+    @cached_property
+    def _scoring(self) -> tuple[np.ndarray, np.ndarray]:
+        """The level projection and squared encoder norms `_nearest` takes."""
+        return _projection(self.table.signs, self.encoders)
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,22 +214,20 @@ def _similarities_to_encoders(queries: np.ndarray, encoders: np.ndarray) -> np.n
 def predict_batch(features: np.ndarray, model: TrainedModel) -> np.ndarray:
     """Labels (1..K) for an (S, N) feature matrix."""
     levels = model.quantizer.quantize_matrix(np.asarray(features, dtype=np.float64))
-    queries = encode_quantized(levels, model.table)
-    sims = _similarities_to_encoders(queries, model.encoders)
-    return np.argmax(sims, axis=1) + 1
+    return _nearest(*model._scoring, levels)
 
 
 def classify(query, model: TrainedModel) -> Prediction:
-    """Encode one query and return the most similar class."""
+    """The most similar class of one query, with its cosine similarity to
+    every encoder; the label is the one `predict_batch` gives."""
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (model.table.features,):
         raise ShapeError(
             f"expected {model.table.features} features, got shape {query.shape}"
         )
     levels = model.quantizer.quantize_matrix(query[None, :])
-    q = encode_quantized(levels, model.table)
-    sims = _similarities_to_encoders(q, model.encoders)[0]
-    return Prediction(label=int(np.argmax(sims)) + 1, similarities=sims)
+    sims = _similarities_to_encoders(encode_quantized(levels, model.table), model.encoders)[0]
+    return Prediction(label=int(_nearest(*model._scoring, levels)[0]), similarities=sims)
 
 
 def train_model(
@@ -146,10 +240,15 @@ def train_model(
     """Full single-pass training: budget -> level table -> encoders."""
     if table is None:
         table = build_level_table(seed, budget)
-    levels = quantizer.quantize_matrix(train.features)
-    samples = encode_quantized(levels, table)
-    encoders = train_encoders(samples, train.labels, train.n_classes)
+    _check_labels(train.labels, train.n_classes)
     counts = np.bincount(train.labels, minlength=train.n_classes + 1)[1:]
+    if not np.all(counts):
+        empty = (np.flatnonzero(counts == 0) + 1).tolist()
+        warnings.warn(f"classes {empty} have no training samples; zero encoders")
+    levels = quantizer.quantize_matrix(train.features)
+    encoders = _class_encoders(
+        table.signs, _level_histogram(levels, train.labels, train.n_classes, table.levels)
+    )
     return TrainedModel(
         quantizer=quantizer,
         table=table,

@@ -17,15 +17,15 @@ import numpy as np
 
 from .data import Dataset, Quantizer
 from .errors import DataError, ShapeError
-from .hypervector import (
-    FlipBudget,
-    _bundle,
-    _level_signs,
-    _prefix_flips,
-    _schedule,
-    repair_budget,
+from .hypervector import FlipBudget, _level_signs, _prefix_flips, _schedule, repair_budget
+from .model import (
+    _check_labels,
+    _class_encoders,
+    _level_histogram,
+    _nearest,
+    _projection,
+    _similarities_to_encoders,
 )
-from .model import _check_labels, _similarities_to_encoders
 
 SIMILARITY_CLAMP = 1e-12
 
@@ -103,26 +103,29 @@ class CandidateEvaluator:
     """Evaluates flip budgets against a fixed calibrated training split.
 
     Work that does not depend on the budget is done once: the training rows
-    are quantized and deduplicated, their labels become a (K, U) class-count
-    matrix, and the flip schedule is drawn once per dimension. Each
-    evaluation then builds the level signs from the budget's prefix sums,
-    bundles only the U unique rows and sums class encoders as an exact
-    integer product with the counts, with no bit packing in between.
-    Pure: identical budgets give identical scores.
+    are quantized into a (K, N*M) class x level histogram, their distinct
+    rows are kept with a (K, U) class-count matrix, and the flip schedule is
+    drawn once per dimension. Each evaluation builds the level signs from
+    the budget's prefix sums and scores in level space with the model's
+    kernel: encoders from the histogram, labels of the U distinct rows from
+    the level projection, and the confusion matrix as an integer product
+    with the counts. Pure: identical budgets give identical scores.
     """
 
     def __init__(self, train: Dataset, quantizer: Quantizer, base_seed):
         if quantizer.features != train.n_features:
             raise ShapeError("quantizer and dataset disagree on feature count")
+        if train.n_classes < 2:
+            raise DataError("need at least 2 classes")
         _check_labels(train.labels, train.n_classes)
         self.train = train
         self.quantizer = quantizer
         self.base_seed = int(base_seed)
         self.n_classes = train.n_classes
+        levels = quantizer.quantize_matrix(train.features)
+        self.histogram = _level_histogram(levels, train.labels, self.n_classes, quantizer.levels)
         # (U, N) distinct quantized rows; counts[k-1, u] = samples of class k at row u.
-        self.rows, row_of = np.unique(
-            quantizer.quantize_matrix(train.features), axis=0, return_inverse=True
-        )
+        self.rows, row_of = np.unique(levels, axis=0, return_inverse=True)
         self.counts = np.zeros((self.n_classes, len(self.rows)), dtype=np.int64)
         np.add.at(self.counts, (train.labels - 1, row_of.reshape(-1)), 1)
         self._schedules = {}  # dim -> (bases, ranks)
@@ -136,10 +139,10 @@ class CandidateEvaluator:
         if budget.dim not in self._schedules:
             self._schedules[budget.dim] = _schedule(self.base_seed, budget.features, budget.dim)
         prefix = _prefix_flips(repair_budget(budget))
-        samples = _bundle(_level_signs(*self._schedules[budget.dim], prefix), self.rows)
-        encoders = self.counts @ samples
-        predicted = np.argmax(_similarities_to_encoders(samples, encoders), axis=1)
-        confusion = self.counts @ np.eye(self.n_classes, dtype=np.int64)[predicted]
+        signs = _level_signs(*self._schedules[budget.dim], prefix)
+        encoders = _class_encoders(signs, self.histogram)
+        predicted = _nearest(*_projection(signs, encoders), self.rows)
+        confusion = self.counts @ np.eye(self.n_classes, dtype=np.int64)[predicted - 1]
         return ObjectiveScores(
             wacc=weighted_accuracy(confusion),
             avg_sim=avg_similarity(encoders),

@@ -113,6 +113,13 @@ class TestSweep:
         sizes = [int(line.split(",")[-1]) for line in lines[1:]]
         assert sizes == sorted(sizes) and len(set(sizes)) == 3
 
+    def test_size_is_the_saved_model_size(self, synth_csv, tmp_path):
+        out, model_path = str(tmp_path / "sweep.csv"), str(tmp_path / "m.hdcm")
+        assert main(["sweep", "--data", synth_csv, "--dims", "64", "--out", out]) == 0
+        assert main(["train", "--data", synth_csv, "--dim", "64", "--out", model_path]) == 0
+        size = int(open(out).read().strip().split("\n")[1].split(",")[-1])
+        assert size == os.path.getsize(model_path)
+
     def test_odd_dim_rejected(self, synth_csv, tmp_path):
         out = str(tmp_path / "sweep.csv")
         assert main(["sweep", "--data", synth_csv, "--dims", "33", "--out", out]) == 2
@@ -200,13 +207,15 @@ class TestBadInput:
             ["optimize", "--data", "{data}", "--config", "{tmp}/list.json",
              "--out", "{tmp}/front.csv"],
             ["train", "--data", "{tmp}"],
+            ["optimize", "--data", "{tmp}/one.csv", "--out", "{tmp}/front.csv"],
         ],
         ids=["pop-3", "levels-1", "missing-config", "malformed-config", "dims-abc", "grid-5",
-             "config-pop-list", "data-is-directory"],
+             "config-pop-list", "data-is-directory", "one-class"],
     )
     def test_exits_2_with_one_error_line(self, argv, synth_csv, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{bad")
         (tmp_path / "list.json").write_text('{"pop": [1]}')
+        (tmp_path / "one.csv").write_text("f1,label\n0.1,a\n0.5,a\n0.9,a\n")
         code = main([arg.format(data=synth_csv, tmp=tmp_path) for arg in argv])
         assert code == 2
         err = capsys.readouterr().err.splitlines()

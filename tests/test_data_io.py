@@ -18,7 +18,6 @@ from hvdesign import (
     generate_motivational,
     load_dataset_csv,
     load_model,
-    quantize_value,
     save_dataset_csv,
     save_model,
 )
@@ -95,18 +94,17 @@ class TestQuantizer:
 
     def test_paper_toy_intervals(self):
         q = Quantizer(mins=np.array([0.0, -10.0]), maxs=np.array([1.0, 0.0]), levels=10)
-        assert quantize_value(0.17, 0, q) == 2
         # -1.2 lies in [-2, -1), the 9th interval of f2. (The original
         # worked example states 8; enumeration of its own intervals says 9.)
-        assert quantize_value(-1.2, 1, q) == 9
-        assert quantize_value(0.0, 0, q) == 1
-        assert quantize_value(0.95, 0, q) == 10
+        assert q.quantize_sample([0.17, -1.2]).tolist() == [2, 9]
+        assert q.quantize_sample([0.0, -10.0])[0] == 1
+        assert q.quantize_sample([0.95, -10.0])[0] == 10
 
     def test_clamping(self):
         q = Quantizer(mins=np.array([0.0]), maxs=np.array([1.0]), levels=5)
-        assert quantize_value(1.0, 0, q) == 5
-        assert quantize_value(2.0, 0, q) == 5
-        assert quantize_value(-1.0, 0, q) == 1
+        assert q.quantize_sample([1.0])[0] == 5
+        assert q.quantize_sample([2.0])[0] == 5
+        assert q.quantize_sample([-1.0])[0] == 1
 
     def test_degenerate_feature_warns_and_maps_to_one(self):
         ds = Dataset(
@@ -117,20 +115,20 @@ class TestQuantizer:
         with pytest.warns(UserWarning, match="degenerate"):
             q = calibrate_quantizer(ds, 4)
         assert q.degenerate.tolist() == [True, False]
-        assert quantize_value(3.0, 0, q) == 1
-        assert quantize_value(99.0, 0, q) == 1
+        assert q.quantize_sample([3.0, 0.1])[0] == 1
+        assert q.quantize_sample([99.0, 0.1])[0] == 1
 
     def test_non_finite_rejected(self):
         q = Quantizer(mins=np.array([0.0]), maxs=np.array([1.0]), levels=5)
         with pytest.raises(DataError):
-            quantize_value(float("nan"), 0, q)
+            q.quantize_sample([float("nan")])
 
     @given(st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=100)
     def test_monotone(self, x1, x2):
         q = Quantizer(mins=np.array([-1.0]), maxs=np.array([1.0]), levels=7)
         lo, hi = sorted([x1, x2])
-        assert quantize_value(lo, 0, q) <= quantize_value(hi, 0, q)
+        assert q.quantize_sample([lo])[0] <= q.quantize_sample([hi])[0]
 
 
 class TestMotivational:

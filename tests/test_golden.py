@@ -1,8 +1,10 @@
-"""Golden outputs recorded in bench/golden.json (read here, never written).
+"""Golden outputs, read here and never written: bench/golden.json (the
+benchmark's 3-generation grid front and D=8192 baseline accuracy) and
+tests/golden_grid150.json (the full 150-generation grid search at seed 0).
 
 A change that alters the search or the scores shows up here as a different
-front or a different baseline accuracy. avgSim may move within the file's
-relative tolerance; budgets and wAcc must match exactly.
+front or a different baseline accuracy. avgSim may move within the bench
+file's relative tolerance; budgets and wAcc must match exactly.
 """
 
 import json
@@ -13,17 +15,18 @@ from hvdesign import GAConfig, calibrate_quantizer, generate_motivational, run_o
 from hvdesign.cli import main
 from hvdesign.data import save_dataset_csv
 
-GOLDEN = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
+ROOT = Path(__file__).parents[1]
+GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text())
+GRID150 = json.loads((ROOT / "tests" / "golden_grid150.json").read_text())
 
 
-def test_ga_grid_front():
-    spec = GOLDEN["ga_grid"]
-    data = generate_motivational(40, seed=GOLDEN["seed"])
+def assert_grid_front(spec, seed):
+    data = generate_motivational(40, seed=seed)
     quantizer = calibrate_quantizer(data, spec["levels"])
     config = GAConfig(
         population_size=spec["population"],
         generations=spec["generations"],
-        seed=GOLDEN["seed"],
+        seed=seed,
         dim=spec["dim"],
         levels=spec["levels"],
     )
@@ -38,6 +41,14 @@ def test_ga_grid_front():
             got[key].avg_sim, float(member["avg_sim"]),
             rel_tol=GOLDEN["avg_sim_rel_tol"], abs_tol=0.0,
         )
+
+
+def test_ga_grid_front():
+    assert_grid_front(GOLDEN["ga_grid"], GOLDEN["seed"])
+
+
+def test_grid_front_150_generations():
+    assert_grid_front(GRID150, GRID150["seed"])
 
 
 def test_baseline_d8192_train_wacc(tmp_path, capsys):

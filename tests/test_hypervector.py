@@ -10,7 +10,7 @@ from hvdesign import (
     Quantizer,
     build_level_table,
     cosine_similarity,
-    encode_sample,
+    encode_quantized,
     level_vector,
     random_bipolar,
     repair_budget,
@@ -191,14 +191,14 @@ class TestEncodeSample:
         # levels 2 and 9 (interval enumeration; see Quantizer docs).
         quantizer = Quantizer(mins=np.array([0.0, -10.0]), maxs=np.array([1.0, 0.0]), levels=10)
         table = build_level_table(2, uniform_flip_budget(1000, 10, features=2))
-        encoded = encode_sample([0.17, -1.2], quantizer, table)
+        encoded = encode_quantized(quantizer.quantize_matrix(np.array([[0.17, -1.2]])), table)[0]
         expected = level_vector(table, 0, 2).signs.astype(int) + level_vector(table, 1, 9).signs
         assert np.array_equal(encoded, expected)
 
     def test_single_feature_is_level_vector(self):
         quantizer = Quantizer(mins=np.array([0.0]), maxs=np.array([1.0]), levels=4)
         table = build_level_table(3, uniform_flip_budget(32, 4))
-        encoded = encode_sample([0.6], quantizer, table)
+        encoded = encode_quantized(quantizer.quantize_matrix(np.array([[0.6]])), table)[0]
         assert np.array_equal(encoded, level_vector(table, 0, 3).signs)
 
     @given(st.integers(0, 1000), st.integers(1, 5))
@@ -210,7 +210,7 @@ class TestEncodeSample:
         )
         table = build_level_table(seed, uniform_flip_budget(16, 5, features=n_features))
         x = rng.uniform(0, 1, size=n_features)
-        encoded = encode_sample(x, quantizer, table)
+        encoded = encode_quantized(quantizer.quantize_matrix(x[None, :]), table)[0]
         assert np.all(np.abs(encoded) <= n_features)
         assert np.all((encoded - n_features) % 2 == 0)
 
