@@ -369,10 +369,16 @@ def load_model(path):
     (seed,) = struct.unpack("<Q", take(8))
     mins = np.frombuffer(take(8 * n_feat), dtype="<f8").copy()
     maxs = np.frombuffer(take(8 * n_feat), dtype="<f8").copy()
+    if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
+        raise FormatError(f"{path}: non-finite calibration range")
+    if np.any(mins > maxs):
+        raise FormatError(f"{path}: a calibration minimum exceeds its maximum")
     budgets = np.frombuffer(take(4 * n_feat * (n_lvl - 1)), dtype="<i4")
     budgets = budgets.reshape(n_feat, n_lvl - 1).astype(np.int64)
     if np.any(budgets < 0):
         raise FormatError(f"{path}: negative entries in the flip budget")
+    if np.any(budgets.sum(axis=1) > dim // 2):
+        raise FormatError(f"{path}: flip budget rows exceed D/2 = {dim // 2}")
     n_table_bytes = -(-n_feat * n_lvl * dim // 8)
     table_bits = np.frombuffer(take(n_table_bytes), dtype=np.uint8)
     encoders = np.frombuffer(take(4 * n_cls * dim), dtype="<i4")

@@ -8,9 +8,12 @@ reference predicate on a single pair. A population is a list of
 (FlipBudget, ObjectiveScores) pairs, the same shape as a front's members.
 
 Variation is per-gene uniform crossover plus uniform-reset mutation on the
-integer genes, followed by a floor-rescale repair that keeps every row sum
-within D/2, so only feasible individuals are ever evaluated as candidates
-for the front.
+integer genes. The children of a generation are stacked into one
+(P, N, M-1) array and repaired in one array operation, the same
+floor-rescale `repair_budget` applies, which keeps every row sum within
+D/2, so only feasible individuals are ever evaluated as candidates for the
+front. The children are then scored together with
+`CandidateEvaluator.evaluate_population`, as is the initial population.
 
 Randomness comes from explicitly indexed substreams of the master seed
 (one for initialization, one per generation for variation), so results are
@@ -26,7 +29,7 @@ import numpy as np
 
 from .data import Dataset, Quantizer, atomic_open
 from .errors import ConfigError, ShapeError
-from .hypervector import FlipBudget, repair_budget, uniform_flip_budget
+from .hypervector import FlipBudget, _repair, repair_budget, uniform_flip_budget
 from .objectives import CandidateEvaluator, ObjectiveScores
 
 
@@ -181,21 +184,20 @@ def evolve_generation(
     half = config.dim // 2
     shape = population[0][0].budgets.shape
 
-    children = []
-    for _ in range(config.population_size // 2):
+    genes = np.empty((config.population_size, *shape), dtype=np.int64)
+    for k in range(0, config.population_size, 2):
         i = _tournament(rng, ranks, crowding, config.tournament_size)
         j = _tournament(rng, ranks, crowding, config.tournament_size)
-        p1 = population[i][0].budgets.copy()
-        p2 = population[j][0].budgets.copy()
+        p1, p2 = population[i][0].budgets, population[j][0].budgets
         swap = rng.random(shape) < config.crossover_rate
-        c1 = np.where(swap, p2, p1)
-        c2 = np.where(swap, p1, p2)
-        for genes in (c1, c2):
+        genes[k] = np.where(swap, p2, p1)
+        genes[k + 1] = np.where(swap, p1, p2)
+        for child in genes[k : k + 2]:
             mutate = rng.random(shape) < config.mutation_rate
             fresh = rng.integers(0, half + 1, size=shape)
-            genes[mutate] = fresh[mutate]
-            budget = repair_budget(FlipBudget(budgets=genes, dim=config.dim))
-            children.append((budget, evaluator.evaluate(budget)))
+            child[mutate] = fresh[mutate]
+    budgets = [FlipBudget(budgets=b, dim=config.dim) for b in _repair(genes, config.dim)]
+    children = list(zip(budgets, evaluator.evaluate_population(budgets)))
 
     combined = population + children
     ranks, crowding = rank_population([scores for _, scores in combined])
@@ -233,10 +235,8 @@ def run_optimization(
     if quantizer.levels != config.levels:
         raise ShapeError("config levels do not match the calibrated quantizer")
     evaluator = CandidateEvaluator(train, quantizer, config.seed)
-    population = [
-        (budget, evaluator.evaluate(budget))
-        for budget in initialize_population(config, train.n_features)
-    ]
+    budgets = initialize_population(config, train.n_features)
+    population = list(zip(budgets, evaluator.evaluate_population(budgets)))
     hypervolumes = [hypervolume(_front_of(population))]
     for gen in range(config.generations):
         population = evolve_generation(population, evaluator, config, gen)

@@ -13,6 +13,7 @@ Hamming control between any two levels of the same feature.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -142,28 +143,41 @@ def uniform_flip_budget(dim: int, levels: int, features: int = 1) -> FlipBudget:
     """The baseline budget: floor(D / (2(M-1))) flips at every transition.
 
     Leftover bits from the floor simply stay unflipped, so the result is
-    feasible by construction.
+    feasible by construction. Below D = 2(M-1) the floor is zero: every
+    level is the same vector, which warns.
     """
     if levels < 2:
         raise ConfigError(f"need at least 2 quantization levels, got {levels}")
     if dim < 2 or dim % 2 != 0:
         raise DimensionError(f"dimension must be even and >= 2, got {dim}")
     per_transition = dim // (2 * (levels - 1))
+    if per_transition == 0:
+        warnings.warn(
+            f"D={dim} is below 2(M-1)={2 * (levels - 1)}: the uniform budget flips no "
+            f"bits, so all {levels} levels are the same hypervector",
+            stacklevel=2,
+        )
     budgets = np.full((features, levels - 1), per_transition, dtype=np.int64)
     return FlipBudget(budgets=budgets, dim=dim)
+
+
+def _repair(budgets: np.ndarray, dim: int) -> np.ndarray:
+    """Rows of (..., N, M-1) budgets whose sum exceeds D/2, each entry
+    scaled by (D/2) / sum and floored; the other rows unchanged."""
+    half = dim // 2
+    sums = budgets.sum(axis=-1, keepdims=True)
+    bad = sums > half
+    if not bad.any():
+        return budgets
+    scale = np.where(bad, half, 1) / np.where(bad, sums, 1)
+    return np.where(bad, np.floor(budgets * scale).astype(np.int64), budgets)
 
 
 def repair_budget(budget: FlipBudget) -> FlipBudget:
     """Scale down violating rows so every row sum fits in D/2. Idempotent."""
     if budget.feasible:
         return budget
-    half = budget.dim // 2
-    b = budget.budgets.copy()
-    sums = b.sum(axis=1)
-    bad = sums > half
-    scaled = np.floor(b[bad] * (half / sums[bad, None])).astype(np.int64)
-    b[bad] = scaled
-    return FlipBudget(budgets=b, dim=budget.dim)
+    return FlipBudget(budgets=_repair(budget.budgets, budget.dim), dim=budget.dim)
 
 
 def _feature_rng(base_seed, feature: int) -> np.random.Generator:
@@ -185,16 +199,18 @@ def _schedule(base_seed, features: int, dim: int) -> tuple[np.ndarray, np.ndarra
     return bases, ranks
 
 
-def _prefix_flips(budget: FlipBudget) -> np.ndarray:
-    """(N, M) flips applied up to each level; the first column is zero."""
-    prefix = np.zeros((budget.features, budget.levels), dtype=np.int64)
-    prefix[:, 1:] = np.cumsum(budget.budgets, axis=1)
+def _prefix_flips(budgets: np.ndarray) -> np.ndarray:
+    """(..., N, M) flips applied up to each level of (..., N, M-1) budgets;
+    the first column is zero."""
+    prefix = np.zeros(budgets.shape[:-1] + (budgets.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(budgets, axis=-1, out=prefix[..., 1:])
     return prefix
 
 
 def _level_signs(bases: np.ndarray, ranks: np.ndarray, prefix: np.ndarray) -> np.ndarray:
-    """(N, M, D) int8 signs of every level, built in one broadcast."""
-    flipped = (ranks[:, None] < prefix[:, :, None]).astype(np.int8)
+    """(..., N, M, D) int8 signs of every level of the (..., N, M) prefix
+    sums (one budget, or a leading axis of candidates), in one broadcast."""
+    flipped = (ranks[:, None] < prefix[..., None]).astype(np.int8)
     return bases[:, None] * (1 - 2 * flipped)
 
 
@@ -202,14 +218,13 @@ def _level_signs(bases: np.ndarray, ranks: np.ndarray, prefix: np.ndarray) -> np
 class LevelTable:
     """All N x M level hypervectors, bit-packed.
 
-    `prefix_flips` and `budgets` are present when the table was built from a
-    flip budget (they realize the no-reflip schedule); a table reconstructed
-    from serialized bits alone carries only the packed levels.
+    `budgets` is present when the table was built from a flip budget; a
+    table reconstructed from serialized bits alone carries only the packed
+    levels.
     """
 
     packed: np.ndarray  # (N, M, ceil(D/8)) uint8
     dim: int
-    prefix_flips: np.ndarray | None = None  # (N, M), first column all zero
     budgets: FlipBudget | None = None
 
     def __post_init__(self):
@@ -246,12 +261,10 @@ def build_level_table(base_seed, budget: FlipBudget) -> LevelTable:
         raise ConstraintError(
             f"budget row sums {budget.row_sums.tolist()} exceed D/2 = {budget.dim // 2}"
         )
-    prefix = _prefix_flips(budget)
     bases, ranks = _schedule(base_seed, budget.features, budget.dim)
     return LevelTable(
-        packed=pack_signs(_level_signs(bases, ranks, prefix)),
+        packed=pack_signs(_level_signs(bases, ranks, _prefix_flips(budget.budgets))),
         dim=budget.dim,
-        prefix_flips=prefix,
         budgets=budget,
     )
 

@@ -59,36 +59,37 @@ def _level_histogram(levels: np.ndarray, labels: np.ndarray, n_classes: int,
 
 
 def _class_encoders(signs: np.ndarray, histogram: np.ndarray) -> np.ndarray:
-    """(K, D) int64 encoders E = H @ L from the (N, M, D) level signs.
+    """(P, K, D) int64 encoders E = H @ L from the (P, N, M, D) level signs
+    of P candidates.
 
     |E| is at most the N*S_k level hypervectors a class sums, so under the
     checked bound each float64 product is exact."""
-    n_features, n_levels, dim = signs.shape
+    n_candidates, n_features, n_levels, dim = signs.shape
     if histogram.sum(axis=1).max(initial=0) >= 2**53:
         raise DataError("training set too large for exact encoder sums")
     per_feature = histogram.reshape(-1, n_features, n_levels).astype(np.float64)
-    encoders = np.zeros((histogram.shape[0], dim))
+    encoders = np.zeros((n_candidates, histogram.shape[0], dim))
     for n in range(n_features):
-        encoders += per_feature[:, n] @ signs[n]
+        encoders += per_feature[:, n] @ signs[:, n]
     return encoders.astype(np.int64)
 
 
 def _projection(signs: np.ndarray, encoders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, M, K) int64 P[n, m-1, k-1] = L[n, m] . e_k and the (K,) squared
-    encoder norms.
+    """(P, N, M, K) int64 P[p, n, m-1, k-1] = L[n, m] . e_k of each of the P
+    candidates, and their (P, K) squared encoder norms.
 
     A sum of N entries of P is bounded by N*D*max|E|; keeping that below
     2**53 makes every float64 product, every dot product and its float64
     value exact."""
-    n_features, n_levels, dim = signs.shape
+    n_candidates, n_features, n_levels, dim = signs.shape
     top = int(np.abs(encoders).max(initial=0))
     if n_features * dim * top >= 2**53 or dim * top * top >= 2**63:
         raise DataError(f"encoder entries up to {top} are too large for exact scoring")
-    columns = encoders.T.astype(np.float64)
-    projection = np.empty((n_features, n_levels, encoders.shape[0]))
+    columns = encoders.transpose(0, 2, 1).astype(np.float64)
+    projection = np.empty((n_candidates, n_features, n_levels, encoders.shape[1]))
     for n in range(n_features):
-        np.matmul(signs[n], columns, out=projection[n])
-    return projection.astype(np.int64), np.einsum("kd,kd->k", encoders, encoders)
+        np.matmul(signs[:, n], columns, out=projection[:, n])
+    return projection.astype(np.int64), np.einsum("pkd,pkd->pk", encoders, encoders)
 
 
 def _exact_score(dot: int, sq_norm: int) -> Fraction:
@@ -97,22 +98,24 @@ def _exact_score(dot: int, sq_norm: int) -> Fraction:
 
 
 def _nearest(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Labels (1..K) of the (S, N) rows of levels (values 1..M): the argmax
-    of x_s . e_k / |e_k|, ties to the lowest k."""
-    n_features, n_levels, n_classes = projection.shape
+    """(P, S) labels (1..K) that each of the P candidates gives the (S, N)
+    rows of levels (values 1..M): the argmax of x_s . e_k / |e_k|, ties to
+    the lowest k."""
+    n_candidates, n_features, n_levels, n_classes = projection.shape
     picks = levels.T - 1 + n_levels * np.arange(n_features)[:, None]  # (N, S)
-    dots = projection.reshape(-1, n_classes)[picks].sum(axis=0).T.copy()  # (K, S)
-    norms = np.sqrt(sq_norms.astype(np.float64))
-    norms[norms == 0.0] = np.inf  # zero encoder: score 0
-    scores = dots / norms[:, None]
-    best = scores.max(axis=0)
-    near = scores >= best - _NEAR_TIE * np.abs(best)
-    labels = near.argmax(axis=0)
-    for s in np.flatnonzero(near.sum(axis=0) > 1):  # settle near ties exactly
-        labels[s] = max(
-            np.flatnonzero(near[:, s]),
-            key=lambda k: (_exact_score(int(dots[k, s]), int(sq_norms[k])), -k),
-        )
+    gathered = np.take(projection.reshape(n_candidates, -1, n_classes), picks, axis=1)
+    dots = gathered.sum(axis=1).transpose(0, 2, 1).copy()  # (P, K, S)
+    norms = np.where(sq_norms > 0, np.sqrt(sq_norms), np.inf)  # zero encoder: score 0
+    scores = dots / norms[:, :, None]
+    best = scores.max(axis=1)
+    near = scores >= (best - _NEAR_TIE * np.abs(best))[:, None]
+    labels = near.argmax(axis=1)
+    if np.count_nonzero(near) > labels.size:  # a row has several near-best classes
+        for p, s in zip(*np.nonzero(near.sum(axis=1) > 1)):  # settle them exactly
+            labels[p, s] = max(
+                np.flatnonzero(near[p, :, s]),
+                key=lambda k: (_exact_score(int(dots[p, k, s]), int(sq_norms[p, k])), -k),
+            )
     return labels + 1
 
 
@@ -142,8 +145,9 @@ class TrainedModel:
 
     @cached_property
     def _scoring(self) -> tuple[np.ndarray, np.ndarray]:
-        """The level projection and squared encoder norms `_nearest` takes."""
-        return _projection(self.table.signs, self.encoders)
+        """The level projection and squared encoder norms `_nearest` takes,
+        for this model as a population of one."""
+        return _projection(self.table.signs[None], self.encoders[None])
 
     def __eq__(self, other) -> bool:
         return (
@@ -201,20 +205,21 @@ def cosine_similarity(a, b) -> float:
 
 
 def _similarities_to_encoders(queries: np.ndarray, encoders: np.ndarray) -> np.ndarray:
-    """(S, D) int queries x (K, D) int encoders -> (S, K) cosine similarities."""
+    """(..., S, D) int queries x (..., K, D) int encoders -> (..., S, K)
+    cosine similarities; leading axes stack independent problems."""
     q = queries.astype(np.float64)
     e = encoders.astype(np.float64)
-    qn = np.linalg.norm(q, axis=1)
-    en = np.linalg.norm(e, axis=1)
+    qn = np.sqrt((q * q).sum(axis=-1))
+    en = np.sqrt((e * e).sum(axis=-1))
     qn[qn == 0.0] = np.inf  # zero-norm convention: similarity 0
     en[en == 0.0] = np.inf
-    return (q / qn[:, None]) @ (e / en[:, None]).T
+    return (q / qn[..., None]) @ np.swapaxes(e / en[..., None], -1, -2)
 
 
 def predict_batch(features: np.ndarray, model: TrainedModel) -> np.ndarray:
     """Labels (1..K) for an (S, N) feature matrix."""
     levels = model.quantizer.quantize_matrix(np.asarray(features, dtype=np.float64))
-    return _nearest(*model._scoring, levels)
+    return _nearest(*model._scoring, levels)[0]
 
 
 def classify(query, model: TrainedModel) -> Prediction:
@@ -227,7 +232,7 @@ def classify(query, model: TrainedModel) -> Prediction:
         )
     levels = model.quantizer.quantize_matrix(query[None, :])
     sims = _similarities_to_encoders(encode_quantized(levels, model.table), model.encoders)[0]
-    return Prediction(label=int(_nearest(*model._scoring, levels)[0]), similarities=sims)
+    return Prediction(label=int(_nearest(*model._scoring, levels)[0, 0]), similarities=sims)
 
 
 def train_model(
@@ -247,8 +252,8 @@ def train_model(
         warnings.warn(f"classes {empty} have no training samples; zero encoders")
     levels = quantizer.quantize_matrix(train.features)
     encoders = _class_encoders(
-        table.signs, _level_histogram(levels, train.labels, train.n_classes, table.levels)
-    )
+        table.signs[None], _level_histogram(levels, train.labels, train.n_classes, table.levels)
+    )[0]
     return TrainedModel(
         quantizer=quantizer,
         table=table,

@@ -6,6 +6,15 @@ pairwise class-encoder cosine similarities (avgSim). Robustness is
 1 - avgSim. Feasibility is the per-feature row-sum constraint on the
 budget; infeasible candidates still get scores (computed on the repaired
 budget) but carry feasible=False.
+
+A GA generation is scored as one population: `CandidateEvaluator.
+evaluate_population` repairs the stacked budgets in one array operation and
+runs the model's level-space kernel over a leading candidate axis, in
+blocks of candidates sized from the problem's shapes so the temporaries stay
+small. `evaluate` is a population of one. Scores do not depend on the
+population a budget is scored in: wAcc and avgSim keep the bytes of
+`weighted_accuracy` and `avg_similarity` on that budget's own confusion
+matrix and encoders.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import numpy as np
 
 from .data import Dataset, Quantizer
 from .errors import DataError, ShapeError
-from .hypervector import FlipBudget, _level_signs, _prefix_flips, _schedule, repair_budget
+from .hypervector import FlipBudget, _level_signs, _prefix_flips, _repair, _schedule
 from .model import (
     _check_labels,
     _class_encoders,
@@ -28,6 +37,13 @@ from .model import (
 )
 
 SIMILARITY_CLAMP = 1e-12
+
+# Candidates per scoring block: this many elements of level signs and
+# gathered level scores (their sizes per candidate are N*M*D and N*U*K).
+# A block spreads the numpy calls of one kernel pass over many candidates
+# while its temporaries stay in cache; a whole 200-candidate grid generation
+# at once (D=64, M=20, U=400) took 14 MB more memory and ran slower.
+_BLOCK_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -52,19 +68,25 @@ def confusion_matrix(true_labels, predicted_labels, n_classes: int) -> np.ndarra
     return out
 
 
+def _macro_recalls(hits: np.ndarray, totals: np.ndarray) -> list:
+    """wAcc of each row of (P, K) correct counts against the (K,) class totals."""
+    present = totals > 0
+    if not present.all():
+        missing = (np.flatnonzero(~present) + 1).tolist()
+        warnings.warn(f"classes {missing} have no true samples; excluded from wAcc")
+    if not present.any():
+        raise DataError("confusion matrix has no samples at all")
+    recalls = hits[:, present] / totals[present]
+    # One row at a time: a sum over axis 1 of the stack may add in another
+    # order. A row's sum over its length is the bytes of its mean.
+    return [float(row.sum() / row.size) for row in recalls]
+
+
 def weighted_accuracy(confusion: np.ndarray) -> float:
     """Macro-averaged recall. Classes with no true samples are dropped from
     the mean with a warning."""
     confusion = np.asarray(confusion, dtype=np.int64)
-    totals = confusion.sum(axis=1)
-    present = totals > 0
-    if not np.all(present):
-        missing = (np.flatnonzero(~present) + 1).tolist()
-        warnings.warn(f"classes {missing} have no true samples; excluded from wAcc")
-    if not np.any(present):
-        raise DataError("confusion matrix has no samples at all")
-    recalls = np.diag(confusion)[present] / totals[present]
-    return float(recalls.mean())
+    return _macro_recalls(np.diag(confusion)[None], confusion.sum(axis=1))[0]
 
 
 def total_accuracy(confusion: np.ndarray) -> float:
@@ -81,6 +103,15 @@ def pairwise_similarities(encoders: np.ndarray) -> np.ndarray:
     return _similarities_to_encoders(encoders, encoders)
 
 
+def _avg_similarities(encoders: np.ndarray) -> list:
+    """avgSim of each of a (P, K, D) stack of encoder sets."""
+    k = encoders.shape[1]
+    sims = _similarities_to_encoders(encoders, encoders)
+    logs = np.log(np.maximum(sims[:, ~np.eye(k, dtype=bool)], SIMILARITY_CLAMP))
+    # One row at a time: a sum over axis 1 of the stack may add in another order.
+    return [float(np.exp(row.sum() / k)) for row in logs]
+
+
 def avg_similarity(encoders: np.ndarray) -> float:
     """Geometric-mean similarity over all ordered encoder pairs k != k',
     with exponent 1/K and each factor clamped below at 1e-12."""
@@ -88,10 +119,7 @@ def avg_similarity(encoders: np.ndarray) -> float:
     k = encoders.shape[0]
     if k < 2:
         raise ValueError(f"need at least 2 class encoders, got {k}")
-    sims = pairwise_similarities(encoders)
-    off_diag = sims[~np.eye(k, dtype=bool)]
-    clamped = np.maximum(off_diag, SIMILARITY_CLAMP)
-    return float(np.exp(np.log(clamped).sum() / k))
+    return _avg_similarities(encoders[None])[0]
 
 
 def feasibility(budget: FlipBudget) -> bool:
@@ -105,11 +133,13 @@ class CandidateEvaluator:
     Work that does not depend on the budget is done once: the training rows
     are quantized into a (K, N*M) class x level histogram, their distinct
     rows are kept with a (K, U) class-count matrix, and the flip schedule is
-    drawn once per dimension. Each evaluation builds the level signs from
-    the budget's prefix sums and scores in level space with the model's
-    kernel: encoders from the histogram, labels of the U distinct rows from
-    the level projection, and the confusion matrix as an integer product
-    with the counts. Pure: identical budgets give identical scores.
+    drawn once per dimension. A population of budgets is repaired and
+    turned into prefix sums in one array operation; then, one block of
+    candidates at a time, the level signs are built and scored in level
+    space with the model's kernel: encoders from the histogram, labels of
+    the U distinct rows from the level projection, and the confusion
+    diagonal as an integer product with the counts. Pure: identical budgets
+    give identical scores, alone or in any population.
     """
 
     def __init__(self, train: Dataset, quantizer: Quantizer, base_seed):
@@ -128,23 +158,45 @@ class CandidateEvaluator:
         self.rows, row_of = np.unique(levels, axis=0, return_inverse=True)
         self.counts = np.zeros((self.n_classes, len(self.rows)), dtype=np.int64)
         np.add.at(self.counts, (train.labels - 1, row_of.reshape(-1)), 1)
+        self.class_sizes = self.counts.sum(axis=1)
         self._schedules = {}  # dim -> (bases, ranks)
 
     def evaluate(self, budget: FlipBudget) -> ObjectiveScores:
-        if budget.features != self.train.n_features or budget.levels != self.quantizer.levels:
-            raise ShapeError(
-                f"budget shape ({budget.features}, {budget.levels - 1}) does not match "
-                f"dataset N={self.train.n_features}, M={self.quantizer.levels}"
-            )
-        if budget.dim not in self._schedules:
-            self._schedules[budget.dim] = _schedule(self.base_seed, budget.features, budget.dim)
-        prefix = _prefix_flips(repair_budget(budget))
-        signs = _level_signs(*self._schedules[budget.dim], prefix)
-        encoders = _class_encoders(signs, self.histogram)
-        predicted = _nearest(*_projection(signs, encoders), self.rows)
-        confusion = self.counts @ np.eye(self.n_classes, dtype=np.int64)[predicted - 1]
-        return ObjectiveScores(
-            wacc=weighted_accuracy(confusion),
-            avg_sim=avg_similarity(encoders),
-            feasible=budget.feasible,
-        )
+        """The scores of one budget: a population of one."""
+        return self.evaluate_population([budget])[0]
+
+    def evaluate_population(self, budgets) -> list:
+        """The ObjectiveScores of each budget, in order; all budgets must
+        share one dimension."""
+        budgets = list(budgets)
+        if not budgets:
+            return []
+        n_features, n_levels, dim = self.train.n_features, self.quantizer.levels, budgets[0].dim
+        for budget in budgets:
+            if budget.features != n_features or budget.levels != n_levels:
+                raise ShapeError(
+                    f"budget shape ({budget.features}, {budget.levels - 1}) does not match "
+                    f"dataset N={n_features}, M={n_levels}"
+                )
+            if budget.dim != dim:
+                raise ShapeError("a population must share one dimension")
+        if dim not in self._schedules:
+            self._schedules[dim] = _schedule(self.base_seed, n_features, dim)
+        raw = np.array([budget.budgets for budget in budgets])  # (P, N, M-1)
+        feasible = raw.sum(axis=2).max(axis=1) <= dim // 2
+        prefix = _prefix_flips(_repair(raw, dim))
+        classes = np.arange(1, self.n_classes + 1)[:, None]  # (K, 1) labels
+        block = max(1, _BLOCK_ELEMENTS // (n_features * (n_levels * dim + self.counts.size)))
+        hits, avg_sims = [], []
+        for start in range(0, len(budgets), block):
+            signs = _level_signs(*self._schedules[dim], prefix[start : start + block])
+            encoders = _class_encoders(signs, self.histogram)
+            predicted = _nearest(*_projection(signs, encoders), self.rows)  # (B, U)
+            # hits[p, k-1] = training samples of class k that candidate p labels k
+            hits.append(((predicted[:, None, :] == classes) * self.counts).sum(axis=2))
+            avg_sims += _avg_similarities(encoders)
+        waccs = _macro_recalls(np.concatenate(hits), self.class_sizes)
+        return [
+            ObjectiveScores(wacc=w, avg_sim=a, feasible=bool(f))
+            for w, a, f in zip(waccs, avg_sims, feasible)
+        ]

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import struct
 
@@ -216,12 +218,18 @@ class TestModelFile:
             load_model(str(path))
 
     # Header: magic, then u32 version, D, N, M, K, then the u64 seed; with
-    # N=2 the budget block starts after 2 * 16 bytes of calibration minima
-    # and maxima, at byte 64.
+    # N=2 the calibration minima start at byte 32 and the maxima at byte 48,
+    # and the budget block starts at byte 64. The toy features lie in [0, 1)
+    # and every budget row of D=64, M=5 sums to exactly D/2 = 32.
     @pytest.mark.parametrize(
         "offset, patch, match",
         [
             (64, struct.pack("<i", -1), "negative"),
+            (64, struct.pack("<i", 9), "exceed D/2"),
+            (32, struct.pack("<d", 2.0), "minimum exceeds"),
+            (32, struct.pack("<d", -math.inf), "non-finite"),
+            (32, struct.pack("<d", math.nan), "non-finite"),
+            (48, struct.pack("<d", math.inf), "non-finite"),
             (16, struct.pack("<I", 1), "levels"),
             (16, struct.pack("<I", 0), "levels"),
             (8, struct.pack("<I", 63), "dimension"),
@@ -231,7 +239,8 @@ class TestModelFile:
             (None, b'\xff"x", "y", "z"]', "corrupt"),
             (None, b'["x", "y", "z"}', "corrupt"),
         ],
-        ids=["negative-budget", "one-level", "zero-levels", "odd-dim", "zero-dim",
+        ids=["negative-budget", "budget-above-half", "min-above-max", "min-minus-inf",
+             "min-nan", "max-inf", "one-level", "zero-levels", "odd-dim", "zero-dim",
              "two-labels-for-three-classes", "labels-not-a-list", "labels-not-utf8",
              "labels-not-json"],
     )
@@ -246,6 +255,38 @@ class TestModelFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=match):
             load_model(str(path))
+
+    @pytest.fixture(scope="class")
+    def small_model_file(self, tmp_path_factory):
+        train = Dataset(
+            features=np.array([[0.0, 1.0], [0.5, 0.2], [1.0, 0.7], [0.2, 0.9]]),
+            labels=np.array([1, 2, 3, 2]),
+            label_names=["x", "y", "z"],
+            feature_names=["f1", "f2"],
+        )
+        directory = tmp_path_factory.mktemp("fuzz")
+        save_model(fit_baseline(train, 16, 4, seed=5), str(directory / "m.hdcm"))
+        return directory, (directory / "m.hdcm").read_bytes(), itertools.count()
+
+    @given(st.data())
+    @settings(max_examples=1000, deadline=None)
+    def test_damaged_file_loads_or_raises_format_error(self, small_model_file, data):
+        directory, raw, serial = small_model_file
+        damaged = bytearray(raw)
+        kind = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+        if kind == "truncate":
+            del damaged[data.draw(st.integers(0, len(raw) - 1)):]
+        elif kind == "flip":
+            for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=3)):
+                damaged[bit // 8] ^= 1 << (bit % 8)
+        else:
+            damaged[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        path = directory / f"damaged-{next(serial)}.hdcm"  # one new file per case
+        path.write_bytes(bytes(damaged))
+        try:
+            load_model(str(path))
+        except FormatError:
+            pass
 
 
 class TestExportHypervectors:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,14 @@ class TestUniformFlipBudget:
     def test_too_few_levels_rejected(self):
         with pytest.raises(ValueError):
             uniform_flip_budget(64, 1)
+
+    def test_dimension_below_two_gaps_per_level_warns(self):
+        with pytest.warns(UserWarning, match=r"D=8 is below 2\(M-1\)=38"):
+            budget = uniform_flip_budget(8, 20)
+        assert not budget.budgets.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(uniform_flip_budget(38, 20).budgets == 1)
 
     def test_odd_dim_rejected(self):
         with pytest.raises(DimensionError):
@@ -152,7 +162,9 @@ class TestBuildLevelTable:
                 expected[n, m, perm[:flipped]] *= -1
         table = build_level_table(seed, budget)
         assert np.array_equal(table.signs, expected)
-        assert table.prefix_flips.tolist() == [[0, *np.cumsum(r).tolist()] for r in rows]
+        # No re-flips: level m is (b_1 + ... + b_{m-1}) bits away from level 1.
+        distances = np.count_nonzero(table.signs != table.signs[:, :1], axis=2)
+        assert distances.tolist() == [[0, *np.cumsum(r).tolist()] for r in rows]
 
 
 class TestLevelVector:
@@ -161,8 +173,9 @@ class TestLevelVector:
         return build_level_table(1, FlipBudget(budgets=np.array([[2, 5, 1]]), dim=24))
 
     def test_first_level_is_base(self, table):
-        assert level_vector(table, 0, 1).hamming(level_vector(table, 0, 1)) == 0
-        assert table.prefix_flips[0, 0] == 0
+        rng = np.random.default_rng([1, 0])  # the table's seed, feature 0
+        base = (rng.integers(0, 2, size=24).astype(np.int8) << 1) - 1
+        assert np.array_equal(level_vector(table, 0, 1).signs, base)
 
     def test_consecutive_distances(self, table):
         for m, expected in zip(range(1, 4), [2, 5, 1]):

@@ -1,12 +1,14 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hvdesign import objectives
 from hvdesign import (
     CandidateEvaluator,
     DataError,
@@ -192,6 +194,40 @@ class TestFeasibility:
         assert not feasibility(FlipBudget(budgets=np.array([[4, 5]]), dim=16))
 
 
+@st.composite
+def scoring_populations(draw):
+    """A scoring problem and 1-40 budgets drawn from a small pool (so
+    budgets repeat) that always holds a zero budget, a row at D/2 and the
+    problem's own budget, whose rows may exceed D/2; plus an element
+    budget for the scoring blocks, so blocks run from one candidate to the
+    whole population."""
+    train, quantizer, budget = draw(scoring_problems())
+    (n_feat, gaps), dim = budget.budgets.shape, budget.dim
+    at_half = np.zeros((n_feat, gaps), dtype=np.int64)
+    at_half[0, 0] = dim // 2
+    matrices = draw(st.lists(
+        st.lists(
+            st.lists(st.integers(0, dim), min_size=gaps, max_size=gaps),
+            min_size=n_feat, max_size=n_feat,
+        ),
+        max_size=6,
+    ))
+    pool = [np.zeros((n_feat, gaps), dtype=np.int64), at_half, budget.budgets, *matrices]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    population = [FlipBudget(budgets=np.array(pool[i]), dim=dim) for i in picks]
+    return train, quantizer, population, draw(st.integers(1, 2**12))
+
+
+def assert_population_matches_pipeline(train, quantizer, seed, population):
+    got = CandidateEvaluator(train, quantizer, seed).evaluate_population(population)
+    assert len(got) == len(population)
+    for budget, scores in zip(population, got):
+        expected = reference_scores(train, quantizer, seed, budget)
+        assert (repr(scores.wacc), repr(scores.avg_sim), scores.feasible) == (
+            repr(expected.wacc), repr(expected.avg_sim), expected.feasible
+        )
+
+
 class TestEvaluateCandidate:
     def test_uniform_budget_matches_baseline_pipeline(self, toy_dataset):
         quantizer = calibrate_quantizer(toy_dataset, 5)
@@ -274,6 +310,34 @@ class TestEvaluateCandidate:
             warnings.simplefilter("ignore")  # empty classes warn
             expected = reference_scores(train, quantizer, seed, budget)
             assert CandidateEvaluator(train, quantizer, seed).evaluate(budget) == expected
+
+    @given(scoring_populations(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_population_matches_public_pipeline(self, problem, seed):
+        train, quantizer, population, block_elements = problem
+        with warnings.catch_warnings(), \
+                mock.patch.object(objectives, "_BLOCK_ELEMENTS", block_elements):
+            warnings.simplefilter("ignore")  # empty classes warn
+            assert_population_matches_pipeline(train, quantizer, seed, population)
+
+    def test_population_across_blocks_matches_public_pipeline(self, motivational):
+        # The acceptance grid: at D=64, M=20 a scoring block holds 22
+        # candidates, so these 50 distinct budgets, some of them infeasible,
+        # span three blocks.
+        quantizer = calibrate_quantizer(motivational, 20)
+        rng = np.random.default_rng(3)
+        population = [
+            FlipBudget(budgets=rng.integers(0, 4, size=(2, 19)), dim=64) for _ in range(50)
+        ]
+        assert_population_matches_pipeline(motivational, quantizer, 5, population)
+
+    def test_population_shares_one_dimension(self, micro_dataset, micro_quantizer):
+        evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, 0)
+        assert evaluator.evaluate_population([]) == []
+        with pytest.raises(ShapeError, match="one dimension"):
+            evaluator.evaluate_population(
+                [FlipBudget(budgets=np.array([[1, 1]]), dim=d) for d in (16, 32)]
+            )
 
     @pytest.mark.parametrize("label", [0, 3])
     def test_labels_outside_classes_rejected(self, label):
