@@ -60,7 +60,6 @@ from .objectives import (
     ObjectiveScores,
     avg_similarity,
     confusion_matrix,
-    feasibility,
     pairwise_similarities,
     total_accuracy,
     weighted_accuracy,

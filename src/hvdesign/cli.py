@@ -155,10 +155,6 @@ def _resolved(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "config")}
 
 
-def _load(path, label_col, label_names=None, split="train") -> Dataset:
-    return load_dataset_csv(path, label_col, label_names=label_names, split=split)
-
-
 def _metrics(model, data: Dataset) -> dict:
     start = time.perf_counter()
     predicted = predict_batch(data.features, model)
@@ -186,12 +182,14 @@ def _print_metrics(tag: str, metrics: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    train = _load(args.data, args.label_col)
+    train = load_dataset_csv(args.data, args.label_col)
     model = fit_baseline(train, args.dim, args.levels, args.seed)
     report = {"train": _metrics(model, train)}
     _print_metrics("train", report["train"])
     if args.test:
-        test = _load(args.test, args.label_col, label_names=train.label_names, split="test")
+        test = load_dataset_csv(
+            args.test, args.label_col, label_names=train.label_names, split="test"
+        )
         report["test"] = _metrics(model, test)
         _print_metrics("test", report["test"])
     if args.out:
@@ -205,7 +203,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    train = _load(args.data, args.label_col)
+    train = load_dataset_csv(args.data, args.label_col)
     quantizer = calibrate_quantizer(train, args.levels)
     config = GAConfig(
         population_size=args.pop,
@@ -237,7 +235,7 @@ def cmd_sweep(args) -> int:
         dims = []
     if not dims or any(d % 2 for d in dims):
         raise HvError(f"--dims must list even dimensions, got {args.dims!r}")
-    train = _load(args.data, args.label_col)
+    train = load_dataset_csv(args.data, args.label_col)
     rows = []
     for dim in dims:
         model = fit_baseline(train, dim, args.levels, args.seed)
@@ -260,7 +258,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    data = _load(args.data, args.label_col, label_names=model.labels, split="test")
+    data = load_dataset_csv(args.data, args.label_col, label_names=model.labels, split="test")
     if data.n_features != model.table.features:
         raise HvError(
             f"model expects {model.table.features} features, data has {data.n_features}"
@@ -285,7 +283,7 @@ def cmd_synth(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     model = load_model(args.model)
-    data = _load(args.data, args.label_col, label_names=model.labels)
+    data = load_dataset_csv(args.data, args.label_col, label_names=model.labels)
     export_sample_hypervectors(model, data, args.out)
     print(f"{data.n_samples} x {model.table.dim} hypervector matrix written to {args.out}")
     return 0

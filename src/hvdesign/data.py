@@ -304,9 +304,6 @@ def save_model(model, path) -> None:
     dim = model.table.dim
     n_feat, n_lvl = model.table.features, model.table.levels
     n_cls = model.n_classes
-    budgets = model.table.budgets
-    if budgets is None:
-        raise FormatError("model's level table carries no flip budget; cannot serialize")
     encoders = np.asarray(model.encoders, dtype=np.int64)
     if np.any(np.abs(encoders) > np.iinfo(np.int32).max):
         raise FormatError("encoder entries exceed the int32 range of the model format")
@@ -322,7 +319,7 @@ def save_model(model, path) -> None:
         fh.write(struct.pack("<Q", int(model.metadata["seed"])))
         fh.write(model.quantizer.mins.astype("<f8").tobytes())
         fh.write(model.quantizer.maxs.astype("<f8").tobytes())
-        fh.write(budgets.budgets.astype("<i4").tobytes())
+        fh.write(model.table.budgets.budgets.astype("<i4").tobytes())
         fh.write(table_bits.tobytes())
         fh.write(encoders.astype("<i4").tobytes())
         fh.write(counts.astype("<u4").tobytes())

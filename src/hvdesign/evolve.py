@@ -4,16 +4,21 @@ The two objectives are (maximize wAcc, minimize avgSim), with
 feasibility-first dominance: a feasible individual always dominates an
 infeasible one. Dominance is decided in one place, an array kernel shared
 by ranking, front extraction and the hypervolume; `dominates` is its
-reference predicate on a single pair. A population is a list of
-(FlipBudget, ObjectiveScores) pairs, the same shape as a front's members.
+reference predicate on a single pair of ObjectiveScores.
 
-Variation is per-gene uniform crossover plus uniform-reset mutation on the
-integer genes. The children of a generation are stacked into one
-(P, N, M-1) array and repaired in one array operation, the same
-floor-rescale `repair_budget` applies, which keeps every row sum within
-D/2, so only feasible individuals are ever evaluated as candidates for the
-front. The children are then scored together with
-`CandidateEvaluator.evaluate_population`, as is the initial population.
+Inside the search a population is two arrays: (P, N, M-1) int64 genes, one
+flip-budget matrix per member, and (P, 3) float64 scores whose columns are
+(feasible, wAcc, avgSim), the rows `CandidateEvaluator` scores. FlipBudget
+and ObjectiveScores objects are built only for the returned front.
+
+Variation is binary tournament selection, per-gene uniform crossover and
+uniform-reset mutation on the integer genes. The random draws are made one
+pair of children at a time and recorded; winners and children are then
+formed with array operations on the records. The children are repaired in
+one array operation, the same floor-rescale `repair_budget` applies, which
+keeps every row sum within D/2, so only feasible individuals are ever
+evaluated as candidates for the front, and all of them are scored in one
+call, as is the initial population.
 
 Randomness comes from explicitly indexed substreams of the master seed
 (one for initialization, one per generation for variation), so results are
@@ -29,8 +34,8 @@ import numpy as np
 
 from .data import Dataset, Quantizer, atomic_open
 from .errors import ConfigError, ShapeError
-from .hypervector import FlipBudget, _repair, repair_budget, uniform_flip_budget
-from .objectives import CandidateEvaluator, ObjectiveScores
+from .hypervector import FlipBudget, _repair, uniform_flip_budget
+from .objectives import CandidateEvaluator, ObjectiveScores, _as_scores
 
 
 @dataclass(frozen=True)
@@ -93,25 +98,25 @@ def dominates(a: ObjectiveScores, b: ObjectiveScores) -> bool:
     return a.wacc > b.wacc or a.avg_sim < b.avg_sim
 
 
-def _dominance(scored: list) -> np.ndarray:
-    """(P, P) boolean matrix whose [p, q] entry is dominates(scored[p], scored[q])."""
-    f, w, s = np.array(
-        [[x.feasible, x.wacc, x.avg_sim] for x in scored], dtype=np.float64
-    ).reshape(-1, 3).T
+def _dominance(scores: np.ndarray) -> np.ndarray:
+    """(P, P) boolean matrix whose [p, q] entry is `dominates` of rows p and
+    q of a (P, 3) score array."""
+    f, w, s = scores.T
     fp, wp, sp = f[:, None], w[:, None], s[:, None]
     # Negated comparisons, as in `dominates`, so a NaN compares the same way.
     pareto = ~(wp < w) & ~(sp > s) & ((wp > w) | (sp < s))
     return np.where(fp == f, pareto, fp > f)
 
 
-def rank_population(scored: list) -> tuple[np.ndarray, np.ndarray]:
-    """Non-dominated sorting plus per-front crowding distance.
+def rank_population(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Non-dominated sorting plus per-front crowding distance of a (P, 3)
+    score array.
 
     Returns (ranks, crowding); rank 0 is the non-dominated front, boundary
     points of each front get infinite crowding.
     """
-    n = len(scored)
-    dominance = _dominance(scored)
+    n = len(scores)
+    dominance = _dominance(scores)
     ranks = np.full(n, -1, dtype=np.int64)
     remaining = np.ones(n, dtype=bool)
     rank = 0
@@ -124,14 +129,13 @@ def rank_population(scored: list) -> tuple[np.ndarray, np.ndarray]:
         rank += 1
 
     crowding = np.zeros(n, dtype=np.float64)
-    objectives = np.array([[s.wacc, s.avg_sim] for s in scored], dtype=np.float64)
     for r in range(rank):
         front = np.flatnonzero(ranks == r)
         if front.size <= 2:
             crowding[front] = np.inf
             continue
-        for col in range(2):
-            vals = objectives[front, col]
+        for col in (1, 2):  # wAcc, avgSim
+            vals = scores[front, col]
             order = np.argsort(vals, kind="stable")
             crowding[front[order[0]]] = np.inf
             crowding[front[order[-1]]] = np.inf
@@ -144,15 +148,18 @@ def rank_population(scored: list) -> tuple[np.ndarray, np.ndarray]:
     return ranks, crowding
 
 
-def initialize_population(config: GAConfig, n_features: int) -> list:
-    """P random feasible budgets; index 0 is the uniform-budget anchor."""
+def initialize_population(config: GAConfig, n_features: int) -> np.ndarray:
+    """(P, N, M-1) genes of P random feasible budgets; index 0 is the
+    uniform-budget anchor."""
     rng = np.random.default_rng([config.seed, 0])
     half = config.dim // 2
-    population = [uniform_flip_budget(config.dim, config.levels, features=n_features)]
-    for _ in range(1, config.population_size):
-        raw = rng.integers(0, half + 1, size=(n_features, config.levels - 1))
-        population.append(repair_budget(FlipBudget(budgets=raw, dim=config.dim)))
-    return population
+    shape = (n_features, config.levels - 1)
+    genes = np.empty((config.population_size, *shape), dtype=np.int64)
+    genes[0] = uniform_flip_budget(config.dim, config.levels, features=n_features).budgets
+    # One draw per member: a single batched draw would give another stream.
+    for p in range(1, config.population_size):
+        genes[p] = rng.integers(0, half + 1, size=shape)
+    return _repair(genes, config.dim)
 
 
 def _selection_order(ranks: np.ndarray, crowding: np.ndarray) -> np.ndarray:
@@ -160,60 +167,55 @@ def _selection_order(ranks: np.ndarray, crowding: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(ranks)), -crowding, ranks))
 
 
-def _tournament(rng, ranks, crowding, size) -> int:
-    picks = rng.integers(0, len(ranks), size=size)
-    best = picks[0]
-    for idx in picks[1:]:
-        if ranks[idx] < ranks[best] or (
-            ranks[idx] == ranks[best] and crowding[idx] > crowding[best]
-        ):
-            best = idx
-    return int(best)
-
-
 def evolve_generation(
-    population: list,
+    genes: np.ndarray,
+    scores: np.ndarray,
     evaluator: CandidateEvaluator,
     config: GAConfig,
     generation: int,
-) -> list:
-    """One (mu + lambda) NSGA-II step on (budget, scores) pairs; returns
-    the surviving pairs."""
-    ranks, crowding = rank_population([scores for _, scores in population])
+) -> tuple[np.ndarray, np.ndarray]:
+    """One (mu + lambda) NSGA-II step on (P, N, M-1) genes and their (P, 3)
+    scores; returns the surviving genes and scores."""
+    ranks, crowding = rank_population(scores)
     rng = np.random.default_rng([config.seed, 1, generation])
     half = config.dim // 2
-    shape = population[0][0].budgets.shape
+    size, shape = len(genes), genes.shape[1:]
 
-    genes = np.empty((config.population_size, *shape), dtype=np.int64)
-    for k in range(0, config.population_size, 2):
-        i = _tournament(rng, ranks, crowding, config.tournament_size)
-        j = _tournament(rng, ranks, crowding, config.tournament_size)
-        p1, p2 = population[i][0].budgets, population[j][0].budgets
-        swap = rng.random(shape) < config.crossover_rate
-        genes[k] = np.where(swap, p2, p1)
-        genes[k + 1] = np.where(swap, p1, p2)
-        for child in genes[k : k + 2]:
-            mutate = rng.random(shape) < config.mutation_rate
-            fresh = rng.integers(0, half + 1, size=shape)
-            child[mutate] = fresh[mutate]
-    budgets = [FlipBudget(budgets=b, dim=config.dim) for b in _repair(genes, config.dim)]
-    children = list(zip(budgets, evaluator.evaluate_population(budgets)))
+    # Draw one pair of children at a time: two tournaments, the swap mask,
+    # then the mutation mask and fresh genes of each child.
+    picks, swap, mutate, fresh = [], [], [], []
+    for _ in range(size // 2):
+        picks += [rng.integers(0, size, size=config.tournament_size) for _ in range(2)]
+        swap.append(rng.random(shape) < config.crossover_rate)
+        for _ in range(2):
+            mutate.append(rng.random(shape) < config.mutation_rate)
+            fresh.append(rng.integers(0, half + 1, size=shape))
 
-    combined = population + children
-    ranks, crowding = rank_population([scores for _, scores in combined])
-    order = _selection_order(ranks, crowding)
-    return [combined[i] for i in order[: config.population_size]]
+    # A later pick wins a tournament only when strictly better: lower rank,
+    # or the same rank and larger crowding.
+    picks = np.array(picks)
+    winners = picks[:, 0]
+    for idx in picks[:, 1:].T:
+        better = (ranks[idx] < ranks[winners]) | (
+            (ranks[idx] == ranks[winners]) & (crowding[idx] > crowding[winners])
+        )
+        winners = np.where(better, idx, winners)
+    first, second = genes[winners[0::2]], genes[winners[1::2]]
+    swap = np.array(swap)
+    pairs = np.stack([np.where(swap, second, first), np.where(swap, first, second)], axis=1)
+    children = _repair(np.where(mutate, fresh, pairs.reshape(genes.shape)), config.dim)
+
+    genes = np.concatenate([genes, children])
+    scores = np.concatenate([scores, evaluator._scores(children, config.dim)])
+    survivors = _selection_order(*rank_population(scores))[:size]
+    return genes[survivors], scores[survivors]
 
 
-def hypervolume(members: list, ref=(0.0, 1.0)) -> float:
-    """Area dominated by the (wAcc, avgSim) points relative to the
-    reference corner (wAcc=ref[0], avgSim=ref[1])."""
-    scored = [s for _, s in members]
-    kept = ~_dominance(scored).any(axis=0)
-    coords = sorted(
-        ((s.wacc, s.avg_sim) for s, keep in zip(scored, kept) if keep),
-        key=lambda p: -p[1],
-    )
+def hypervolume(scores: np.ndarray, ref=(0.0, 1.0)) -> float:
+    """Area dominated by the (wAcc, avgSim) points of a (P, 3) score array
+    relative to the reference corner (wAcc=ref[0], avgSim=ref[1])."""
+    kept = scores[~_dominance(scores).any(axis=0)]
+    coords = sorted(kept[:, 1:].tolist(), key=lambda p: -p[1])
     area = 0.0
     prev_sim = ref[1]
     for wacc, sim in coords:
@@ -222,10 +224,9 @@ def hypervolume(members: list, ref=(0.0, 1.0)) -> float:
     return area
 
 
-def _front_of(population: list) -> list:
-    """Feasible members that no member dominates."""
-    kept = ~_dominance([s for _, s in population]).any(axis=0)
-    return [m for m, keep in zip(population, kept) if keep and m[1].feasible]
+def _front_of(scores: np.ndarray) -> np.ndarray:
+    """Mask of the feasible members that no member dominates."""
+    return (scores[:, 0] == 1) & ~_dominance(scores).any(axis=0)
 
 
 def run_optimization(
@@ -235,22 +236,21 @@ def run_optimization(
     if quantizer.levels != config.levels:
         raise ShapeError("config levels do not match the calibrated quantizer")
     evaluator = CandidateEvaluator(train, quantizer, config.seed)
-    budgets = initialize_population(config, train.n_features)
-    population = list(zip(budgets, evaluator.evaluate_population(budgets)))
-    hypervolumes = [hypervolume(_front_of(population))]
+    genes = initialize_population(config, train.n_features)
+    scores = evaluator._scores(genes, config.dim)
+    hypervolumes = [hypervolume(scores[_front_of(scores)])]
     for gen in range(config.generations):
-        population = evolve_generation(population, evaluator, config, gen)
-        hypervolumes.append(hypervolume(_front_of(population)))
+        genes, scores = evolve_generation(genes, scores, evaluator, config, gen)
+        hypervolumes.append(hypervolume(scores[_front_of(scores)]))
 
-    front = _front_of(population)
-    seen = set()
-    unique = []
-    for budget, scores in front:
-        key = (budget.dim, budget.budgets.tobytes())
-        if key not in seen:
-            seen.add(key)
-            unique.append((budget, scores))
-    unique.sort(key=lambda m: (-m[1].wacc, m[1].avg_sim, m[0].budgets.tobytes()))
+    front = _front_of(scores)
+    genes, scores = genes[front], scores[front]
+    _, first = np.unique(genes.reshape(len(genes), -1), axis=0, return_index=True)
+    order = sorted(
+        first.tolist(),
+        key=lambda i: (-scores[i, 1], scores[i, 2], genes[i].tobytes()),
+    )
+    budgets = [FlipBudget(budgets=genes[i], dim=config.dim) for i in order]
 
     provenance = {
         "population_size": config.population_size,
@@ -266,7 +266,7 @@ def run_optimization(
         "n_classes": train.n_classes,
     }
     return ParetoFront(
-        members=unique,
+        members=list(zip(budgets, _as_scores(scores[order]))),
         provenance=provenance,
         generation_hypervolumes=hypervolumes,
     )

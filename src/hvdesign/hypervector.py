@@ -216,16 +216,12 @@ def _level_signs(bases: np.ndarray, ranks: np.ndarray, prefix: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class LevelTable:
-    """All N x M level hypervectors, bit-packed.
-
-    `budgets` is present when the table was built from a flip budget; a
-    table reconstructed from serialized bits alone carries only the packed
-    levels.
-    """
+    """All N x M level hypervectors, bit-packed, and the flip budget they
+    were built from."""
 
     packed: np.ndarray  # (N, M, ceil(D/8)) uint8
     dim: int
-    budgets: FlipBudget | None = None
+    budgets: FlipBudget
 
     def __post_init__(self):
         self.packed.flags.writeable = False

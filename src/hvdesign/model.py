@@ -240,11 +240,9 @@ def train_model(
     quantizer: Quantizer,
     budget: FlipBudget,
     seed,
-    table: LevelTable | None = None,
 ) -> TrainedModel:
     """Full single-pass training: budget -> level table -> encoders."""
-    if table is None:
-        table = build_level_table(seed, budget)
+    table = build_level_table(seed, budget)
     _check_labels(train.labels, train.n_classes)
     counts = np.bincount(train.labels, minlength=train.n_classes + 1)[1:]
     if not np.all(counts):

@@ -4,17 +4,19 @@ Two objectives drive the flip-budget search: maximize the macro-averaged
 recall on the training split (wAcc) and minimize the geometric mean of
 pairwise class-encoder cosine similarities (avgSim). Robustness is
 1 - avgSim. Feasibility is the per-feature row-sum constraint on the
-budget; infeasible candidates still get scores (computed on the repaired
-budget) but carry feasible=False.
+budget, `FlipBudget.feasible`; infeasible candidates still get scores
+(computed on the repaired budget) but carry feasible=False.
 
-A GA generation is scored as one population: `CandidateEvaluator.
-evaluate_population` repairs the stacked budgets in one array operation and
-runs the model's level-space kernel over a leading candidate axis, in
-blocks of candidates sized from the problem's shapes so the temporaries stay
-small. `evaluate` is a population of one. Scores do not depend on the
-population a budget is scored in: wAcc and avgSim keep the bytes of
-`weighted_accuracy` and `avg_similarity` on that budget's own confusion
-matrix and encoders.
+`CandidateEvaluator` scores a population as arrays: a (P, N, M-1) stack of
+budget matrices in, (P, 3) float64 rows of (feasible, wAcc, avgSim) out.
+The stack is repaired in one array operation and the model's level-space
+kernel runs over a leading candidate axis, in blocks of candidates sized
+from the problem's shapes so the temporaries stay small. The GA keeps its
+population in that form. `evaluate_population` is the public adapter that
+takes FlipBudgets and returns one ObjectiveScores per budget; `evaluate`
+is a population of one. Scores do not depend on the population a budget
+is scored in: wAcc and avgSim keep the bytes of `weighted_accuracy` and
+`avg_similarity` on that budget's own confusion matrix and encoders.
 """
 
 from __future__ import annotations
@@ -122,9 +124,9 @@ def avg_similarity(encoders: np.ndarray) -> float:
     return _avg_similarities(encoders[None])[0]
 
 
-def feasibility(budget: FlipBudget) -> bool:
-    """Row sums within D/2, inclusive."""
-    return budget.feasible
+def _as_scores(rows: np.ndarray) -> list:
+    """One ObjectiveScores per (feasible, wAcc, avgSim) row."""
+    return [ObjectiveScores(wacc=w, avg_sim=a, feasible=bool(f)) for f, w, a in rows.tolist()]
 
 
 class CandidateEvaluator:
@@ -180,15 +182,20 @@ class CandidateEvaluator:
                 )
             if budget.dim != dim:
                 raise ShapeError("a population must share one dimension")
+        return _as_scores(self._scores(np.array([budget.budgets for budget in budgets]), dim))
+
+    def _scores(self, genes: np.ndarray, dim: int) -> np.ndarray:
+        """(P, 3) float64 rows (feasible, wAcc, avgSim) of a non-empty
+        (P, N, M-1) stack of budgets of dimension `dim`."""
+        n_features, n_levels = genes.shape[1], genes.shape[2] + 1
         if dim not in self._schedules:
             self._schedules[dim] = _schedule(self.base_seed, n_features, dim)
-        raw = np.array([budget.budgets for budget in budgets])  # (P, N, M-1)
-        feasible = raw.sum(axis=2).max(axis=1) <= dim // 2
-        prefix = _prefix_flips(_repair(raw, dim))
+        feasible = genes.sum(axis=2).max(axis=1) <= dim // 2
+        prefix = _prefix_flips(_repair(genes, dim))
         classes = np.arange(1, self.n_classes + 1)[:, None]  # (K, 1) labels
         block = max(1, _BLOCK_ELEMENTS // (n_features * (n_levels * dim + self.counts.size)))
         hits, avg_sims = [], []
-        for start in range(0, len(budgets), block):
+        for start in range(0, len(genes), block):
             signs = _level_signs(*self._schedules[dim], prefix[start : start + block])
             encoders = _class_encoders(signs, self.histogram)
             predicted = _nearest(*_projection(signs, encoders), self.rows)  # (B, U)
@@ -196,7 +203,4 @@ class CandidateEvaluator:
             hits.append(((predicted[:, None, :] == classes) * self.counts).sum(axis=2))
             avg_sims += _avg_similarities(encoders)
         waccs = _macro_recalls(np.concatenate(hits), self.class_sizes)
-        return [
-            ObjectiveScores(wacc=w, avg_sim=a, feasible=bool(f))
-            for w, a, f in zip(waccs, avg_sims, feasible)
-        ]
+        return np.column_stack([feasible, waccs, avg_sims])

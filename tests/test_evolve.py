@@ -17,6 +17,7 @@ from hvdesign import (
     run_optimization,
     uniform_flip_budget,
 )
+from hvdesign.evolve import _front_of
 
 MICRO_CONFIG = dict(population_size=40, generations=50, dim=16, levels=3, mutation_rate=0.3)
 
@@ -77,6 +78,13 @@ populations = st.lists(scores, min_size=1, max_size=10).flatmap(
 )
 
 
+def as_array(scored):
+    """The (P, 3) score array of a list of ObjectiveScores."""
+    return np.array(
+        [[s.feasible, s.wacc, s.avg_sim] for s in scored], dtype=np.float64
+    ).reshape(-1, 3)
+
+
 def front_budgets(front):
     return {tuple(int(v) for v in budget.budgets.ravel()) for budget, _ in front.members}
 
@@ -84,15 +92,17 @@ def front_budgets(front):
 class TestInitializePopulation:
     def test_size_and_feasibility(self):
         config = GAConfig(population_size=30, generations=1, seed=1, dim=32, levels=5)
-        population = initialize_population(config, n_features=3)
-        assert len(population) == 30
-        assert all(budget.feasible for budget in population)
+        genes = initialize_population(config, n_features=3)
+        assert genes.shape == (30, 3, 4) and genes.dtype == np.int64
+        assert np.all(genes >= 0)
+        assert np.all(genes.sum(axis=2) <= 16)
 
     def test_baseline_anchor_present_once(self):
         config = GAConfig(population_size=30, generations=1, seed=1, dim=32, levels=5)
-        population = initialize_population(config, n_features=3)
+        genes = initialize_population(config, n_features=3)
         anchor = uniform_flip_budget(32, 5, features=3)
-        assert sum(budget == anchor for budget in population) == 1
+        assert (genes == anchor.budgets).all(axis=(1, 2)).sum() == 1
+        assert np.array_equal(genes[0], anchor.budgets)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -118,12 +128,12 @@ class TestRankPopulation:
             ObjectiveScores(wacc=0.9, avg_sim=0.1, feasible=True),
             ObjectiveScores(wacc=0.8, avg_sim=0.2, feasible=True),
         ]
-        ranks, _ = rank_population(scored)
+        ranks, _ = rank_population(as_array(scored))
         assert ranks.tolist() == [0, 1]
 
     def test_identical_objectives_share_rank(self):
         scored = [ObjectiveScores(wacc=0.5, avg_sim=0.5, feasible=True)] * 3
-        ranks, _ = rank_population(scored)
+        ranks, _ = rank_population(as_array(scored))
         assert ranks.tolist() == [0, 0, 0]
 
     def test_feasible_dominates_infeasible(self):
@@ -131,7 +141,7 @@ class TestRankPopulation:
             ObjectiveScores(wacc=1.0, avg_sim=0.0, feasible=False),
             ObjectiveScores(wacc=0.1, avg_sim=0.9, feasible=True),
         ]
-        ranks, _ = rank_population(scored)
+        ranks, _ = rank_population(as_array(scored))
         assert ranks.tolist() == [1, 0]
 
     def test_boundary_points_infinite_crowding(self):
@@ -140,7 +150,7 @@ class TestRankPopulation:
             ObjectiveScores(wacc=0.5, avg_sim=0.5, feasible=True),
             ObjectiveScores(wacc=0.1, avg_sim=0.1, feasible=True),
         ]
-        ranks, crowding = rank_population(scored)
+        ranks, crowding = rank_population(as_array(scored))
         assert ranks.tolist() == [0, 0, 0]
         assert crowding[0] == crowding[2] == np.inf
         assert np.isfinite(crowding[1])
@@ -148,9 +158,10 @@ class TestRankPopulation:
     @given(populations)
     @settings(max_examples=300, deadline=None)
     def test_matches_pairwise_dominates_oracle(self, scored):
-        ranks, crowding = rank_population(scored)
+        scores = as_array(scored)
+        ranks, crowding = rank_population(scores)
         assert ranks.tolist() == reference_ranks(scored)
-        objectives = np.array([[s.wacc, s.avg_sim] for s in scored]).reshape(-1, 2)
+        objectives = scores[:, 1:]
         for r in set(ranks.tolist()):
             front = ranks == r
             infinite = np.isinf(crowding[front])
@@ -158,37 +169,91 @@ class TestRankPopulation:
                 assert infinite[vals == vals.min()].any()
                 assert infinite[vals == vals.max()].any()
         kept = [
-            (s.wacc, s.avg_sim)
+            i
             for i, s in enumerate(scored)
             if not any(dominates(t, s) for j, t in enumerate(scored) if j != i)
         ]
-        assert hypervolume([(None, s) for s in scored]) == union_area(kept)
+        points = [(scored[i].wacc, scored[i].avg_sim) for i in kept]
+        assert hypervolume(scores) == union_area(points)
+        front = [i for i in kept if scored[i].feasible]
+        assert np.flatnonzero(_front_of(scores)).tolist() == front
 
 
 def scored_population(config, evaluator):
-    return [
-        (budget, evaluator.evaluate(budget))
-        for budget in initialize_population(config, evaluator.train.n_features)
-    ]
+    """Initial genes and their scores, through the public evaluator."""
+    genes = initialize_population(config, evaluator.train.n_features)
+    scored = [evaluator.evaluate(FlipBudget(budgets=g, dim=config.dim)) for g in genes]
+    return genes, as_array(scored)
+
+
+def member_keys(genes, scores):
+    return {(g.tobytes(), s.tobytes()) for g, s in zip(genes, scores)}
+
+
+def reference_generation(genes, scores, evaluator, config, generation):
+    """One GA step as a loop over pairs of children and their draws: each
+    tournament scans its picks in order, and a later pick wins only when it
+    has a lower rank, or the same rank and larger crowding."""
+    ranks, crowding = rank_population(scores)
+    rng = np.random.default_rng([config.seed, 1, generation])
+    size, shape = len(genes), genes.shape[1:]
+
+    def tournament():
+        best, *rest = rng.integers(0, size, size=config.tournament_size)
+        for idx in rest:
+            if ranks[idx] < ranks[best] or (
+                ranks[idx] == ranks[best] and crowding[idx] > crowding[best]
+            ):
+                best = idx
+        return best
+
+    children = []
+    for _ in range(size // 2):
+        i, j = tournament(), tournament()
+        swap = rng.random(shape) < config.crossover_rate
+        for child in (np.where(swap, genes[j], genes[i]), np.where(swap, genes[i], genes[j])):
+            mutate = rng.random(shape) < config.mutation_rate
+            fresh = rng.integers(0, config.dim // 2 + 1, size=shape)
+            budget = FlipBudget(budgets=np.where(mutate, fresh, child), dim=config.dim)
+            children.append(repair_budget(budget))
+    genes = np.concatenate([genes, [child.budgets for child in children]])
+    scores = np.concatenate([scores, as_array(evaluator.evaluate(c) for c in children)])
+    ranks, crowding = rank_population(scores)
+    survivors = np.lexsort((np.arange(len(scores)), -crowding, ranks))[:size]
+    return genes[survivors], scores[survivors]
 
 
 class TestEvolveGeneration:
     def test_population_size_and_feasibility_preserved(self, micro_dataset, micro_quantizer):
         config = GAConfig(seed=3, **MICRO_CONFIG)
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, config.seed)
-        population = scored_population(config, evaluator)
-        survivors = evolve_generation(population, evaluator, config, 0)
-        assert len(survivors) == config.population_size
-        assert all(budget.feasible for budget, _ in survivors)
+        genes, scores = scored_population(config, evaluator)
+        survivors, survivor_scores = evolve_generation(genes, scores, evaluator, config, 0)
+        assert survivors.shape == genes.shape and survivor_scores.shape == scores.shape
+        assert np.all(survivors.sum(axis=2) <= config.dim // 2)
+        assert np.all(survivor_scores[:, 0] == 1)
+        for g, row in zip(survivors, survivor_scores):
+            assert evaluator.evaluate(FlipBudget(budgets=g, dim=config.dim)) == ObjectiveScores(
+                wacc=row[1], avg_sim=row[2], feasible=True
+            )
+
+    @pytest.mark.parametrize("tournament_size", [2, 3, 5])
+    def test_matches_pairwise_reference(self, micro_dataset, micro_quantizer, tournament_size):
+        config = GAConfig(seed=tournament_size, tournament_size=tournament_size, **MICRO_CONFIG)
+        evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, config.seed)
+        genes, scores = scored_population(config, evaluator)
+        for gen in range(5):
+            want = reference_generation(genes, scores, evaluator, config, gen)
+            genes, scores = evolve_generation(genes, scores, evaluator, config, gen)
+            assert np.array_equal(genes, want[0]) and scores.tobytes() == want[1].tobytes()
 
     def test_elitism_keeps_nondominated_parents(self, micro_dataset, micro_quantizer):
         config = GAConfig(seed=3, **MICRO_CONFIG)
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, config.seed)
-        population = scored_population(config, evaluator)
-        ranks, _ = rank_population([scores for _, scores in population])
-        elite = {id(pair) for pair, r in zip(population, ranks) if r == 0}
-        survivors = evolve_generation(population, evaluator, config, 0)
-        assert elite <= {id(pair) for pair in survivors}
+        genes, scores = scored_population(config, evaluator)
+        ranks, _ = rank_population(scores)
+        elite = member_keys(genes[ranks == 0], scores[ranks == 0])
+        assert elite <= member_keys(*evolve_generation(genes, scores, evaluator, config, 0))
 
 
 class TestRunOptimization:
@@ -240,19 +305,13 @@ class TestRunOptimization:
 
 class TestHypervolume:
     def test_single_point(self):
-        members = [(None, ObjectiveScores(wacc=0.8, avg_sim=0.3, feasible=True))]
-        assert hypervolume(members) == pytest.approx(0.8 * 0.7)
+        scores = np.array([[1, 0.8, 0.3]])
+        assert hypervolume(scores) == pytest.approx(0.8 * 0.7)
 
     def test_dominated_point_ignored(self):
-        members = [
-            (None, ObjectiveScores(wacc=0.8, avg_sim=0.3, feasible=True)),
-            (None, ObjectiveScores(wacc=0.5, avg_sim=0.5, feasible=True)),
-        ]
-        assert hypervolume(members) == pytest.approx(0.8 * 0.7)
+        scores = np.array([[1, 0.8, 0.3], [1, 0.5, 0.5]])
+        assert hypervolume(scores) == pytest.approx(0.8 * 0.7)
 
     def test_two_point_front(self):
-        members = [
-            (None, ObjectiveScores(wacc=0.9, avg_sim=0.5, feasible=True)),
-            (None, ObjectiveScores(wacc=0.4, avg_sim=0.1, feasible=True)),
-        ]
-        assert hypervolume(members) == pytest.approx(0.9 * 0.5 + 0.4 * 0.4)
+        scores = np.array([[1, 0.9, 0.5], [1, 0.4, 0.1]])
+        assert hypervolume(scores) == pytest.approx(0.9 * 0.5 + 0.4 * 0.4)

@@ -1,26 +1,49 @@
 """Golden outputs, read here and never written: bench/golden.json (the
-benchmark's 3-generation grid front and D=8192 baseline accuracy) and
-tests/golden_grid150.json (the full 150-generation grid search at seed 0).
+benchmark's 3-generation grid front and D=8192 baseline accuracy),
+tests/golden_grid150.json (the full 150-generation grid search at seed 0)
+and tests/golden_search.json (the micro problem's front and hypervolume
+trajectory, and the trajectory of the seed-0 150-generation grid search).
 
 A change that alters the search or the scores shows up here as a different
-front or a different baseline accuracy. avgSim may move within the bench
-file's relative tolerance; budgets and wAcc must match exactly.
+front, trajectory or baseline accuracy. avgSim and hypervolumes may move
+within the bench file's relative tolerance; budgets and wAcc must match
+exactly.
 """
 
 import json
 import math
 from pathlib import Path
 
-from hvdesign import GAConfig, calibrate_quantizer, generate_motivational, run_optimization
+import numpy as np
+import pytest
+
+from hvdesign import (
+    Dataset,
+    GAConfig,
+    calibrate_quantizer,
+    generate_motivational,
+    run_optimization,
+)
 from hvdesign.cli import main
 from hvdesign.data import save_dataset_csv
 
 ROOT = Path(__file__).parents[1]
 GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text())
 GRID150 = json.loads((ROOT / "tests" / "golden_grid150.json").read_text())
+SEARCH = json.loads((ROOT / "tests" / "golden_search.json").read_text())
 
 
-def assert_grid_front(spec, seed):
+def close(got, want):
+    return math.isclose(got, float(want), rel_tol=GOLDEN["avg_sim_rel_tol"], abs_tol=0.0)
+
+
+def assert_hypervolumes(front, spec):
+    got = front.generation_hypervolumes
+    assert len(got) == spec["generations"] + 1 == len(spec["hypervolumes"])
+    assert all(close(g, w) for g, w in zip(got, spec["hypervolumes"]))
+
+
+def grid_search(spec, seed):
     data = generate_motivational(40, seed=seed)
     quantizer = calibrate_quantizer(data, spec["levels"])
     config = GAConfig(
@@ -30,25 +53,61 @@ def assert_grid_front(spec, seed):
         dim=spec["dim"],
         levels=spec["levels"],
     )
-    front = run_optimization(data, quantizer, config)
+    return run_optimization(data, quantizer, config)
+
+
+def assert_front(front, spec):
     got = {json.dumps(b.budgets.tolist()): s for b, s in front.members}
     want = {json.dumps(m["budget"]): m for m in spec["front"]}
-    assert got.keys() == want.keys()
+    assert list(got) == list(want)  # the same members in the same order
     for key, member in want.items():
         assert got[key].feasible
         assert got[key].wacc == float(member["wacc"])
-        assert math.isclose(
-            got[key].avg_sim, float(member["avg_sim"]),
-            rel_tol=GOLDEN["avg_sim_rel_tol"], abs_tol=0.0,
-        )
+        assert close(got[key].avg_sim, member["avg_sim"])
+
+
+@pytest.fixture(scope="module")
+def grid150_front():
+    return grid_search(GRID150, GRID150["seed"])
 
 
 def test_ga_grid_front():
-    assert_grid_front(GOLDEN["ga_grid"], GOLDEN["seed"])
+    spec = GOLDEN["ga_grid"]
+    assert_front(grid_search(spec, GOLDEN["seed"]), spec)
 
 
-def test_grid_front_150_generations():
-    assert_grid_front(GRID150, GRID150["seed"])
+def test_grid_front_150_generations(grid150_front):
+    assert_front(grid150_front, GRID150)
+
+
+def test_micro_search():
+    spec = SEARCH["micro"]
+    values = np.linspace(0.0, 1.0, 12)
+    micro = Dataset(
+        features=values[:, None],
+        labels=np.array([1, 1, 2, 2, 1, 1, 1, 1, 1, 2, 2, 2]),
+        label_names=["a", "b"],
+        feature_names=["f1"],
+    )
+    config = GAConfig(
+        population_size=spec["population"],
+        generations=spec["generations"],
+        seed=spec["seed"],
+        dim=spec["dim"],
+        levels=spec["levels"],
+        mutation_rate=spec["mutation_rate"],
+    )
+    front = run_optimization(micro, calibrate_quantizer(micro, spec["levels"]), config)
+    assert_front(front, spec)
+    assert_hypervolumes(front, spec)
+
+
+def test_grid_hypervolumes_150_generations(grid150_front):
+    spec = SEARCH["grid150"]
+    assert {k: spec[k] for k in ("seed", "population", "generations", "dim", "levels")} == {
+        k: GRID150[k] for k in ("seed", "population", "generations", "dim", "levels")
+    }
+    assert_hypervolumes(grid150_front, spec)
 
 
 def test_baseline_d8192_train_wacc(tmp_path, capsys):

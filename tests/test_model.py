@@ -236,14 +236,15 @@ class TestLevelSpaceKernel:
     )
     def test_matches_exact_reference(self, problem, seed):
         train, quantizer, budget, queries = problem
-        table = build_level_table(seed, budget)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty classes warn
-            model = train_model(train, quantizer, budget, seed, table=table)
+            model = train_model(train, quantizer, budget, seed)
+            table = model.table
             encoders = train_encoders(
                 encode_quantized(quantizer.quantize_matrix(train.features), table),
                 train.labels, train.n_classes,
             )
+        assert table == build_level_table(seed, budget)
         assert np.array_equal(model.encoders, encoders)
 
         features = np.vstack([train.features, queries])

@@ -24,7 +24,6 @@ from hvdesign import (
     confusion_matrix,
     cosine_similarity,
     encode_quantized,
-    feasibility,
     fit_baseline,
     pairwise_similarities,
     predict_batch,
@@ -185,13 +184,13 @@ class TestAvgSimilarity:
 
 class TestFeasibility:
     def test_below_limit(self):
-        assert feasibility(FlipBudget(budgets=np.array([[3, 3]]), dim=16))
+        assert FlipBudget(budgets=np.array([[3, 3]]), dim=16).feasible
 
     def test_exactly_at_limit(self):
-        assert feasibility(FlipBudget(budgets=np.array([[4, 4]]), dim=16))
+        assert FlipBudget(budgets=np.array([[4, 4]]), dim=16).feasible
 
     def test_one_over(self):
-        assert not feasibility(FlipBudget(budgets=np.array([[4, 5]]), dim=16))
+        assert not FlipBudget(budgets=np.array([[4, 5]]), dim=16).feasible
 
 
 @st.composite
@@ -219,13 +218,17 @@ def scoring_populations(draw):
 
 
 def assert_population_matches_pipeline(train, quantizer, seed, population):
-    got = CandidateEvaluator(train, quantizer, seed).evaluate_population(population)
-    assert len(got) == len(population)
-    for budget, scores in zip(population, got):
+    """Both the adapter and the (P, 3) array routine the GA calls give each
+    budget the bytes of the public pipeline."""
+    evaluator = CandidateEvaluator(train, quantizer, seed)
+    got = evaluator.evaluate_population(population)
+    rows = evaluator._scores(np.array([b.budgets for b in population]), population[0].dim)
+    assert len(got) == len(population) and rows.shape == (len(population), 3)
+    for budget, scores, row in zip(population, got, rows):
         expected = reference_scores(train, quantizer, seed, budget)
-        assert (repr(scores.wacc), repr(scores.avg_sim), scores.feasible) == (
-            repr(expected.wacc), repr(expected.avg_sim), expected.feasible
-        )
+        want = (repr(expected.wacc), repr(expected.avg_sim), expected.feasible)
+        assert (repr(scores.wacc), repr(scores.avg_sim), scores.feasible) == want
+        assert (repr(float(row[1])), repr(float(row[2])), row[0] == 1) == want
 
 
 class TestEvaluateCandidate:
@@ -337,6 +340,11 @@ class TestEvaluateCandidate:
         with pytest.raises(ShapeError, match="one dimension"):
             evaluator.evaluate_population(
                 [FlipBudget(budgets=np.array([[1, 1]]), dim=d) for d in (16, 32)]
+            )
+        # A budget of another shape is rejected before the stack is built.
+        with pytest.raises(ShapeError, match="does not match"):
+            evaluator.evaluate_population(
+                [FlipBudget(budgets=np.array(b), dim=16) for b in ([[1, 1]], [[1, 1, 1]])]
             )
 
     @pytest.mark.parametrize("label", [0, 3])
