@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
-from .hypervector import FlipBudget, build_level_table, encode_quantized, pack_signs, unpack_signs
+from .hypervector import FlipBudget, LevelTable, encode_quantized, level_table_matches, pack_signs
 
 MODEL_MAGIC = b"HDCM"
 MODEL_VERSION = 1
@@ -329,9 +329,18 @@ def save_model(model, path) -> None:
         fh.write(feats_blob)
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_model(path):
-    """Inverse of save_model; the flip schedule is rebuilt from the stored
-    seed and budget and checked against the stored table bits."""
+    """Inverse of save_model. The stored level table must be exactly the one
+    its seed and flip budget build, which `level_table_matches` checks on the
+    stored bits without rebuilding it: level 1 of every feature is the base
+    drawn from the seed, each level's flips against level 1 contain the
+    previous level's, and every index is flipped at as many levels as its
+    position in the drawn flip permutation implies. Labels must be K distinct
+    strings, and feature names N strings or none."""
     from .model import TrainedModel  # here, not at the top: model imports data
 
     with open(path, "rb") as fh:
@@ -382,17 +391,24 @@ def load_model(path):
     encoders = encoders.reshape(n_cls, dim).astype(np.int64)
     counts = np.frombuffer(take(4 * n_cls), dtype="<u4").astype(np.int64)
     labels = take_json()
-    if not isinstance(labels, list) or len(labels) != n_cls:
+    if not (_strings(labels) and len(set(labels)) == len(labels) == n_cls):
         raise FormatError(f"{path}: label list does not name {n_cls} classes")
     feature_names = take_json()
+    if not (_strings(feature_names) and len(feature_names) in (0, n_feat)):
+        raise FormatError(f"{path}: feature name list does not name {n_feat} features")
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
 
     budget = FlipBudget(budgets=budgets, dim=dim)
-    table = build_level_table(seed, budget)
-    stored = unpack_signs(table_bits, n_feat * n_lvl * dim).reshape(n_feat, n_lvl, dim)
-    if not np.array_equal(stored, table.signs):
+    if dim % 8 == 0:  # flat and per-row packing agree
+        packed = table_bits.reshape(n_feat, n_lvl, dim // 8)
+    else:
+        flat = np.unpackbits(table_bits, count=n_feat * n_lvl * dim)
+        packed = np.packbits(flat.reshape(n_feat, n_lvl, dim), axis=-1)
+    if not level_table_matches(seed, budget, packed):
         raise FormatError(f"{path}: stored level table does not match its seed and budget")
+    table = LevelTable(packed=packed, dim=dim, budgets=budget)
+    table.signs  # unpacked now, so the first batch after a load only builds its projection
 
     return TrainedModel(
         quantizer=Quantizer(mins=mins, maxs=maxs, levels=n_lvl),

@@ -30,8 +30,10 @@ def pack_signs(signs: np.ndarray) -> np.ndarray:
 
 def unpack_signs(packed: np.ndarray, dim: int) -> np.ndarray:
     """Unpack uint8 bits back to int8 signs (+1/-1) along the last axis."""
-    bits = np.unpackbits(packed, axis=-1, count=dim)
-    return (bits.astype(np.int8) << 1) - 1
+    signs = np.unpackbits(packed, axis=-1, count=dim).view(np.int8)
+    signs += signs  # in place: an int8 shift costs several times as much
+    signs -= 1
+    return signs
 
 
 @dataclass(frozen=True)
@@ -186,16 +188,28 @@ def _feature_rng(base_seed, feature: int) -> np.random.Generator:
     return np.random.default_rng([int(base_seed), int(feature)])
 
 
+def _draws(base_seed, features: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random draws of every feature from `_feature_rng`, in draw order:
+    (N, D) uint8 base bits (1 is +1) and (N, D) flip permutations of range(D)."""
+    bits = np.empty((features, dim), dtype=np.uint8)
+    perms = np.empty((features, dim), dtype=np.int64)
+    for n in range(features):
+        rng = _feature_rng(base_seed, n)
+        bits[n] = rng.integers(0, 2, size=dim)
+        perms[n] = rng.permutation(dim)
+    return bits, perms
+
+
 def _schedule(base_seed, features: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The flip schedule of every feature: (N, D) int8 base signs and the
     (N, D) rank of each index in that feature's flip permutation. Level m
     negates the indices whose rank is below its prefix sum."""
-    bases = np.empty((features, dim), dtype=np.int8)
-    ranks = np.empty((features, dim), dtype=np.int64)
-    for n in range(features):
-        rng = _feature_rng(base_seed, n)
-        bases[n] = (rng.integers(0, 2, size=dim).astype(np.int8) << 1) - 1
-        ranks[n, rng.permutation(dim)] = np.arange(dim)
+    bits, perms = _draws(base_seed, features, dim)
+    bases = bits.view(np.int8)
+    bases += bases
+    bases -= 1
+    ranks = np.empty_like(perms)
+    ranks[np.arange(features)[:, None], perms] = np.arange(dim)
     return bases, ranks
 
 
@@ -263,6 +277,38 @@ def build_level_table(base_seed, budget: FlipBudget) -> LevelTable:
         dim=budget.dim,
         budgets=budget,
     )
+
+
+def level_table_matches(base_seed, budget: FlipBudget, packed: np.ndarray) -> bool:
+    """Whether (N, M, ceil(D/8)) levels, packed per row, are exactly
+    `build_level_table(base_seed, budget).packed`, checked without building
+    that table.
+
+    Let F_m be the bits where level m differs from level 1. The levels are
+    that table exactly when level 1 is the drawn base, the flip sets are
+    nested (F_m within F_m+1), and every index is in as many F_m as its
+    position in the flip permutation implies. Nesting makes the levels an
+    index differs at a run of top levels, so that count fixes its column.
+    """
+    n_feat, n_lvl, dim = budget.features, budget.levels, budget.dim
+    if not budget.feasible or packed.shape != (n_feat, n_lvl, -(-dim // 8)):
+        return False
+    bits, perms = _draws(base_seed, n_feat, dim)
+    if not np.array_equal(packed[:, 0], np.packbits(bits, axis=-1)):
+        return False
+    flips = packed ^ packed[:, :1]
+    if np.any(flips[:, :-1] & ~flips[:, 1:]):
+        return False
+    if dim % 8 and np.any(flips[..., -1] & (0xFF >> dim % 8)):  # padding bits
+        return False
+    counts = np.unpackbits(flips, axis=-1, count=dim).sum(axis=1, dtype=np.min_scalar_type(n_lvl))
+    # Position j of a permutation differs at the levels whose prefix sum
+    # exceeds j: M-1 levels over the first transition's budget, one fewer
+    # over each later one, none past the row sum.
+    runs = np.column_stack([budget.budgets, dim - budget.row_sums])
+    implied = np.repeat(n_lvl - 1 - np.arange(n_feat * n_lvl) % n_lvl, runs.ravel())
+    by_position = np.take(counts, perms + dim * np.arange(n_feat)[:, None])  # flat: 3x a 2-D gather
+    return np.array_equal(by_position, implied.reshape(n_feat, dim))
 
 
 def level_vector(table: LevelTable, feature: int, level: int) -> Hypervector:

@@ -14,6 +14,7 @@ from hvdesign import (
     FormatError,
     ParseError,
     Quantizer,
+    build_level_table,
     calibrate_quantizer,
     export_sample_hypervectors,
     fit_baseline,
@@ -24,6 +25,10 @@ from hvdesign import (
     save_model,
 )
 from hvdesign.data import MOTIVATIONAL_LOOKUP, model_file_size, motivational_label
+
+
+# The JSON name blocks of a model trained on the toy dataset.
+LABELS, FEATURES = b'["x", "y", "z"]', b'["f1", "f2"]'
 
 
 def write(tmp_path, name, text):
@@ -182,6 +187,14 @@ class TestModelFile:
         save_model(model, path)
         assert load_model(path) == model
 
+    @pytest.mark.parametrize("dim, levels", [(2, 2), (6, 3), (10, 5)])
+    def test_round_trip_dim_not_a_multiple_of_8(self, toy_dataset, tmp_path, dim, levels):
+        # The table is packed flat, so its rows do not start on byte bounds.
+        model = fit_baseline(toy_dataset, dim, levels, seed=21)
+        path = str(tmp_path / "m.hdcm")
+        save_model(model, path)
+        assert load_model(path) == model
+
     def test_size_formula_matches_file(self, model, tmp_path):
         path = str(tmp_path / "m.hdcm")
         save_model(model, path)
@@ -234,30 +247,65 @@ class TestModelFile:
             (16, struct.pack("<I", 0), "levels"),
             (8, struct.pack("<I", 63), "dimension"),
             (8, struct.pack("<I", 0), "dimension"),
-            (None, b'["x", "y"]     ', "label list does not name 3"),
-            (None, b'{"x": "y"}     ', "label list does not name 3"),
-            (None, b'\xff"x", "y", "z"]', "corrupt"),
-            (None, b'["x", "y", "z"}', "corrupt"),
+            (LABELS, b'["x", "y"]     ', "label list does not name 3"),
+            (LABELS, b'{"x": "y"}     ', "label list does not name 3"),
+            (LABELS, b'\xff"x", "y", "z"]', "corrupt"),
+            (LABELS, b'["x", "y", "z"}', "corrupt"),
+            (LABELS, b'["x", "x", "z"]', "label list does not name 3"),
+            (LABELS, b'[1, 2, 3]      ', "label list does not name 3"),
+            (FEATURES, b'5           ', "feature name list does not name 2"),
+            (FEATURES, b'{"x": 1}    ', "feature name list does not name 2"),
+            (FEATURES, b'["only"]    ', "feature name list does not name 2"),
+            (FEATURES, b'[1, 2]      ', "feature name list does not name 2"),
         ],
         ids=["negative-budget", "budget-above-half", "min-above-max", "min-minus-inf",
              "min-nan", "max-inf", "one-level", "zero-levels", "odd-dim", "zero-dim",
              "two-labels-for-three-classes", "labels-not-a-list", "labels-not-utf8",
-             "labels-not-json"],
+             "labels-not-json", "repeated-label", "labels-not-strings", "features-a-number",
+             "features-not-a-list", "one-name-for-two-features", "features-not-strings"],
     )
     def test_bad_header_or_budget_rejected(self, model, tmp_path, offset, patch, match):
         path = tmp_path / "m.hdcm"
         save_model(model, str(path))
         raw = bytearray(path.read_bytes())
-        if offset is None:  # same-length replacement of the label list
-            offset = raw.index(b'["x", "y", "z"]')
-            assert len(patch) == 15
+        if isinstance(offset, bytes):  # same-length replacement of a name block
+            assert len(patch) == len(offset)
+            offset = raw.rindex(offset)
         raw[offset : offset + len(patch)] = patch
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=match):
             load_model(str(path))
 
+    @pytest.mark.parametrize("dim", [10, 64, 2048])
+    def test_swapped_flip_columns_rejected(self, toy_dataset, tmp_path, dim):
+        # Two indices of feature 0 with the same base sign and different
+        # first flip levels trade columns at every level. Each level keeps
+        # its flip count and the flip sets stay nested, but the flips no
+        # longer follow the permutation drawn from the seed.
+        model = fit_baseline(toy_dataset, dim, 5, seed=21)
+        path = tmp_path / "m.hdcm"
+        save_model(model, str(path))
+        signs = model.table.signs.copy()  # (N=2, M=5, D)
+        flipped = signs[0] != signs[0, 0]
+        first = np.where(flipped.any(axis=0), flipped.argmax(axis=0), 5)
+        i, j = next((i, j) for i, j in itertools.combinations(range(dim), 2)
+                    if signs[0, 0, i] == signs[0, 0, j] and first[i] != first[j])
+        signs[0][:, [i, j]] = signs[0][:, [j, i]]
+        assert np.array_equal((signs != signs[:, :1]).sum(axis=-1),
+                              (model.table.signs != model.table.signs[:, :1]).sum(axis=-1))
+        # The table follows the header (32 bytes), the calibration range
+        # (16 bytes a feature) and the budget (4 bytes a transition).
+        start = 32 + 16 * 2 + 4 * 2 * 4
+        end = start + -(-2 * 5 * dim // 8)
+        raw = bytearray(path.read_bytes())
+        assert raw[start:end] == np.packbits(model.table.signs.reshape(-1) > 0).tobytes()
+        raw[start:end] = np.packbits(signs.reshape(-1) > 0).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="does not match its seed and budget"):
+            load_model(str(path))
+
     @pytest.fixture(scope="class")
-    def small_model_file(self, tmp_path_factory):
+    def small_model_files(self, tmp_path_factory):
         train = Dataset(
             features=np.array([[0.0, 1.0], [0.5, 0.2], [1.0, 0.7], [0.2, 0.9]]),
             labels=np.array([1, 2, 3, 2]),
@@ -265,13 +313,17 @@ class TestModelFile:
             feature_names=["f1", "f2"],
         )
         directory = tmp_path_factory.mktemp("fuzz")
-        save_model(fit_baseline(train, 16, 4, seed=5), str(directory / "m.hdcm"))
-        return directory, (directory / "m.hdcm").read_bytes(), itertools.count()
+        raws = []
+        for dim in (16, 10):  # whole-byte rows, and rows that straddle bytes
+            save_model(fit_baseline(train, dim, 4, seed=5), str(directory / "m.hdcm"))
+            raws.append((directory / "m.hdcm").read_bytes())
+        return directory, raws, itertools.count()
 
     @given(st.data())
-    @settings(max_examples=1000, deadline=None)
-    def test_damaged_file_loads_or_raises_format_error(self, small_model_file, data):
-        directory, raw, serial = small_model_file
+    @settings(max_examples=2000, deadline=None)
+    def test_damaged_file_loads_or_raises_format_error(self, small_model_files, data):
+        directory, raws, serial = small_model_files
+        raw = data.draw(st.sampled_from(raws))
         damaged = bytearray(raw)
         kind = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]))
         if kind == "truncate":
@@ -284,9 +336,11 @@ class TestModelFile:
         path = directory / f"damaged-{next(serial)}.hdcm"  # one new file per case
         path.write_bytes(bytes(damaged))
         try:
-            load_model(str(path))
+            model = load_model(str(path))
         except FormatError:
-            pass
+            return
+        # A file loads only with the level table its seed and budget build.
+        assert model.table == build_level_table(model.metadata["seed"], model.table.budgets)
 
 
 class TestExportHypervectors:

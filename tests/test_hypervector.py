@@ -18,6 +18,7 @@ from hvdesign import (
     repair_budget,
     uniform_flip_budget,
 )
+from hvdesign.hypervector import level_table_matches
 
 
 class TestRandomBipolar:
@@ -165,6 +166,52 @@ class TestBuildLevelTable:
         # No re-flips: level m is (b_1 + ... + b_{m-1}) bits away from level 1.
         distances = np.count_nonzero(table.signs != table.signs[:, :1], axis=2)
         assert distances.tolist() == [[0, *np.cumsum(r).tolist()] for r in rows]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 10, 64]),
+        st.integers(1, 3),
+        st.integers(2, 6),
+        st.sampled_from(["none", "bit", "padding", "columns", "levels", "seed"]),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_level_table_matches_exactly_the_built_table(
+        self, seed, dim, n_feat, levels, damage, data
+    ):
+        rows = [
+            np.diff([0, *sorted(data.draw(st.lists(
+                st.integers(0, dim // 2), min_size=levels - 1, max_size=levels - 1
+            )))]).tolist()
+            for _ in range(n_feat)
+        ]
+        budget = FlipBudget(budgets=np.array(rows), dim=dim)
+        table = build_level_table(seed, budget)
+        candidate, check_seed = table.packed.copy(), seed
+        signs = table.signs.copy()
+        n = data.draw(st.integers(0, n_feat - 1))
+        if damage == "bit":
+            bit = data.draw(st.integers(0, 8 * candidate.size - 1))
+            candidate.reshape(-1)[bit // 8] ^= 1 << (bit % 8)
+        elif damage == "padding":  # a bit past D in the last byte of one level
+            m = data.draw(st.integers(0, levels - 1))
+            candidate[n, m, -1] ^= 0xFF >> dim % 8 if dim % 8 else 0
+        elif damage == "columns":  # two indices trade columns at every level
+            i, j = data.draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+            signs[n][:, [i, j]] = signs[n][:, [j, i]]
+            candidate = np.packbits(signs > 0, axis=-1)
+        elif damage == "levels":  # one index trades its signs at two levels
+            a, b = data.draw(st.lists(st.integers(0, levels - 1), min_size=2, max_size=2, unique=True))
+            # Above level 1 this keeps the index's flip count; only the
+            # nesting of the flip sets can tell.
+            differ = np.flatnonzero(signs[n, a] != signs[n, b])
+            i = data.draw(st.sampled_from(differ.tolist() or [0]))
+            signs[n, [a, b], i] = signs[n, [b, a], i]
+            candidate = np.packbits(signs > 0, axis=-1)
+        elif damage == "seed":
+            check_seed = seed ^ 1
+        expected = np.array_equal(candidate, build_level_table(check_seed, budget).packed)
+        assert level_table_matches(check_seed, budget, candidate) == expected
 
 
 class TestLevelVector:
