@@ -1,5 +1,12 @@
 """Dataset ingestion, quantizer calibration, synthetic data, and model files.
 
+`load_dataset_csv` reads a headered CSV in the `csv` module's default
+dialect. A plain body (no quotes, no carriage returns, no empty lines) is
+parsed in one pass by numpy's C reader; any other body, and any plain one
+that reader cannot read exactly as `csv` and `float()` do, goes through a
+per-cell reference loop that also reports every bad line or cell. Both
+paths give the same `Dataset`.
+
 The model file is a little-endian binary format:
 
     magic      4 bytes  b"HDCM"
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
-from .hypervector import FlipBudget, LevelTable, encode_quantized, level_table_matches, pack_signs
+from .hypervector import FlipBudget, LevelTable, encode_quantized, level_table_matches
 
 MODEL_MAGIC = b"HDCM"
 MODEL_VERSION = 1
@@ -135,7 +142,15 @@ def calibrate_quantizer(train: Dataset, levels: int) -> Quantizer:
 
 
 def load_dataset_csv(path, label_column, label_names=None, split="train") -> Dataset:
-    """Load a headered CSV; the label column is named or given as an index.
+    r"""Load a headered CSV; the label column is named or given as an index.
+
+    The dialect is the `csv` module's default: comma-separated, `"` quotes,
+    `\n`, `\r\n` or `\r` line endings. Every feature cell must parse with
+    `float()` to a finite value. A plain body (no `"`, no `\r` and no empty
+    line after the header) is read in one pass by `np.loadtxt`; every other
+    body, and every plain one that numpy cannot read exactly as `csv` and
+    `float()` do, goes through a per-cell reference loop, which also raises
+    every parse error. Both give the same `Dataset`.
 
     Labels map to dense indices 1..K in first-appearance order unless an
     existing `label_names` list is supplied (test-time loading), in which
@@ -162,6 +177,11 @@ def load_dataset_csv(path, label_column, label_names=None, split="train") -> Dat
             label_idx = header.index(label_column)
 
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        plain = _read_plain(fh.read(), len(header), label_idx)
+        if plain is not None:
+            return _dataset(path, *plain, label_names, feature_names, split)
+        fh.seek(0)
+        next(reader)  # the header, again
         rows, raw_labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -186,14 +206,48 @@ def load_dataset_csv(path, label_column, label_names=None, split="train") -> Dat
                 values.append(v)
             rows.append(values)
 
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+    return _dataset(path, np.array(rows, dtype=np.float64), raw_labels, label_names,
+                    feature_names, split)
 
+
+def _read_plain(body: str, n_columns: int, label_idx: int):
+    r"""(features, raw labels) of a plain CSV body, read by `np.loadtxt` in
+    one pass, or None to leave the body to the reference loop.
+
+    Without `"`, `\r` or an empty line, `csv` and numpy both cut records at
+    each `\n` and fields at each `,`. Numpy still rejects cells `float()`
+    accepts (`1_0`, non-ASCII digits), and only the loop reports a bad cell
+    with its line and column, so any numpy error, a row count that is not the
+    line count, or a non-finite value also returns None. The row count would
+    also catch empty lines, which numpy skips; testing for them first spares
+    a parse of a body the loop rejects anyway.
+    """
+    if not body or body[0] == "\n" or "\n\n" in body or '"' in body or "\r" in body:
+        return None
+    lines = body.split("\n")  # a StringIO copy of the body would take 4 bytes a character
+    if not lines[-1]:
+        lines.pop()  # after the last line ending
+    dtype = np.dtype([(f"c{i}", "O" if i == label_idx else "f8") for i in range(n_columns)])
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                           ndmin=1)
+    except ValueError:
+        return None
+    if len(table) != len(lines):
+        return None
+    columns = [table[f"c{i}"] for i in range(n_columns) if i != label_idx]
+    features = np.column_stack(columns) if columns else np.empty((len(table), 0))
+    if not np.isfinite(features).all():
+        return None
+    return features, table[f"c{label_idx}"].tolist()
+
+
+def _dataset(path, features, raw_labels, label_names, feature_names, split) -> Dataset:
+    """The tail both CSV readers share: number the labels, build the Dataset."""
+    if not raw_labels:
+        raise DataError(f"{path}: no data rows")
     if label_names is None:
-        names = []
-        for lab in raw_labels:
-            if lab not in names:
-                names.append(lab)
+        names = list(dict.fromkeys(raw_labels))
     else:
         names = list(label_names)
         unseen = sorted(set(raw_labels) - set(names))
@@ -202,7 +256,7 @@ def load_dataset_csv(path, label_column, label_names=None, split="train") -> Dat
     index = {name: k + 1 for k, name in enumerate(names)}
     labels = np.array([index[lab] for lab in raw_labels], dtype=np.int64)
     return Dataset(
-        features=np.array(rows, dtype=np.float64),
+        features=features,
         labels=labels,
         label_names=names,
         feature_names=feature_names,
@@ -311,8 +365,6 @@ def save_model(model, path) -> None:
     labels_blob = json.dumps(model.labels).encode("utf-8")
     feats_blob = json.dumps(model.feature_names).encode("utf-8")
 
-    table_bits = pack_signs(model.table.signs.reshape(-1))
-
     with atomic_open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<IIIII", MODEL_VERSION, dim, n_feat, n_lvl, n_cls))
@@ -320,13 +372,28 @@ def save_model(model, path) -> None:
         fh.write(model.quantizer.mins.astype("<f8").tobytes())
         fh.write(model.quantizer.maxs.astype("<f8").tobytes())
         fh.write(model.table.budgets.budgets.astype("<i4").tobytes())
-        fh.write(table_bits.tobytes())
+        fh.write(_repack_table(model.table.packed, dim, (n_feat * n_lvl * dim,)).tobytes())
         fh.write(encoders.astype("<i4").tobytes())
         fh.write(counts.astype("<u4").tobytes())
         fh.write(struct.pack("<I", len(labels_blob)))
         fh.write(labels_blob)
         fh.write(struct.pack("<I", len(feats_blob)))
         fh.write(feats_blob)
+
+
+def _repack_table(bits: np.ndarray, row_bits: int, shape: tuple) -> np.ndarray:
+    """Move level-table bits between the file's layout, all N*M*D bits
+    packed flat, and the in-memory one, each D-bit row packed on its own.
+
+    `bits` holds rows of `row_bits` bits, each packed along the last axis;
+    the result holds the same bits unpacked to `shape` and packed along its
+    last axis. When both row lengths are whole bytes (D % 8 == 0) the two
+    layouts are the same bytes, and only the shape changes.
+    """
+    if row_bits % 8 == 0 and shape[-1] % 8 == 0:
+        return bits.reshape(shape[:-1] + (shape[-1] // 8,))
+    flat = np.unpackbits(bits, axis=-1, count=row_bits)
+    return np.packbits(flat.reshape(shape), axis=-1)
 
 
 def _strings(value) -> bool:
@@ -372,6 +439,8 @@ def load_model(path):
         raise FormatError(f"{path}: {n_lvl} quantization levels, need at least 2")
     if dim == 0 or dim % 2:
         raise FormatError(f"{path}: dimension {dim} is not even and positive")
+    if n_cls < 2:
+        raise FormatError(f"{path}: {n_cls} classes, need at least 2")
     (seed,) = struct.unpack("<Q", take(8))
     mins = np.frombuffer(take(8 * n_feat), dtype="<f8").copy()
     maxs = np.frombuffer(take(8 * n_feat), dtype="<f8").copy()
@@ -400,11 +469,7 @@ def load_model(path):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
 
     budget = FlipBudget(budgets=budgets, dim=dim)
-    if dim % 8 == 0:  # flat and per-row packing agree
-        packed = table_bits.reshape(n_feat, n_lvl, dim // 8)
-    else:
-        flat = np.unpackbits(table_bits, count=n_feat * n_lvl * dim)
-        packed = np.packbits(flat.reshape(n_feat, n_lvl, dim), axis=-1)
+    packed = _repack_table(table_bits, n_feat * n_lvl * dim, (n_feat, n_lvl, dim))
     if not level_table_matches(seed, budget, packed):
         raise FormatError(f"{path}: stored level table does not match its seed and budget")
     table = LevelTable(packed=packed, dim=dim, budgets=budget)

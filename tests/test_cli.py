@@ -221,3 +221,11 @@ class TestBadInput:
         err = capsys.readouterr().err.splitlines()
         lines = [line for line in err if not line.startswith("INFO ")]
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_one_class_model_names_the_file(self, hand_built_model, synth_csv, tmp_path, capsys):
+        path = tmp_path / "one.hdcm"
+        path.write_bytes(hand_built_model(1))
+        assert main(["eval", "--model", str(path), "--data", synth_csv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        lines = [line for line in err if not line.startswith("INFO ")]
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: 1 classes")

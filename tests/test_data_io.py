@@ -1,7 +1,9 @@
 import itertools
 import math
 import os
+import string
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hvdesign import (
     DataError,
     Dataset,
     FormatError,
+    HvError,
     ParseError,
     Quantizer,
     build_level_table,
@@ -24,6 +27,7 @@ from hvdesign import (
     save_dataset_csv,
     save_model,
 )
+import hvdesign.data
 from hvdesign.data import MOTIVATIONAL_LOOKUP, model_file_size, motivational_label
 
 
@@ -87,6 +91,99 @@ class TestLoadCsv:
         back = load_dataset_csv(path, "label")
         assert np.array_equal(back.features, toy_dataset.features)
         assert np.array_equal(back.labels, toy_dataset.labels)
+
+
+# Cells of the CSV differential test: `float()` accepts `1_0` and `١` while
+# numpy does not; `nan`, `inf` and `1e309` parse to non-finite values.
+ODD_CELLS = ["1_0", "\u0661", "nan", "inf", "-inf", "1e309", "-0", "", " 4", "5 ", "\t6",
+             "+7", ".5", "0x10", "1e3"]
+LABEL_CELLS = ["x", "y", "z", " x", "x ", "1", ""]
+
+
+def quote(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+class TestCsvReaders:
+    """`load_dataset_csv` against its reference loop, reached by patching
+    the one-pass reader to decline every body."""
+
+    @pytest.fixture(scope="class")
+    def csv_files(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("csv"), itertools.count()
+
+    @staticmethod
+    def outcome(path, label_column, label_names):
+        try:
+            ds = load_dataset_csv(path, label_column, label_names=label_names)
+        except HvError as exc:
+            return type(exc), str(exc)
+        return (ds.features.shape, ds.features.tobytes(), ds.labels.tolist(), ds.label_names,
+                ds.feature_names)
+
+    @given(st.data())
+    @settings(max_examples=1000, deadline=None)
+    def test_same_dataset_or_error_as_reference_loop(self, csv_files, data):
+        directory, serial = csv_files
+        n_columns = data.draw(st.integers(1, 4))
+        label_idx = data.draw(st.integers(0, n_columns - 1))
+        header = [f"f{i}" for i in range(n_columns)]
+        header[label_idx] = "label"
+        # Each oddity of shape on its own in a quarter of the files, so about
+        # a third of the files are plain and reach numpy's reader; half of
+        # the files have odd cells, a quarter of their cells each.
+        quoted, crlf, blank_lines, ragged = (data.draw(st.integers(0, 3)) == 0 for _ in range(4))
+        odd_cells = data.draw(st.booleans())
+        number = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers().map(str)
+        odd_number = st.sampled_from(ODD_CELLS) | st.text(string.printable, max_size=4)
+        label = st.sampled_from(LABEL_CELLS)
+        odd_label = st.text(string.printable, max_size=3)
+
+        def cell(i):
+            odd = odd_cells and data.draw(st.integers(0, 3)) == 0
+            if i == label_idx:
+                return data.draw(odd_label if odd else label)
+            return data.draw(odd_number if odd else number)
+
+        if quoted:
+            header = [quote(h) if data.draw(st.booleans()) else h for h in header]
+        lines = [",".join(header)]
+        for _ in range(data.draw(st.integers(0, 5))):
+            row = [cell(i) for i in range(n_columns)]
+            if quoted:
+                row = [quote(c) if data.draw(st.booleans()) else c for c in row]
+            if ragged:
+                width = data.draw(st.sampled_from([0, 0, -1, 1]))  # short or long rows
+                row = row[:-1] if width < 0 else row + ["9"] * width
+            lines.append(",".join(row))
+        if blank_lines:
+            for _ in range(data.draw(st.integers(1, 2))):  # blank and whitespace-only lines
+                at = data.draw(st.integers(1, len(lines)))
+                lines.insert(at, data.draw(st.sampled_from(["", " ", "\t"])))
+        eol = "\r\n" if crlf else "\n"
+        text = eol.join(lines) + (eol if data.draw(st.booleans()) else "")
+        path = directory / f"d-{next(serial)}.csv"  # one new file per case
+        path.write_bytes(text.encode("utf-8"))
+
+        label_column = data.draw(st.sampled_from(["label", label_idx]))
+        label_names = data.draw(st.sampled_from([None, None, ["x", "y", "z"], ["x"]]))
+        read_plain, bodies_read = hvdesign.data._read_plain, []
+
+        def spy(body, *args):
+            result = read_plain(body, *args)
+            if result is not None:
+                bodies_read.append(body)
+            return result
+
+        with mock.patch.object(hvdesign.data, "_read_plain", spy):
+            fast = self.outcome(str(path), label_column, label_names)
+        with mock.patch.object(hvdesign.data, "_read_plain", lambda *args: None):
+            reference = self.outcome(str(path), label_column, label_names)
+        assert fast == reference
+        # Quoted, CRLF and blank-line bodies always take the reference loop.
+        for body in bodies_read:
+            assert '"' not in body and "\r" not in body
+            assert "\n\n" not in body and not body.startswith("\n")
 
 
 class TestQuantizer:
@@ -257,24 +354,51 @@ class TestModelFile:
             (FEATURES, b'{"x": 1}    ', "feature name list does not name 2"),
             (FEATURES, b'["only"]    ', "feature name list does not name 2"),
             (FEATURES, b'[1, 2]      ', "feature name list does not name 2"),
+            (None, None, "1 classes, need at least 2"),
         ],
         ids=["negative-budget", "budget-above-half", "min-above-max", "min-minus-inf",
              "min-nan", "max-inf", "one-level", "zero-levels", "odd-dim", "zero-dim",
              "two-labels-for-three-classes", "labels-not-a-list", "labels-not-utf8",
              "labels-not-json", "repeated-label", "labels-not-strings", "features-a-number",
-             "features-not-a-list", "one-name-for-two-features", "features-not-strings"],
+             "features-not-a-list", "one-name-for-two-features", "features-not-strings",
+             "one-class"],
     )
-    def test_bad_header_or_budget_rejected(self, model, tmp_path, offset, patch, match):
+    def test_bad_header_or_budget_rejected(self, model, hand_built_model, tmp_path, offset,
+                                           patch, match):
         path = tmp_path / "m.hdcm"
         save_model(model, str(path))
         raw = bytearray(path.read_bytes())
-        if isinstance(offset, bytes):  # same-length replacement of a name block
-            assert len(patch) == len(offset)
-            offset = raw.rindex(offset)
-        raw[offset : offset + len(patch)] = patch
+        if offset is None:  # a hand-built file, consistent but for K = 1
+            raw = hand_built_model(1)
+        else:
+            if isinstance(offset, bytes):  # same-length replacement of a name block
+                assert len(patch) == len(offset)
+                offset = raw.rindex(offset)
+            raw[offset : offset + len(patch)] = patch
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=match):
             load_model(str(path))
+
+    def test_hand_built_two_class_file_loads(self, hand_built_model, tmp_path):
+        path = tmp_path / "m.hdcm"
+        path.write_bytes(hand_built_model(2))
+        model = load_model(str(path))
+        assert model.labels == ["a", "b"] and model.table.dim == 16
+
+    @pytest.mark.parametrize("dim", [10, 16, 8192])
+    def test_table_bytes_match_flat_repacking_of_signs(self, toy_dataset, tmp_path,
+                                                       monkeypatch, dim):
+        # The table is written as it is held when D % 8 == 0; the file must
+        # still hold the flat packing of all N*M*D signs, as it always has.
+        model = fit_baseline(toy_dataset, dim, 5, seed=21)
+        new, old = tmp_path / "new.hdcm", tmp_path / "old.hdcm"
+        save_model(model, str(new))
+        with monkeypatch.context() as patched:
+            patched.setattr(hvdesign.data, "_repack_table",
+                            lambda *args: np.packbits(model.table.signs.reshape(-1) > 0))
+            save_model(model, str(old))
+        assert new.read_bytes() == old.read_bytes()
+        assert load_model(str(new)) == model
 
     @pytest.mark.parametrize("dim", [10, 64, 2048])
     def test_swapped_flip_columns_rejected(self, toy_dataset, tmp_path, dim):
