@@ -150,7 +150,9 @@ def load_dataset_csv(path, label_column, label_names=None, split="train") -> Dat
     line after the header) is read in one pass by `np.loadtxt`; every other
     body, and every plain one that numpy cannot read exactly as `csv` and
     `float()` do, goes through a per-cell reference loop, which also raises
-    every parse error. Both give the same `Dataset`.
+    every parse error. Both give the same `Dataset`. A file that is not
+    UTF-8, or has a field longer than `csv.field_size_limit()`, raises a
+    ParseError naming the byte offset or the line.
 
     Labels map to dense indices 1..K in first-appearance order unless an
     existing `label_names` list is supplied (test-time loading), in which
@@ -158,53 +160,69 @@ def load_dataset_csv(path, label_column, label_names=None, split="train") -> Dat
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected a header row") from None
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise ParseError(f"{path}: duplicate header names {dupes}")
-        if isinstance(label_column, int):
-            if not 0 <= label_column < len(header):
-                raise ParseError(f"{path}: label column index {label_column} out of range")
-            label_idx = label_column
-        else:
-            if label_column not in header:
-                raise ParseError(f"{path}: no column named {label_column!r}")
-            label_idx = header.index(label_column)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file, expected a header row") from None
+            if len(set(header)) != len(header):
+                dupes = sorted({h for h in header if header.count(h) > 1})
+                raise ParseError(f"{path}: duplicate header names {dupes}")
+            if isinstance(label_column, int):
+                if not 0 <= label_column < len(header):
+                    raise ParseError(f"{path}: label column index {label_column} out of range")
+                label_idx = label_column
+            else:
+                if label_column not in header:
+                    raise ParseError(f"{path}: no column named {label_column!r}")
+                label_idx = header.index(label_column)
 
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-        plain = _read_plain(fh.read(), len(header), label_idx)
-        if plain is not None:
-            return _dataset(path, *plain, label_names, feature_names, split)
-        fh.seek(0)
-        next(reader)  # the header, again
-        rows, raw_labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            raw_labels.append(row[label_idx])
-            values = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
+            feature_names = [h for i, h in enumerate(header) if i != label_idx]
+            plain = _read_plain(fh.read(), len(header), label_idx)
+            if plain is not None:
+                return _dataset(path, *plain, label_names, feature_names, split)
+            fh.seek(0)
+            reader = csv.reader(fh)  # a fresh `line_num`
+            next(reader)  # the header, again
+            rows, raw_labels = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
                     raise ParseError(
-                        f"{path}:{lineno}: non-numeric value {cell!r} in column {header[i]!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise ParseError(
-                        f"{path}:{lineno}: non-finite value {cell!r} in column {header[i]!r}"
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                     )
-                values.append(v)
-            rows.append(values)
+                raw_labels.append(row[label_idx])
+                values = []
+                for i, cell in enumerate(row):
+                    if i == label_idx:
+                        continue
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}:{lineno}: non-numeric value {cell!r} in column {header[i]!r}"
+                        ) from None
+                    if not math.isfinite(v):
+                        raise ParseError(
+                            f"{path}:{lineno}: non-finite value {cell!r} in column {header[i]!r}"
+                        )
+                    values.append(v)
+                rows.append(values)
+    except csv.Error as exc:  # a field longer than `csv.field_size_limit()`
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        # The text layer decodes in chunks, so the error's offset is within
+        # a chunk; decoding the whole file again gives the file offset.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})"
+            ) from None
+        raise
 
     return _dataset(path, np.array(rows, dtype=np.float64), raw_labels, label_names,
                     feature_names, split)
@@ -220,13 +238,17 @@ def _read_plain(body: str, n_columns: int, label_idx: int):
     with its line and column, so any numpy error, a row count that is not the
     line count, or a non-finite value also returns None. The row count would
     also catch empty lines, which numpy skips; testing for them first spares
-    a parse of a body the loop rejects anyway.
+    a parse of a body the loop rejects anyway. So does a line longer than
+    `csv.field_size_limit()`: it may hold a field the loop rejects, and
+    numpy has no such limit.
     """
     if not body or body[0] == "\n" or "\n\n" in body or '"' in body or "\r" in body:
         return None
     lines = body.split("\n")  # a StringIO copy of the body would take 4 bytes a character
     if not lines[-1]:
         lines.pop()  # after the last line ending
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
     dtype = np.dtype([(f"c{i}", "O" if i == label_idx else "f8") for i in range(n_columns)])
     try:
         table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None,

@@ -12,9 +12,14 @@ flip-budget matrix per member, and (P, 3) float64 scores whose columns are
 and ObjectiveScores objects are built only for the returned front.
 
 Variation is binary tournament selection, per-gene uniform crossover and
-uniform-reset mutation on the integer genes. The random draws are made one
-pair of children at a time and recorded; winners and children are then
-formed with array operations on the records. The children are repaired in
+uniform-reset mutation on the integer genes. A generation's draws are the
+stream of a loop over pairs of children (`_loop_draws`): two tournaments'
+picks, the swap mask, then each child's mutation mask and fresh genes. They
+are taken from one block of raw PCG64 words, with numpy's own formulas, at
+positions that depend only on the shapes (`_block_draws`). If a bounded draw
+in the block is one numpy would reject and redraw, the generation runs the
+loop itself, which also stays as the reference. Winners and children are
+then formed with array operations on the draws. The children are repaired in
 one array operation, the same floor-rescale `repair_budget` applies, which
 keeps every row sum within D/2, so only feasible individuals are ever
 evaluated as candidates for the front, and all of them are scored in one
@@ -28,6 +33,8 @@ a pure function of (dataset, config).
 from __future__ import annotations
 
 import csv
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,10 +163,117 @@ def initialize_population(config: GAConfig, n_features: int) -> np.ndarray:
     shape = (n_features, config.levels - 1)
     genes = np.empty((config.population_size, *shape), dtype=np.int64)
     genes[0] = uniform_flip_budget(config.dim, config.levels, features=n_features).budgets
-    # One draw per member: a single batched draw would give another stream.
-    for p in range(1, config.population_size):
-        genes[p] = rng.integers(0, half + 1, size=shape)
+    # The same stream as one call per member: each bounded int64 draw takes
+    # a 32-bit half-word, and PCG64 carries a leftover half across calls.
+    genes[1:] = rng.integers(0, half + 1, size=(config.population_size - 1, *shape))
     return _repair(genes, config.dim)
+
+
+def _generation_rng(config: GAConfig, generation: int) -> np.random.Generator:
+    return np.random.default_rng([config.seed, 1, generation])
+
+
+def _loop_draws(rng: np.random.Generator, config: GAConfig, size: int, shape: tuple):
+    """(picks, swap, mutate, fresh) of one generation, drawn one pair of
+    children at a time: two tournaments' picks, the swap mask, then the
+    mutation mask and fresh genes of each child. Picks are (P, T); the
+    others are (P/2, *shape) for swap and (P, *shape) for the rest."""
+    half = config.dim // 2
+    picks, swap, mutate, fresh = [], [], [], []
+    for _ in range(size // 2):
+        picks += [rng.integers(0, size, size=config.tournament_size) for _ in range(2)]
+        swap.append(rng.random(shape) < config.crossover_rate)
+        for _ in range(2):
+            mutate.append(rng.random(shape) < config.mutation_rate)
+            fresh.append(rng.integers(0, half + 1, size=shape))
+    return np.array(picks), np.array(swap), np.array(mutate), np.array(fresh)
+
+
+@functools.lru_cache(maxsize=16)
+def _draw_layout(size: int, tournament_size: int, n_genes: int):
+    """Where `_loop_draws` takes each value from the generator's raw 64-bit
+    words: (words, picks, swap, mutate, fresh).
+
+    A double takes a whole word. A bounded int64 draw below 2**32 takes a
+    32-bit half: a half carried over from an earlier call first, else the
+    low half of a new word, whose high half is then carried; doubles leave
+    the carried half alone. Picks and fresh genes index the halves (2w is
+    the low half of word w, 2w + 1 its high half), swap and mutation masks
+    index the words.
+    """
+    word, carried = 0, None
+
+    def doubles(n):
+        nonlocal word
+        word += n
+        return np.arange(word - n, word)
+
+    def bounded(n):
+        nonlocal word, carried
+        head = [] if carried is None else [carried]
+        n -= len(head)
+        out = np.concatenate([head, 2 * word + np.arange(n)]).astype(np.int64)
+        word += (n + 1) // 2
+        carried = 2 * word - 1 if n % 2 else None
+        return out
+
+    picks = np.concatenate([bounded(tournament_size), bounded(tournament_size)])
+    swap = doubles(n_genes)
+    mutate, fresh = [], []
+    for _ in range(2):
+        mutate.append(doubles(n_genes))
+        fresh.append(bounded(n_genes))
+    # A pair takes 2T + 2K halves, an even count, so it carries no half into
+    # the next pair, and pair p's layout is the first one's shifted by p * word.
+    shift = word * np.arange(size // 2)[:, None]
+    return (
+        word * (size // 2),
+        (2 * shift + picks).reshape(size, tournament_size),
+        shift + swap,
+        (shift[:, None] + np.stack(mutate)).reshape(size, n_genes),
+        (2 * shift[:, None] + np.stack(fresh)).reshape(size, n_genes),
+    )
+
+
+def _block_draws(rng: np.random.Generator, config: GAConfig, size: int, shape: tuple):
+    """`_loop_draws` from one block of raw words, or None when one of its
+    bounded draws is rejected by numpy's Lemire method and redrawn.
+
+    Doubles are (word >> 11) * 2**-53. A bounded draw below r is
+    (x * r) >> 32 of a 32-bit half x, rejected when the low 32 bits of
+    x * r are below (2**32 - r) % r. These are numpy's formulas for PCG64.
+    """
+    n_words, picks, swap, mutate, fresh = _draw_layout(
+        size, config.tournament_size, math.prod(shape)
+    )
+    raw = rng.bit_generator.random_raw(n_words)
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+
+    def bounded(index, r):
+        product = halves[index] * np.uint64(r)  # below 2**64: both factors are at most 2**32
+        return (product >> 32).astype(np.int64), (product & 0xFFFFFFFF) < (2**32 - r) % r
+
+    picks, rejected_picks = bounded(picks, size)
+    fresh, rejected_fresh = bounded(fresh, config.dim // 2 + 1)
+    if rejected_picks.any() or rejected_fresh.any():
+        return None
+    swap = (raw[swap] >> 11) * 2.0**-53 < config.crossover_rate
+    mutate = (raw[mutate] >> 11) * 2.0**-53 < config.mutation_rate
+    return (
+        picks,
+        swap.reshape(-1, *shape),
+        mutate.reshape(-1, *shape),
+        fresh.reshape(-1, *shape),
+    )
+
+
+def _variation_draws(config: GAConfig, size: int, shape: tuple, generation: int):
+    """The draws of one generation: from a raw block, or from the loop
+    itself when the block holds a rejected bounded draw."""
+    drawn = _block_draws(_generation_rng(config, generation), config, size, shape)
+    if drawn is None:
+        drawn = _loop_draws(_generation_rng(config, generation), config, size, shape)
+    return drawn
 
 
 def _selection_order(ranks: np.ndarray, crowding: np.ndarray) -> np.ndarray:
@@ -177,23 +291,11 @@ def evolve_generation(
     """One (mu + lambda) NSGA-II step on (P, N, M-1) genes and their (P, 3)
     scores; returns the surviving genes and scores."""
     ranks, crowding = rank_population(scores)
-    rng = np.random.default_rng([config.seed, 1, generation])
-    half = config.dim // 2
-    size, shape = len(genes), genes.shape[1:]
-
-    # Draw one pair of children at a time: two tournaments, the swap mask,
-    # then the mutation mask and fresh genes of each child.
-    picks, swap, mutate, fresh = [], [], [], []
-    for _ in range(size // 2):
-        picks += [rng.integers(0, size, size=config.tournament_size) for _ in range(2)]
-        swap.append(rng.random(shape) < config.crossover_rate)
-        for _ in range(2):
-            mutate.append(rng.random(shape) < config.mutation_rate)
-            fresh.append(rng.integers(0, half + 1, size=shape))
+    size = len(genes)
+    picks, swap, mutate, fresh = _variation_draws(config, size, genes.shape[1:], generation)
 
     # A later pick wins a tournament only when strictly better: lower rank,
     # or the same rank and larger crowding.
-    picks = np.array(picks)
     winners = picks[:, 0]
     for idx in picks[:, 1:].T:
         better = (ranks[idx] < ranks[winners]) | (
@@ -201,7 +303,6 @@ def evolve_generation(
         )
         winners = np.where(better, idx, winners)
     first, second = genes[winners[0::2]], genes[winners[1::2]]
-    swap = np.array(swap)
     pairs = np.stack([np.where(swap, second, first), np.where(swap, first, second)], axis=1)
     children = _repair(np.where(mutate, fresh, pairs.reshape(genes.shape)), config.dim)
 

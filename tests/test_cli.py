@@ -208,14 +208,18 @@ class TestBadInput:
              "--out", "{tmp}/front.csv"],
             ["train", "--data", "{tmp}"],
             ["optimize", "--data", "{tmp}/one.csv", "--out", "{tmp}/front.csv"],
+            ["train", "--data", "{tmp}/latin1.csv"],
+            ["train", "--data", "{tmp}/long.csv"],
         ],
         ids=["pop-3", "levels-1", "missing-config", "malformed-config", "dims-abc", "grid-5",
-             "config-pop-list", "data-is-directory", "one-class"],
+             "config-pop-list", "data-is-directory", "one-class", "not-utf8", "long-cell"],
     )
     def test_exits_2_with_one_error_line(self, argv, synth_csv, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{bad")
         (tmp_path / "list.json").write_text('{"pop": [1]}')
         (tmp_path / "one.csv").write_text("f1,label\n0.1,a\n0.5,a\n0.9,a\n")
+        (tmp_path / "latin1.csv").write_bytes(b"f1,label\n0.5,\xe9\n0.7,b\n")
+        (tmp_path / "long.csv").write_text("f1,label\n0.5,a\n0." + "0" * 140_000 + "1,b\n")
         code = main([arg.format(data=synth_csv, tmp=tmp_path) for arg in argv])
         assert code == 2
         err = capsys.readouterr().err.splitlines()

@@ -71,6 +71,29 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=":3:"):
             load_dataset_csv(path, "label")
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_field_over_csv_limit_names_line(self, tmp_path, quote):
+        # numpy reads the plain cell, but both forms get the loop's error.
+        cell = "0." + "0" * 140_000 + "1"
+        path = write(tmp_path, "d.csv", f"a,label\n1,x\n{quote}{cell}{quote},y\n")
+        with pytest.raises(ParseError, match=r"d\.csv:3: field larger than field limit"):
+            load_dataset_csv(path, "label")
+
+    def test_line_over_csv_limit_with_short_fields_loads(self, tmp_path):
+        cell = "0." + "0" * 70_000 + "1"
+        path = write(tmp_path, "d.csv", f"a,b,label\n{cell},{cell},x\n2,3,y\n")
+        ds = load_dataset_csv(path, "label")
+        assert ds.features.tolist() == [[float(cell)] * 2, [2.0, 3.0]]
+
+    @pytest.mark.parametrize("rows", [0, 2000])
+    def test_not_utf8_names_byte_offset(self, tmp_path, rows):
+        # 2000 rows put the bad byte past the text layer's first chunk.
+        head = b"f1,label\n" + b"0.25,a\n" * rows
+        path = tmp_path / "d.csv"
+        path.write_bytes(head + b"0.5,\xe9\n0.7,b\n")
+        with pytest.raises(ParseError, match=rf"d\.csv: byte {len(head) + 4} is not valid UTF-8"):
+            load_dataset_csv(str(path), "label")
+
     def test_duplicate_headers_rejected(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,a,label\n1,2,x\n")
         with pytest.raises(ParseError, match="duplicate"):

@@ -17,7 +17,15 @@ from hvdesign import (
     run_optimization,
     uniform_flip_budget,
 )
-from hvdesign.evolve import _front_of
+from hvdesign import evolve
+from hvdesign.evolve import (
+    _block_draws,
+    _draw_layout,
+    _front_of,
+    _generation_rng,
+    _loop_draws,
+    _variation_draws,
+)
 
 MICRO_CONFIG = dict(population_size=40, generations=50, dim=16, levels=3, mutation_rate=0.3)
 
@@ -103,6 +111,17 @@ class TestInitializePopulation:
         anchor = uniform_flip_budget(32, 5, features=3)
         assert (genes == anchor.budgets).all(axis=(1, 2)).sum() == 1
         assert np.array_equal(genes[0], anchor.budgets)
+
+    @pytest.mark.parametrize("n_features, levels", [(2, 20), (3, 4), (57, 20)])
+    def test_equals_one_draw_per_member(self, n_features, levels):
+        # One batched call takes the same 32-bit halves as a call per
+        # member, also when N*(M-1) is odd and a half is carried over.
+        config = GAConfig(population_size=30, generations=1, seed=4, dim=64, levels=levels)
+        rng = np.random.default_rng([config.seed, 0])
+        members = [rng.integers(0, 33, size=(n_features, levels - 1)) for _ in range(29)]
+        want = repair_budget(FlipBudget(budgets=np.concatenate(members), dim=64)).budgets
+        genes = initialize_population(config, n_features)
+        assert np.array_equal(genes[1:].reshape(-1, levels - 1), want)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -254,6 +273,77 @@ class TestEvolveGeneration:
         ranks, _ = rank_population(scores)
         elite = member_keys(genes[ranks == 0], scores[ranks == 0])
         assert elite <= member_keys(*evolve_generation(genes, scores, evaluator, config, 0))
+
+
+def assert_same_draws(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def position(rng):
+    """A PCG64 generator's state and whether it carries a 32-bit half."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"]
+
+
+def loop_state(config, size, shape, generation):
+    """The reference loop's draws and its generator position afterwards."""
+    rng = _generation_rng(config, generation)
+    return _loop_draws(rng, config, size, shape), position(rng)
+
+
+def advanced_state(config, generation, words):
+    rng = _generation_rng(config, generation)
+    rng.bit_generator.advance(words)
+    return position(rng)
+
+
+class TestBlockDraws:
+    # (P, tournament size, (N, M-1), D, seeds): the grid, odd N*(M-1)
+    # (57*19 and 3*3), both tournament sizes and P=6; 220 (seed, generation)
+    # pairs in all.
+    SHAPES = [
+        (200, 2, (2, 19), 64, range(12)),
+        (200, 3, (57, 19), 64, range(4)),
+        (20, 2, (3, 3), 32, range(12)),
+        (6, 3, (3, 3), 16, range(12)),
+        (6, 2, (57, 19), 64, range(4)),
+    ]
+
+    @pytest.mark.parametrize("size, tournament_size, shape, dim, seeds", SHAPES)
+    def test_equals_pairwise_loop(self, size, tournament_size, shape, dim, seeds):
+        for seed in seeds:
+            config = GAConfig(population_size=size, tournament_size=tournament_size, seed=seed,
+                              dim=dim, levels=shape[1] + 1)
+            for generation in range(5):
+                want, state = loop_state(config, size, shape, generation)
+                got = _block_draws(_generation_rng(config, generation), config, size, shape)
+                assert got is not None
+                assert_same_draws(got, want)
+                # The loop took exactly the block's words and carries no half.
+                words = _draw_layout(size, tournament_size, shape[0] * shape[1])[0]
+                assert state == advanced_state(config, generation, words)
+
+    def test_rejected_draw_falls_back_to_the_loop(self, monkeypatch):
+        # At D=2048 a bounded draw of seed 10's first generation is below
+        # Lemire's threshold, so numpy redraws it and the loop takes more
+        # halves than the block holds.
+        size, shape = 200, (57, 19)
+        config = GAConfig(population_size=size, seed=10, dim=2048, levels=20)
+        assert _block_draws(_generation_rng(config, 0), config, size, shape) is None
+        want, state = loop_state(config, size, shape, 0)
+        words = _draw_layout(size, config.tournament_size, shape[0] * shape[1])[0]
+        assert state != advanced_state(config, 0, words)
+
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return _loop_draws(*args)
+
+        monkeypatch.setattr(evolve, "_loop_draws", recorded)
+        assert_same_draws(_variation_draws(config, size, shape, 0), want)
+        assert len(calls) == 1
 
 
 class TestRunOptimization:
