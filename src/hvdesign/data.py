@@ -187,10 +187,13 @@ def load_dataset_csv(path, label_column, label_names=None, split="train") -> Dat
             reader = csv.reader(fh)  # a fresh `line_num`
             next(reader)  # the header, again
             rows, raw_labels = [], []
-            for lineno, row in enumerate(reader, start=2):
+            # `line_num` counts physical lines: a record is named by its last
+            # line, also after a quoted cell that spans lines.
+            for row in reader:
                 if len(row) != len(header):
                     raise ParseError(
-                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                        f"got {len(row)}"
                     )
                 raw_labels.append(row[label_idx])
                 values = []
@@ -201,11 +204,13 @@ def load_dataset_csv(path, label_column, label_names=None, split="train") -> Dat
                         v = float(cell)
                     except ValueError:
                         raise ParseError(
-                            f"{path}:{lineno}: non-numeric value {cell!r} in column {header[i]!r}"
+                            f"{path}:{reader.line_num}: non-numeric value {cell!r} "
+                            f"in column {header[i]!r}"
                         ) from None
                     if not math.isfinite(v):
                         raise ParseError(
-                            f"{path}:{lineno}: non-finite value {cell!r} in column {header[i]!r}"
+                            f"{path}:{reader.line_num}: non-finite value {cell!r} "
+                            f"in column {header[i]!r}"
                         )
                     values.append(v)
                 rows.append(values)

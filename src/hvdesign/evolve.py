@@ -35,7 +35,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class GAConfig:
     generations: int = 150
     crossover_rate: float = 0.9
     mutation_rate: float = 0.1
-    tournament_size: int = 2
     seed: int = 0
     dim: int = 64
     levels: int = 20
@@ -63,8 +62,6 @@ class GAConfig:
             raise ConfigError("need at least 1 generation")
         if not (0.0 <= self.crossover_rate <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
             raise ConfigError("crossover and mutation rates must be in [0, 1]")
-        if self.tournament_size < 2:
-            raise ConfigError("tournament size must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -176,12 +173,12 @@ def _generation_rng(config: GAConfig, generation: int) -> np.random.Generator:
 def _loop_draws(rng: np.random.Generator, config: GAConfig, size: int, shape: tuple):
     """(picks, swap, mutate, fresh) of one generation, drawn one pair of
     children at a time: two tournaments' picks, the swap mask, then the
-    mutation mask and fresh genes of each child. Picks are (P, T); the
+    mutation mask and fresh genes of each child. Picks are (P, 2); the
     others are (P/2, *shape) for swap and (P, *shape) for the rest."""
     half = config.dim // 2
     picks, swap, mutate, fresh = [], [], [], []
     for _ in range(size // 2):
-        picks += [rng.integers(0, size, size=config.tournament_size) for _ in range(2)]
+        picks += [rng.integers(0, size, size=2) for _ in range(2)]
         swap.append(rng.random(shape) < config.crossover_rate)
         for _ in range(2):
             mutate.append(rng.random(shape) < config.mutation_rate)
@@ -190,7 +187,7 @@ def _loop_draws(rng: np.random.Generator, config: GAConfig, size: int, shape: tu
 
 
 @functools.lru_cache(maxsize=16)
-def _draw_layout(size: int, tournament_size: int, n_genes: int):
+def _draw_layout(size: int, n_genes: int):
     """Where `_loop_draws` takes each value from the generator's raw 64-bit
     words: (words, picks, swap, mutate, fresh).
 
@@ -217,18 +214,18 @@ def _draw_layout(size: int, tournament_size: int, n_genes: int):
         carried = 2 * word - 1 if n % 2 else None
         return out
 
-    picks = np.concatenate([bounded(tournament_size), bounded(tournament_size)])
+    picks = np.concatenate([bounded(2), bounded(2)])
     swap = doubles(n_genes)
     mutate, fresh = [], []
     for _ in range(2):
         mutate.append(doubles(n_genes))
         fresh.append(bounded(n_genes))
-    # A pair takes 2T + 2K halves, an even count, so it carries no half into
+    # A pair takes 4 + 2K halves, an even count, so it carries no half into
     # the next pair, and pair p's layout is the first one's shifted by p * word.
     shift = word * np.arange(size // 2)[:, None]
     return (
         word * (size // 2),
-        (2 * shift + picks).reshape(size, tournament_size),
+        (2 * shift + picks).reshape(size, 2),
         shift + swap,
         (shift[:, None] + np.stack(mutate)).reshape(size, n_genes),
         (2 * shift[:, None] + np.stack(fresh)).reshape(size, n_genes),
@@ -243,9 +240,7 @@ def _block_draws(rng: np.random.Generator, config: GAConfig, size: int, shape: t
     (x * r) >> 32 of a 32-bit half x, rejected when the low 32 bits of
     x * r are below (2**32 - r) % r. These are numpy's formulas for PCG64.
     """
-    n_words, picks, swap, mutate, fresh = _draw_layout(
-        size, config.tournament_size, math.prod(shape)
-    )
+    n_words, picks, swap, mutate, fresh = _draw_layout(size, math.prod(shape))
     raw = rng.bit_generator.random_raw(n_words)
     halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
 
@@ -294,14 +289,13 @@ def evolve_generation(
     size = len(genes)
     picks, swap, mutate, fresh = _variation_draws(config, size, genes.shape[1:], generation)
 
-    # A later pick wins a tournament only when strictly better: lower rank,
-    # or the same rank and larger crowding.
-    winners = picks[:, 0]
-    for idx in picks[:, 1:].T:
-        better = (ranks[idx] < ranks[winners]) | (
-            (ranks[idx] == ranks[winners]) & (crowding[idx] > crowding[winners])
-        )
-        winners = np.where(better, idx, winners)
+    # The second pick wins a tournament only when strictly better: lower
+    # rank, or the same rank and larger crowding.
+    held, challenger = picks.T
+    better = (ranks[challenger] < ranks[held]) | (
+        (ranks[challenger] == ranks[held]) & (crowding[challenger] > crowding[held])
+    )
+    winners = np.where(better, challenger, held)
     first, second = genes[winners[0::2]], genes[winners[1::2]]
     pairs = np.stack([np.where(swap, second, first), np.where(swap, first, second)], axis=1)
     children = _repair(np.where(mutate, fresh, pairs.reshape(genes.shape)), config.dim)
@@ -354,14 +348,7 @@ def run_optimization(
     budgets = [FlipBudget(budgets=genes[i], dim=config.dim) for i in order]
 
     provenance = {
-        "population_size": config.population_size,
-        "generations": config.generations,
-        "crossover_rate": config.crossover_rate,
-        "mutation_rate": config.mutation_rate,
-        "tournament_size": config.tournament_size,
-        "seed": config.seed,
-        "dim": config.dim,
-        "levels": config.levels,
+        **asdict(config),
         "n_samples": train.n_samples,
         "n_features": train.n_features,
         "n_classes": train.n_classes,

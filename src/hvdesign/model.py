@@ -22,6 +22,11 @@ products are used only under a checked bound that keeps every partial sum
 below 2**53), and scores that come within float rounding of each other are
 compared exactly in integers. A label therefore depends neither on the
 batch it is scored in nor on the BLAS and its summation order.
+
+Reported cosines (avgSim, `pairwise_similarities`, `classify`'s
+similarities) all come from `_cosines`, an exact int64 Gram matrix, so they
+too are the same in any summation order; `log` and `exp` in avgSim are the
+only platform math functions left.
 """
 
 from __future__ import annotations
@@ -204,16 +209,22 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _similarities_to_encoders(queries: np.ndarray, encoders: np.ndarray) -> np.ndarray:
-    """(..., S, D) int queries x (..., K, D) int encoders -> (..., S, K)
-    cosine similarities; leading axes stack independent problems."""
-    q = queries.astype(np.float64)
-    e = encoders.astype(np.float64)
-    qn = np.sqrt((q * q).sum(axis=-1))
-    en = np.sqrt((e * e).sum(axis=-1))
-    qn[qn == 0.0] = np.inf  # zero-norm convention: similarity 0
-    en[en == 0.0] = np.inf
-    return (q / qn[..., None]) @ np.swapaxes(e / en[..., None], -1, -2)
+def _cosines(vectors: np.ndarray) -> np.ndarray:
+    """(..., K, K) cosine similarities between the rows of a (..., K, D)
+    integer stack; a zero row has similarity 0 to every row.
+
+    The Gram matrix G is exact in int64 under the checked bound
+    D*max|v|**2 < 2**63, and each cosine is G_kl / (sqrt(G_kk)*sqrt(G_ll)),
+    correctly rounded operations in a fixed order, so it depends neither on
+    the summation order nor on the BLAS."""
+    vectors = np.asarray(vectors, dtype=np.int64)
+    top = int(np.abs(vectors).max(initial=0))
+    if vectors.shape[-1] * top * top >= 2**63:
+        raise DataError(f"vector entries up to {top} are too large for exact cosines")
+    gram = np.einsum("...kd,...ld->...kl", vectors, vectors)
+    norms = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
+    norms[norms == 0.0] = np.inf  # zero-norm convention: similarity 0
+    return gram / (norms[..., :, None] * norms[..., None, :])
 
 
 def predict_batch(features: np.ndarray, model: TrainedModel) -> np.ndarray:
@@ -231,8 +242,8 @@ def classify(query, model: TrainedModel) -> Prediction:
             f"expected {model.table.features} features, got shape {query.shape}"
         )
     levels = model.quantizer.quantize_matrix(query[None, :])
-    sims = _similarities_to_encoders(encode_quantized(levels, model.table), model.encoders)[0]
-    return Prediction(label=int(_nearest(*model._scoring, levels)[0, 0]), similarities=sims)
+    sims = _cosines(np.concatenate([encode_quantized(levels, model.table), model.encoders]))
+    return Prediction(label=int(_nearest(*model._scoring, levels)[0, 0]), similarities=sims[0, 1:])
 
 
 def train_model(

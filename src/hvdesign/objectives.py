@@ -12,15 +12,19 @@ budget matrices in, (P, 3) float64 rows of (feasible, wAcc, avgSim) out.
 The stack is repaired in one array operation and the model's level-space
 kernel runs over a leading candidate axis, in blocks of candidates sized
 from the problem's shapes so the temporaries stay small. The GA keeps its
-population in that form. `evaluate_population` is the public adapter that
-takes FlipBudgets and returns one ObjectiveScores per budget; `evaluate`
-is a population of one. Scores do not depend on the population a budget
-is scored in: wAcc and avgSim keep the bytes of `weighted_accuracy` and
-`avg_similarity` on that budget's own confusion matrix and encoders.
+population in that form; `evaluate` scores one FlipBudget as a population
+of one. Scores do not depend on the population a budget is scored in: wAcc
+and avgSim keep the bytes of `weighted_accuracy` and `avg_similarity` on
+that budget's own confusion matrix and encoders.
+
+avgSim depends on no summation order: its cosines come from the exact
+integer Gram matrix of `model._cosines`, and each set's logs are summed with
+`math.fsum`. `log` and `exp` are the only platform math functions left.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,10 +36,10 @@ from .hypervector import FlipBudget, _level_signs, _prefix_flips, _repair, _sche
 from .model import (
     _check_labels,
     _class_encoders,
+    _cosines,
     _level_histogram,
     _nearest,
     _projection,
-    _similarities_to_encoders,
 )
 
 SIMILARITY_CLAMP = 1e-12
@@ -101,17 +105,15 @@ def total_accuracy(confusion: np.ndarray) -> float:
 
 def pairwise_similarities(encoders: np.ndarray) -> np.ndarray:
     """Raw K x K cosine-similarity matrix between class encoders."""
-    encoders = np.asarray(encoders, dtype=np.int64)
-    return _similarities_to_encoders(encoders, encoders)
+    return _cosines(encoders)
 
 
 def _avg_similarities(encoders: np.ndarray) -> list:
     """avgSim of each of a (P, K, D) stack of encoder sets."""
     k = encoders.shape[1]
-    sims = _similarities_to_encoders(encoders, encoders)
-    logs = np.log(np.maximum(sims[:, ~np.eye(k, dtype=bool)], SIMILARITY_CLAMP))
-    # One row at a time: a sum over axis 1 of the stack may add in another order.
-    return [float(np.exp(row.sum() / k)) for row in logs]
+    logs = np.log(np.maximum(_cosines(encoders)[:, ~np.eye(k, dtype=bool)], SIMILARITY_CLAMP))
+    # fsum rounds each row's exact sum once, whatever the order of its terms.
+    return [math.exp(math.fsum(row) / k) for row in logs.tolist()]
 
 
 def avg_similarity(encoders: np.ndarray) -> float:
@@ -165,24 +167,13 @@ class CandidateEvaluator:
 
     def evaluate(self, budget: FlipBudget) -> ObjectiveScores:
         """The scores of one budget: a population of one."""
-        return self.evaluate_population([budget])[0]
-
-    def evaluate_population(self, budgets) -> list:
-        """The ObjectiveScores of each budget, in order; all budgets must
-        share one dimension."""
-        budgets = list(budgets)
-        if not budgets:
-            return []
-        n_features, n_levels, dim = self.train.n_features, self.quantizer.levels, budgets[0].dim
-        for budget in budgets:
-            if budget.features != n_features or budget.levels != n_levels:
-                raise ShapeError(
-                    f"budget shape ({budget.features}, {budget.levels - 1}) does not match "
-                    f"dataset N={n_features}, M={n_levels}"
-                )
-            if budget.dim != dim:
-                raise ShapeError("a population must share one dimension")
-        return _as_scores(self._scores(np.array([budget.budgets for budget in budgets]), dim))
+        n_features, n_levels = self.train.n_features, self.quantizer.levels
+        if budget.features != n_features or budget.levels != n_levels:
+            raise ShapeError(
+                f"budget shape ({budget.features}, {budget.levels - 1}) does not match "
+                f"dataset N={n_features}, M={n_levels}"
+            )
+        return _as_scores(self._scores(budget.budgets[None], budget.dim))[0]
 
     def _scores(self, genes: np.ndarray, dim: int) -> np.ndarray:
         """(P, 3) float64 rows (feasible, wAcc, avgSim) of a non-empty

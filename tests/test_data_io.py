@@ -71,6 +71,18 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=":3:"):
             load_dataset_csv(path, "label")
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("oops,c", r"d\.csv:4: non-numeric value 'oops'"),
+         ("1,2,c", r"d\.csv:4: expected 2 fields, got 3")],
+        ids=["bad-cell", "field-count"],
+    )
+    def test_error_after_multiline_cell_names_physical_line(self, tmp_path, row, message):
+        # The quoted label spans lines 2 and 3, so the bad record is on line 4.
+        path = write(tmp_path, "d.csv", f'f1,label\n0.5,"a\nb"\n{row}\n')
+        with pytest.raises(ParseError, match=message):
+            load_dataset_csv(path, "label")
+
     @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
     def test_field_over_csv_limit_names_line(self, tmp_path, quote):
         # numpy reads the plain cell, but both forms get the loop's error.

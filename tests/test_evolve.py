@@ -210,21 +210,20 @@ def member_keys(genes, scores):
 
 
 def reference_generation(genes, scores, evaluator, config, generation):
-    """One GA step as a loop over pairs of children and their draws: each
-    tournament scans its picks in order, and a later pick wins only when it
-    has a lower rank, or the same rank and larger crowding."""
+    """One GA step as a loop over pairs of children and their draws: in each
+    binary tournament the second pick wins only when it has a lower rank, or
+    the same rank and larger crowding."""
     ranks, crowding = rank_population(scores)
     rng = np.random.default_rng([config.seed, 1, generation])
     size, shape = len(genes), genes.shape[1:]
 
     def tournament():
-        best, *rest = rng.integers(0, size, size=config.tournament_size)
-        for idx in rest:
-            if ranks[idx] < ranks[best] or (
-                ranks[idx] == ranks[best] and crowding[idx] > crowding[best]
-            ):
-                best = idx
-        return best
+        held, challenger = rng.integers(0, size, size=2)
+        if ranks[challenger] < ranks[held] or (
+            ranks[challenger] == ranks[held] and crowding[challenger] > crowding[held]
+        ):
+            return challenger
+        return held
 
     children = []
     for _ in range(size // 2):
@@ -256,9 +255,9 @@ class TestEvolveGeneration:
                 wacc=row[1], avg_sim=row[2], feasible=True
             )
 
-    @pytest.mark.parametrize("tournament_size", [2, 3, 5])
-    def test_matches_pairwise_reference(self, micro_dataset, micro_quantizer, tournament_size):
-        config = GAConfig(seed=tournament_size, tournament_size=tournament_size, **MICRO_CONFIG)
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_matches_pairwise_reference(self, micro_dataset, micro_quantizer, seed):
+        config = GAConfig(seed=seed, **MICRO_CONFIG)
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, config.seed)
         genes, scores = scored_population(config, evaluator)
         for gen in range(5):
@@ -299,29 +298,28 @@ def advanced_state(config, generation, words):
 
 
 class TestBlockDraws:
-    # (P, tournament size, (N, M-1), D, seeds): the grid, odd N*(M-1)
-    # (57*19 and 3*3), both tournament sizes and P=6; 220 (seed, generation)
-    # pairs in all.
+    # (P, (N, M-1), D, seeds): the grid, odd N*(M-1) (57*19 and 3*3, whose
+    # fresh genes carry a half-word from one child to the next) and P=6;
+    # 220 (seed, generation) pairs in all.
     SHAPES = [
-        (200, 2, (2, 19), 64, range(12)),
-        (200, 3, (57, 19), 64, range(4)),
-        (20, 2, (3, 3), 32, range(12)),
-        (6, 3, (3, 3), 16, range(12)),
-        (6, 2, (57, 19), 64, range(4)),
+        (200, (2, 19), 64, range(12)),
+        (200, (57, 19), 64, range(4)),
+        (20, (3, 3), 32, range(12)),
+        (6, (3, 3), 16, range(12)),
+        (6, (57, 19), 64, range(4)),
     ]
 
-    @pytest.mark.parametrize("size, tournament_size, shape, dim, seeds", SHAPES)
-    def test_equals_pairwise_loop(self, size, tournament_size, shape, dim, seeds):
+    @pytest.mark.parametrize("size, shape, dim, seeds", SHAPES)
+    def test_equals_pairwise_loop(self, size, shape, dim, seeds):
         for seed in seeds:
-            config = GAConfig(population_size=size, tournament_size=tournament_size, seed=seed,
-                              dim=dim, levels=shape[1] + 1)
+            config = GAConfig(population_size=size, seed=seed, dim=dim, levels=shape[1] + 1)
             for generation in range(5):
                 want, state = loop_state(config, size, shape, generation)
                 got = _block_draws(_generation_rng(config, generation), config, size, shape)
                 assert got is not None
                 assert_same_draws(got, want)
                 # The loop took exactly the block's words and carries no half.
-                words = _draw_layout(size, tournament_size, shape[0] * shape[1])[0]
+                words = _draw_layout(size, shape[0] * shape[1])[0]
                 assert state == advanced_state(config, generation, words)
 
     def test_rejected_draw_falls_back_to_the_loop(self, monkeypatch):
@@ -332,7 +330,7 @@ class TestBlockDraws:
         config = GAConfig(population_size=size, seed=10, dim=2048, levels=20)
         assert _block_draws(_generation_rng(config, 0), config, size, shape) is None
         want, state = loop_state(config, size, shape, 0)
-        words = _draw_layout(size, config.tournament_size, shape[0] * shape[1])[0]
+        words = _draw_layout(size, shape[0] * shape[1])[0]
         assert state != advanced_state(config, 0, words)
 
         calls = []

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import warnings
@@ -21,6 +22,7 @@ from hvdesign import (
     avg_similarity,
     build_level_table,
     calibrate_quantizer,
+    classify,
     confusion_matrix,
     cosine_similarity,
     encode_quantized,
@@ -32,6 +34,7 @@ from hvdesign import (
     uniform_flip_budget,
     weighted_accuracy,
 )
+from hvdesign.hypervector import _level_signs
 
 CLAMP = 1e-12
 
@@ -182,6 +185,100 @@ class TestAvgSimilarity:
             )
 
 
+def decimal_cosine(a, b):
+    """a . b / sqrt(|a|**2 |b|**2) of two integer vectors in the current
+    decimal context; 0 when either is zero."""
+    dot, aa, bb = (
+        decimal.Decimal(sum(int(x) * int(y) for x, y in zip(u, v)))
+        for u, v in ((a, b), (a, a), (b, b))
+    )
+    if aa == 0 or bb == 0:
+        return decimal.Decimal(0)
+    return dot / (aa * bb).sqrt()
+
+
+def assert_exact_cosine(got, a, b):
+    """Within 4 ulp of the 40-digit cosine, and of its sign."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        want = decimal_cosine(a, b)
+        assert (got > 0, got < 0) == (want > 0, want < 0)
+        assert abs(decimal.Decimal(got) - want) <= 4 * decimal.Decimal(math.ulp(float(want)))
+
+
+@st.composite
+def integer_vectors(draw):
+    """2-5 integer vectors of one length D in 1..40, with entries up to the
+    largest the exact Gram matrix allows (D * max|v|**2 < 2**63), small
+    entries and zeros."""
+    k, dim = draw(st.integers(2, 5)), draw(st.integers(1, 40))
+    top = draw(st.sampled_from([2**10, math.isqrt((2**63 - 1) // dim)]))
+    entries = st.integers(-top, top) | st.sampled_from([0, 1, -1])
+    return draw(st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=k, max_size=k))
+
+
+class TestExactCosines:
+    def test_invariant_under_permutations(self):
+        # A permutation of the D axis changes only the order of the dot
+        # products' sums; one of the classes, only the order of avgSim's logs.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            k, dim = rng.integers(2, 8), rng.choice([64, 256, 2048, 8192])
+            encoders = rng.integers(-300, 301, size=(k, dim))
+            permuted = encoders[:, rng.permutation(dim)]
+            assert repr(avg_similarity(permuted)) == repr(avg_similarity(encoders))
+            assert pairwise_similarities(permuted).tobytes() == \
+                pairwise_similarities(encoders).tobytes()
+            reordered = encoders[rng.permutation(k)]
+            assert repr(avg_similarity(reordered)) == repr(avg_similarity(encoders))
+
+    def test_evaluator_invariant_under_permuting_dimensions(self, motivational):
+        # Permuting every level hypervector's D axis permutes the encoders'
+        # D axis and leaves every dot product, so every label, as it was.
+        quantizer = calibrate_quantizer(motivational, 20)
+        evaluator = CandidateEvaluator(motivational, quantizer, 5)
+        genes = np.random.default_rng(3).integers(0, 4, size=(50, 2, 19))
+        order = np.random.default_rng(4).permutation(64)
+        want = evaluator._scores(genes, 64)
+        permuted = mock.patch.object(
+            objectives, "_level_signs", lambda *a: _level_signs(*a)[..., order]
+        )
+        with permuted:
+            got = evaluator._scores(genes, 64)
+        assert got.tobytes() == want.tobytes()
+
+    @given(integer_vectors(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @example([[0, 0], [3, -4]], False)  # a zero row scores 0
+    @example([[2**31 - 1, -(2**31 - 1)], [2**31 - 1, 2**31 - 2]], False)  # at the bound
+    def test_cosines_match_decimal_oracle(self, rows, with_zero_row):
+        encoders = np.array(rows + [[0] * len(rows[0])] * with_zero_row, dtype=np.int64)
+        sims = pairwise_similarities(encoders)
+        for i, j in itertools.product(range(len(encoders)), repeat=2):
+            assert_exact_cosine(float(sims[i, j]), encoders[i], encoders[j])
+
+    def test_classify_reports_exact_cosines(self, toy_dataset):
+        model = fit_baseline(toy_dataset, 128, 5, seed=7)
+        for x in toy_dataset.features[:10]:
+            query = encode_quantized(model.quantizer.quantize_matrix(x[None, :]), model.table)[0]
+            sims = classify(x, model).similarities
+            assert sims.shape == (model.n_classes,)
+            for got, encoder in zip(sims, model.encoders):
+                assert_exact_cosine(float(got), query, encoder)
+
+    @pytest.mark.parametrize("dim, top", [(2, 2**31), (8192, 2**25)])
+    def test_entries_at_bound_rejected(self, dim, top):
+        # D * max|v|**2 must stay below 2**63 for the int64 Gram matrix; each
+        # top is the first value at the bound.
+        encoders = np.zeros((2, dim), dtype=np.int64)
+        encoders[0, 0], encoders[1, 1] = top, -1
+        for score in (pairwise_similarities, avg_similarity):
+            with pytest.raises(DataError, match="too large for exact cosines"):
+                score(encoders)
+        encoders[0, 0] = top - 1
+        assert pairwise_similarities(encoders)[0, 1] == 0.0
+
+
 class TestFeasibility:
     def test_below_limit(self):
         assert FlipBudget(budgets=np.array([[3, 3]]), dim=16).feasible
@@ -218,16 +315,15 @@ def scoring_populations(draw):
 
 
 def assert_population_matches_pipeline(train, quantizer, seed, population):
-    """Both the adapter and the (P, 3) array routine the GA calls give each
-    budget the bytes of the public pipeline."""
+    """The (P, 3) array routine the GA calls gives each budget the bytes of
+    the public pipeline, and of `evaluate` on that budget alone."""
     evaluator = CandidateEvaluator(train, quantizer, seed)
-    got = evaluator.evaluate_population(population)
     rows = evaluator._scores(np.array([b.budgets for b in population]), population[0].dim)
-    assert len(got) == len(population) and rows.shape == (len(population), 3)
-    for budget, scores, row in zip(population, got, rows):
+    assert rows.shape == (len(population), 3)
+    for budget, row in zip(population, rows):
         expected = reference_scores(train, quantizer, seed, budget)
+        assert evaluator.evaluate(budget) == expected
         want = (repr(expected.wacc), repr(expected.avg_sim), expected.feasible)
-        assert (repr(scores.wacc), repr(scores.avg_sim), scores.feasible) == want
         assert (repr(float(row[1])), repr(float(row[2])), row[0] == 1) == want
 
 
@@ -333,19 +429,6 @@ class TestEvaluateCandidate:
             FlipBudget(budgets=rng.integers(0, 4, size=(2, 19)), dim=64) for _ in range(50)
         ]
         assert_population_matches_pipeline(motivational, quantizer, 5, population)
-
-    def test_population_shares_one_dimension(self, micro_dataset, micro_quantizer):
-        evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, 0)
-        assert evaluator.evaluate_population([]) == []
-        with pytest.raises(ShapeError, match="one dimension"):
-            evaluator.evaluate_population(
-                [FlipBudget(budgets=np.array([[1, 1]]), dim=d) for d in (16, 32)]
-            )
-        # A budget of another shape is rejected before the stack is built.
-        with pytest.raises(ShapeError, match="does not match"):
-            evaluator.evaluate_population(
-                [FlipBudget(budgets=np.array(b), dim=16) for b in ([[1, 1]], [[1, 1, 1]])]
-            )
 
     @pytest.mark.parametrize("label", [0, 3])
     def test_labels_outside_classes_rejected(self, label):
