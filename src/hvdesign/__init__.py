@@ -35,12 +35,10 @@ from .evolve import (
 )
 from .hypervector import (
     FlipBudget,
-    Hypervector,
     LevelTable,
     build_level_table,
     encode_quantized,
     level_vector,
-    random_bipolar,
     repair_budget,
     uniform_flip_budget,
 )
@@ -49,10 +47,9 @@ from .model import (
     TrainedModel,
     appendix_experiment,
     classify,
-    cosine_similarity,
     fit_baseline,
+    pairwise_similarities,
     predict_batch,
-    train_encoders,
     train_model,
 )
 from .objectives import (
@@ -60,7 +57,6 @@ from .objectives import (
     ObjectiveScores,
     avg_similarity,
     confusion_matrix,
-    pairwise_similarities,
     total_accuracy,
     weighted_accuracy,
 )

@@ -187,9 +187,7 @@ def cmd_train(args) -> int:
     report = {"train": _metrics(model, train)}
     _print_metrics("train", report["train"])
     if args.test:
-        test = load_dataset_csv(
-            args.test, args.label_col, label_names=train.label_names, split="test"
-        )
+        test = load_dataset_csv(args.test, args.label_col, label_names=train.label_names)
         report["test"] = _metrics(model, test)
         _print_metrics("test", report["test"])
     if args.out:
@@ -258,7 +256,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    data = load_dataset_csv(args.data, args.label_col, label_names=model.labels, split="test")
+    data = load_dataset_csv(args.data, args.label_col, label_names=model.labels)
     if data.n_features != model.table.features:
         raise HvError(
             f"model expects {model.table.features} features, data has {data.n_features}"

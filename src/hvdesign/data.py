@@ -51,7 +51,6 @@ class Dataset:
     labels: np.ndarray  # (S,) int64, values 1..K
     label_names: list
     feature_names: list | None = None
-    split: str = "train"
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=np.float64)
@@ -109,9 +108,6 @@ class Quantizer:
     def degenerate(self) -> np.ndarray:
         return self.mins == self.maxs
 
-    def quantize_sample(self, x) -> np.ndarray:
-        return self.quantize_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
-
     def quantize_matrix(self, x: np.ndarray) -> np.ndarray:
         """(S, N) values -> (S, N) levels in 1..M."""
         x = np.asarray(x, dtype=np.float64)
@@ -141,7 +137,7 @@ def calibrate_quantizer(train: Dataset, levels: int) -> Quantizer:
     return q
 
 
-def load_dataset_csv(path, label_column, label_names=None, split="train") -> Dataset:
+def load_dataset_csv(path, label_column, label_names=None) -> Dataset:
     r"""Load a headered CSV; the label column is named or given as an index.
 
     The dialect is the `csv` module's default: comma-separated, `"` quotes,
@@ -182,7 +178,7 @@ def load_dataset_csv(path, label_column, label_names=None, split="train") -> Dat
             feature_names = [h for i, h in enumerate(header) if i != label_idx]
             plain = _read_plain(fh.read(), len(header), label_idx)
             if plain is not None:
-                return _dataset(path, *plain, label_names, feature_names, split)
+                return _dataset(path, *plain, label_names, feature_names)
             fh.seek(0)
             reader = csv.reader(fh)  # a fresh `line_num`
             next(reader)  # the header, again
@@ -230,7 +226,7 @@ def load_dataset_csv(path, label_column, label_names=None, split="train") -> Dat
         raise
 
     return _dataset(path, np.array(rows, dtype=np.float64), raw_labels, label_names,
-                    feature_names, split)
+                    feature_names)
 
 
 def _read_plain(body: str, n_columns: int, label_idx: int):
@@ -269,7 +265,7 @@ def _read_plain(body: str, n_columns: int, label_idx: int):
     return features, table[f"c{label_idx}"].tolist()
 
 
-def _dataset(path, features, raw_labels, label_names, feature_names, split) -> Dataset:
+def _dataset(path, features, raw_labels, label_names, feature_names) -> Dataset:
     """The tail both CSV readers share: number the labels, build the Dataset."""
     if not raw_labels:
         raise DataError(f"{path}: no data rows")
@@ -282,13 +278,8 @@ def _dataset(path, features, raw_labels, label_names, feature_names, split) -> D
             raise DataError(f"{path}: labels {unseen} never appeared in training data")
     index = {name: k + 1 for k, name in enumerate(names)}
     labels = np.array([index[lab] for lab in raw_labels], dtype=np.int64)
-    return Dataset(
-        features=features,
-        labels=labels,
-        label_names=names,
-        feature_names=feature_names,
-        split=split,
-    )
+    return Dataset(features=features, labels=labels, label_names=names,
+                   feature_names=feature_names)
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
@@ -342,7 +333,6 @@ def generate_motivational(grid_per_axis: int, seed=0) -> Dataset:
         labels=labels[order],
         label_names=["C1", "C2", "C3", "C4"],
         feature_names=["f1", "f2"],
-        split="train",
     )
 
 

@@ -306,15 +306,16 @@ def evolve_generation(
     return genes[survivors], scores[survivors]
 
 
-def hypervolume(scores: np.ndarray, ref=(0.0, 1.0)) -> float:
+def hypervolume(scores: np.ndarray) -> float:
     """Area dominated by the (wAcc, avgSim) points of a (P, 3) score array
-    relative to the reference corner (wAcc=ref[0], avgSim=ref[1])."""
+    relative to the worst corner of the objective space, wAcc 0 and
+    avgSim 1; a point outside that box adds nothing."""
     kept = scores[~_dominance(scores).any(axis=0)]
     coords = sorted(kept[:, 1:].tolist(), key=lambda p: -p[1])
     area = 0.0
-    prev_sim = ref[1]
+    prev_sim = 1.0
     for wacc, sim in coords:
-        area += max(0.0, wacc - ref[0]) * max(0.0, prev_sim - sim)
+        area += max(0.0, wacc) * max(0.0, prev_sim - sim)
         prev_sim = min(prev_sim, sim)
     return area
 

@@ -2,7 +2,8 @@
 
 Hypervectors are D-dimensional sign vectors (entries in {-1, +1}). The
 canonical storage is bit-packed (one bit per entry, bit set == +1); all
-arithmetic is defined on the unpacked sign values.
+arithmetic is defined on the unpacked int8 sign values, so a dot product
+is taken after a cast to int64 (an int8 product overflows from D = 128).
 
 Level hypervectors for one feature are derived from a single random base
 vector plus a flip schedule: one fixed random permutation of the indices,
@@ -34,62 +35,6 @@ def unpack_signs(packed: np.ndarray, dim: int) -> np.ndarray:
     signs += signs  # in place: an int8 shift costs several times as much
     signs -= 1
     return signs
-
-
-@dataclass(frozen=True)
-class Hypervector:
-    """A bipolar vector, bit-packed, immutable."""
-
-    packed: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError(f"hypervector dimension must be >= 1, got {self.dim}")
-        self.packed.flags.writeable = False
-
-    @classmethod
-    def from_signs(cls, signs) -> "Hypervector":
-        signs = np.asarray(signs)
-        if signs.ndim != 1 or signs.size == 0:
-            raise DimensionError("expected a non-empty 1-D sign array")
-        if not np.all(np.abs(signs) == 1):
-            raise ValueError("entries must be -1 or +1")
-        return cls(packed=pack_signs(signs), dim=signs.size)
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        out = unpack_signs(self.packed, self.dim)
-        out.flags.writeable = False
-        return out
-
-    def dot(self, other: "Hypervector") -> int:
-        if self.dim != other.dim:
-            raise ShapeError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return int(np.dot(self.signs.astype(np.int64), other.signs))
-
-    def hamming(self, other: "Hypervector") -> int:
-        if self.dim != other.dim:
-            raise ShapeError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return int(np.count_nonzero(self.signs != other.signs))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Hypervector)
-            and self.dim == other.dim
-            and np.array_equal(self.packed, other.packed)
-        )
-
-    __hash__ = None
-
-
-def random_bipolar(seed, dim: int) -> Hypervector:
-    """Draw a random bipolar hypervector; deterministic function of the seed."""
-    if dim < 1:
-        raise DimensionError(f"hypervector dimension must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    signs = (rng.integers(0, 2, size=dim).astype(np.int8) << 1) - 1
-    return Hypervector.from_signs(signs)
 
 
 @dataclass(frozen=True)
@@ -311,13 +256,14 @@ def level_table_matches(base_seed, budget: FlipBudget, packed: np.ndarray) -> bo
     return np.array_equal(by_position, implied.reshape(n_feat, dim))
 
 
-def level_vector(table: LevelTable, feature: int, level: int) -> Hypervector:
-    """Fetch one level hypervector; `feature` is 0-based, `level` is 1..M."""
+def level_vector(table: LevelTable, feature: int, level: int) -> np.ndarray:
+    """One level hypervector as a read-only (D,) int8 sign row; `feature` is
+    0-based, `level` is 1..M."""
     if not 0 <= feature < table.features:
         raise IndexError(f"feature index {feature} out of range [0, {table.features})")
     if not 1 <= level <= table.levels:
         raise IndexError(f"level {level} out of range [1, {table.levels}]")
-    return Hypervector(packed=table.packed[feature, level - 1].copy(), dim=table.dim)
+    return table.signs[feature, level - 1]
 
 
 def encode_quantized(levels: np.ndarray, table: LevelTable) -> np.ndarray:

@@ -23,10 +23,11 @@ below 2**53), and scores that come within float rounding of each other are
 compared exactly in integers. A label therefore depends neither on the
 batch it is scored in nor on the BLAS and its summation order.
 
-Reported cosines (avgSim, `pairwise_similarities`, `classify`'s
-similarities) all come from `_cosines`, an exact int64 Gram matrix, so they
-too are the same in any summation order; `log` and `exp` in avgSim are the
-only platform math functions left.
+Every reported cosine (avgSim, `classify`'s similarities and the appendix
+experiment's decision) comes from `pairwise_similarities`, an exact int64
+Gram matrix of integer-valued vectors, so it too is the same in any
+summation order; `log` and `exp` in avgSim are the only platform math
+functions left.
 """
 
 from __future__ import annotations
@@ -181,46 +182,28 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> None:
         raise DataError(f"labels {np.unique(bad).tolist()} outside 1..{n_classes}")
 
 
-def train_encoders(samples: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Sum sample hypervectors per class: encoders[k-1] = sum of X_s with y_s == k."""
-    samples = np.asarray(samples, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise DataError("training set must be a non-empty (S, D) matrix")
-    if labels.shape != (samples.shape[0],):
-        raise ShapeError("label count does not match sample count")
-    _check_labels(labels, n_classes)
-    encoders = np.zeros((n_classes, samples.shape[1]), dtype=np.int64)
-    np.add.at(encoders, labels - 1, samples)
-    empty = np.setdiff1d(np.arange(1, n_classes + 1), labels)
-    if empty.size:
-        warnings.warn(f"classes {empty.tolist()} have no training samples; zero encoders")
-    return encoders
-
-
-def cosine_similarity(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
-def _cosines(vectors: np.ndarray) -> np.ndarray:
+def pairwise_similarities(vectors) -> np.ndarray:
     """(..., K, K) cosine similarities between the rows of a (..., K, D)
-    integer stack; a zero row has similarity 0 to every row.
+    stack of integer-valued vectors, such as class encoders; a zero row has
+    similarity 0 to every row.
 
     The Gram matrix G is exact in int64 under the checked bound
     D*max|v|**2 < 2**63, and each cosine is G_kl / (sqrt(G_kk)*sqrt(G_ll)),
     correctly rounded operations in a fixed order, so it depends neither on
-    the summation order nor on the BLAS."""
-    vectors = np.asarray(vectors, dtype=np.int64)
+    the summation order nor on the BLAS. A non-integer dtype is scanned
+    first: a value that is not finite or not a whole number raises, where a
+    cast would truncate it."""
+    vectors = np.asarray(vectors)
+    if vectors.dtype.kind in "iu":
+        vectors = vectors.astype(np.int64, copy=False)
+    else:
+        vectors = vectors.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(vectors) & (vectors == np.round(vectors))):
+            raise DataError("cosines need finite, integer-valued vectors")
     top = int(np.abs(vectors).max(initial=0))
     if vectors.shape[-1] * top * top >= 2**63:
         raise DataError(f"vector entries up to {top} are too large for exact cosines")
+    vectors = vectors.astype(np.int64, copy=False)
     gram = np.einsum("...kd,...ld->...kl", vectors, vectors)
     norms = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
     norms[norms == 0.0] = np.inf  # zero-norm convention: similarity 0
@@ -242,7 +225,8 @@ def classify(query, model: TrainedModel) -> Prediction:
             f"expected {model.table.features} features, got shape {query.shape}"
         )
     levels = model.quantizer.quantize_matrix(query[None, :])
-    sims = _cosines(np.concatenate([encode_quantized(levels, model.table), model.encoders]))
+    encoded = encode_quantized(levels, model.table)
+    sims = pairwise_similarities(np.concatenate([encoded, model.encoders]))
     return Prediction(label=int(_nearest(*model._scoring, levels)[0, 0]), similarities=sims[0, 1:])
 
 
@@ -311,6 +295,7 @@ def appendix_experiment(dim: int, trials: int, mode: str, seed=0) -> float:
         e1 = level_signs[0:5].sum(axis=0)
         e2 = level_signs[5:9].sum(axis=0)
         q = level_signs[9]
-        if cosine_similarity(q, e2) > cosine_similarity(q, e1):
+        sims = pairwise_similarities(np.stack([q, e1, e2]))[0]
+        if sims[2] > sims[1]:
             correct += 1
     return correct / trials

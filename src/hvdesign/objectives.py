@@ -18,8 +18,9 @@ and avgSim keep the bytes of `weighted_accuracy` and `avg_similarity` on
 that budget's own confusion matrix and encoders.
 
 avgSim depends on no summation order: its cosines come from the exact
-integer Gram matrix of `model._cosines`, and each set's logs are summed with
-`math.fsum`. `log` and `exp` are the only platform math functions left.
+integer Gram matrix of `pairwise_similarities`, and each set's logs are
+summed with `math.fsum`. `log` and `exp` are the only platform math
+functions left.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from .hypervector import FlipBudget, _level_signs, _prefix_flips, _repair, _sche
 from .model import (
     _check_labels,
     _class_encoders,
-    _cosines,
     _level_histogram,
     _nearest,
     _projection,
+    pairwise_similarities,
 )
 
 SIMILARITY_CLAMP = 1e-12
@@ -103,15 +104,11 @@ def total_accuracy(confusion: np.ndarray) -> float:
     return float(np.trace(confusion) / total)
 
 
-def pairwise_similarities(encoders: np.ndarray) -> np.ndarray:
-    """Raw K x K cosine-similarity matrix between class encoders."""
-    return _cosines(encoders)
-
-
 def _avg_similarities(encoders: np.ndarray) -> list:
     """avgSim of each of a (P, K, D) stack of encoder sets."""
     k = encoders.shape[1]
-    logs = np.log(np.maximum(_cosines(encoders)[:, ~np.eye(k, dtype=bool)], SIMILARITY_CLAMP))
+    sims = pairwise_similarities(encoders)[:, ~np.eye(k, dtype=bool)]
+    logs = np.log(np.maximum(sims, SIMILARITY_CLAMP))
     # fsum rounds each row's exact sum once, whatever the order of its terms.
     return [math.exp(math.fsum(row) / k) for row in logs.tolist()]
 
@@ -119,7 +116,7 @@ def _avg_similarities(encoders: np.ndarray) -> list:
 def avg_similarity(encoders: np.ndarray) -> float:
     """Geometric-mean similarity over all ordered encoder pairs k != k',
     with exponent 1/K and each factor clamped below at 1e-12."""
-    encoders = np.asarray(encoders, dtype=np.int64)
+    encoders = np.asarray(encoders)
     k = encoders.shape[0]
     if k < 2:
         raise ValueError(f"need at least 2 class encoders, got {k}")

@@ -18,7 +18,6 @@ from hvdesign import (
     build_level_table,
     calibrate_quantizer,
     confusion_matrix,
-    cosine_similarity,
     dominates,
     fit_baseline,
     level_vector,
@@ -105,7 +104,8 @@ class TestCriterion3FullBudgetOrthogonality:
             row = rng.multinomial(dim // 2, np.ones(5) / 5)
             budget = FlipBudget(budgets=row[None, :], dim=dim)
             table = build_level_table(trial, budget)
-            dots.append(level_vector(table, 0, 1).dot(level_vector(table, 0, 6)))
+            first, last = level_vector(table, 0, 1), level_vector(table, 0, 6)
+            dots.append(int(first.astype(np.int64) @ last))
         report(3, f"D={dim}: dot(L1, LM) == 0 for 100 full-budget rows",
                all(d == 0 for d in dots))
 
@@ -222,7 +222,9 @@ class TestCriterion9ObjectiveOracles:
             product = 1.0
             for i, j in itertools.product(range(k), range(k)):
                 if i != j:
-                    product *= max(cosine_similarity(encoders[i], encoders[j]), 1e-12)
+                    a, b = encoders[i], encoders[j]
+                    cosine = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+                    product *= max(cosine, 1e-12)
             expected = product ** (1.0 / k)
             worst = max(worst, abs(avg_similarity(encoders) - expected))
         report(9, f"avgSim vs direct product-form oracle, max abs err {worst:.2e} <= 1e-12",

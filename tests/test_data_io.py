@@ -221,6 +221,11 @@ class TestCsvReaders:
             assert "\n\n" not in body and not body.startswith("\n")
 
 
+def levels_of(quantizer, values):
+    """The levels of one sample's feature values."""
+    return quantizer.quantize_matrix(np.array([values], dtype=np.float64))[0]
+
+
 class TestQuantizer:
     def test_calibration_min_max(self):
         ds = Dataset(
@@ -235,15 +240,15 @@ class TestQuantizer:
         q = Quantizer(mins=np.array([0.0, -10.0]), maxs=np.array([1.0, 0.0]), levels=10)
         # -1.2 lies in [-2, -1), the 9th interval of f2. (The original
         # worked example states 8; enumeration of its own intervals says 9.)
-        assert q.quantize_sample([0.17, -1.2]).tolist() == [2, 9]
-        assert q.quantize_sample([0.0, -10.0])[0] == 1
-        assert q.quantize_sample([0.95, -10.0])[0] == 10
+        assert levels_of(q, [0.17, -1.2]).tolist() == [2, 9]
+        assert levels_of(q, [0.0, -10.0])[0] == 1
+        assert levels_of(q, [0.95, -10.0])[0] == 10
 
     def test_clamping(self):
         q = Quantizer(mins=np.array([0.0]), maxs=np.array([1.0]), levels=5)
-        assert q.quantize_sample([1.0])[0] == 5
-        assert q.quantize_sample([2.0])[0] == 5
-        assert q.quantize_sample([-1.0])[0] == 1
+        assert levels_of(q, [1.0])[0] == 5
+        assert levels_of(q, [2.0])[0] == 5
+        assert levels_of(q, [-1.0])[0] == 1
 
     def test_degenerate_feature_warns_and_maps_to_one(self):
         ds = Dataset(
@@ -254,20 +259,20 @@ class TestQuantizer:
         with pytest.warns(UserWarning, match="degenerate"):
             q = calibrate_quantizer(ds, 4)
         assert q.degenerate.tolist() == [True, False]
-        assert q.quantize_sample([3.0, 0.1])[0] == 1
-        assert q.quantize_sample([99.0, 0.1])[0] == 1
+        assert levels_of(q, [3.0, 0.1])[0] == 1
+        assert levels_of(q, [99.0, 0.1])[0] == 1
 
     def test_non_finite_rejected(self):
         q = Quantizer(mins=np.array([0.0]), maxs=np.array([1.0]), levels=5)
         with pytest.raises(DataError):
-            q.quantize_sample([float("nan")])
+            levels_of(q, [float("nan")])
 
     @given(st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=100)
     def test_monotone(self, x1, x2):
         q = Quantizer(mins=np.array([-1.0]), maxs=np.array([1.0]), levels=7)
         lo, hi = sorted([x1, x2])
-        assert q.quantize_sample([lo])[0] <= q.quantize_sample([hi])[0]
+        assert levels_of(q, [lo])[0] <= levels_of(q, [hi])[0]
 
 
 class TestMotivational:

@@ -11,39 +11,21 @@ from hvdesign import (
     FlipBudget,
     Quantizer,
     build_level_table,
-    cosine_similarity,
     encode_quantized,
     level_vector,
-    random_bipolar,
     repair_budget,
     uniform_flip_budget,
 )
 from hvdesign.hypervector import level_table_matches
 
 
-class TestRandomBipolar:
-    def test_codomain(self):
-        hv = random_bipolar(3, 4)
-        assert hv.dim == 4
-        assert set(np.unique(hv.signs)) <= {-1, 1}
+def dot(a, b):
+    """Exact dot product of two int8 sign rows (an int8 product overflows)."""
+    return int(a.astype(np.int64) @ b)
 
-    def test_deterministic(self):
-        assert random_bipolar(17, 256) == random_bipolar(17, 256)
 
-    def test_zero_dim_rejected(self):
-        with pytest.raises(DimensionError):
-            random_bipolar(0, 0)
-
-    def test_independent_seeds_nearly_orthogonal(self):
-        # Monte-Carlo oracle: |cosine| of independent pairs concentrates
-        # around 1/sqrt(D) = 0.01 at D=10000.
-        cosines = []
-        for pair in range(100):
-            a = random_bipolar(2 * pair, 10000)
-            b = random_bipolar(2 * pair + 1, 10000)
-            cosines.append(abs(cosine_similarity(a.signs, b.signs)))
-        assert np.mean(cosines) < 0.02
-        assert max(cosines) < 0.05
+def hamming(a, b):
+    return int(np.count_nonzero(a != b))
 
 
 class TestUniformFlipBudget:
@@ -85,7 +67,7 @@ class TestBuildLevelTable:
         for n in range(2):
             prefix = 0
             for m in range(1, 6):
-                assert level_vector(table, n, 1).hamming(level_vector(table, n, m)) == prefix
+                assert hamming(level_vector(table, n, 1), level_vector(table, n, m)) == prefix
                 if m < 5:
                     prefix += budget.budgets[n, m - 1]
 
@@ -96,13 +78,13 @@ class TestBuildLevelTable:
             row = rng.multinomial(dim // 2, np.ones(4) / 4)
             budget = FlipBudget(budgets=row[None, :], dim=dim)
             table = build_level_table(trial, budget)
-            assert level_vector(table, 0, 1).dot(level_vector(table, 0, 5)) == 0
+            assert dot(level_vector(table, 0, 1), level_vector(table, 0, 5)) == 0
 
     def test_zero_budget_collapses_levels(self):
         budget = FlipBudget(budgets=np.zeros((1, 4), dtype=int), dim=16)
         table = build_level_table(0, budget)
         for m in range(2, 6):
-            assert level_vector(table, 0, m) == level_vector(table, 0, 1)
+            assert np.array_equal(level_vector(table, 0, m), level_vector(table, 0, 1))
 
     def test_infeasible_rejected(self):
         budget = FlipBudget(budgets=np.array([[9, 9]]), dim=16)
@@ -113,7 +95,7 @@ class TestBuildLevelTable:
         table = build_level_table(9, uniform_flip_budget(128, 9, features=3))
         for n in range(3):
             gaps = {
-                level_vector(table, n, m).hamming(level_vector(table, n, m + 1))
+                hamming(level_vector(table, n, m), level_vector(table, n, m + 1))
                 for m in range(1, 9)
             }
             assert gaps == {128 // 16}
@@ -125,9 +107,9 @@ class TestBuildLevelTable:
         small = build_level_table(4, FlipBudget(budgets=np.array([[3, 3]]), dim=32))
         large = build_level_table(4, FlipBudget(budgets=np.array([[10, 4]]), dim=32))
         base = level_vector(small, 0, 1)
-        assert base == level_vector(large, 0, 1)
-        flipped_small = set(np.flatnonzero(base.signs != level_vector(small, 0, 3).signs))
-        flipped_large = set(np.flatnonzero(base.signs != level_vector(large, 0, 3).signs))
+        assert np.array_equal(base, level_vector(large, 0, 1))
+        flipped_small = set(np.flatnonzero(base != level_vector(small, 0, 3)))
+        flipped_large = set(np.flatnonzero(base != level_vector(large, 0, 3)))
         assert flipped_small <= flipped_large
 
 
@@ -222,17 +204,20 @@ class TestLevelVector:
     def test_first_level_is_base(self, table):
         rng = np.random.default_rng([1, 0])  # the table's seed, feature 0
         base = (rng.integers(0, 2, size=24).astype(np.int8) << 1) - 1
-        assert np.array_equal(level_vector(table, 0, 1).signs, base)
+        first = level_vector(table, 0, 1)
+        assert first.dtype == np.int8 and first.shape == (24,)
+        assert not first.flags.writeable
+        assert np.array_equal(first, base)
 
     def test_consecutive_distances(self, table):
         for m, expected in zip(range(1, 4), [2, 5, 1]):
-            assert level_vector(table, 0, m).hamming(level_vector(table, 0, m + 1)) == expected
+            assert hamming(level_vector(table, 0, m), level_vector(table, 0, m + 1)) == expected
 
     def test_nested_flip_sets(self, table):
-        base = level_vector(table, 0, 1).signs
+        base = level_vector(table, 0, 1)
         previous = set()
         for m in range(2, 5):
-            flipped = set(np.flatnonzero(base != level_vector(table, 0, m).signs))
+            flipped = set(np.flatnonzero(base != level_vector(table, 0, m)))
             assert previous <= flipped
             previous = flipped
 
@@ -252,14 +237,14 @@ class TestEncodeSample:
         quantizer = Quantizer(mins=np.array([0.0, -10.0]), maxs=np.array([1.0, 0.0]), levels=10)
         table = build_level_table(2, uniform_flip_budget(1000, 10, features=2))
         encoded = encode_quantized(quantizer.quantize_matrix(np.array([[0.17, -1.2]])), table)[0]
-        expected = level_vector(table, 0, 2).signs.astype(int) + level_vector(table, 1, 9).signs
+        expected = level_vector(table, 0, 2).astype(int) + level_vector(table, 1, 9)
         assert np.array_equal(encoded, expected)
 
     def test_single_feature_is_level_vector(self):
         quantizer = Quantizer(mins=np.array([0.0]), maxs=np.array([1.0]), levels=4)
         table = build_level_table(3, uniform_flip_budget(32, 4))
         encoded = encode_quantized(quantizer.quantize_matrix(np.array([[0.6]])), table)[0]
-        assert np.array_equal(encoded, level_vector(table, 0, 3).signs)
+        assert np.array_equal(encoded, level_vector(table, 0, 3))
 
     @given(st.integers(0, 1000), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)

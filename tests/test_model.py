@@ -15,12 +15,10 @@ from hvdesign import (
     appendix_experiment,
     build_level_table,
     classify,
-    cosine_similarity,
     encode_quantized,
     fit_baseline,
     predict_batch,
     repair_budget,
-    train_encoders,
     train_model,
     uniform_flip_budget,
 )
@@ -34,6 +32,11 @@ def score_beats(dot_a, sq_norm_a, dot_b, sq_norm_b):
         return sign_a > sign_b
     lhs, rhs = dot_a * dot_a * sq_norm_b, dot_b * dot_b * sq_norm_a
     return lhs > rhs if sign_a > 0 else lhs < rhs
+
+
+def class_sums(samples, labels, n_classes):
+    """Oracle encoders: row k-1 sums the samples of class k."""
+    return np.array([samples[labels == k].sum(axis=0) for k in range(1, n_classes + 1)])
 
 
 def reference_labels(queries, encoders):
@@ -79,72 +82,6 @@ def training_problems(draw):
     )
     budget = repair_budget(FlipBudget(budgets=np.array(budget), dim=dim))
     return train, quantizer, budget, np.array(queries, dtype=np.float64)
-
-
-class TestTrainEncoders:
-    def test_one_sample_per_class(self):
-        samples = np.array([[1, -1, 1], [-1, 1, 1]])
-        encoders = train_encoders(samples, np.array([1, 2]), 2)
-        assert np.array_equal(encoders, samples)
-
-    def test_direct_sum(self):
-        samples = np.array([[1, 1], [1, -1], [-1, -1]])
-        encoders = train_encoders(samples, np.array([1, 1, 2]), 2)
-        assert encoders.tolist() == [[2, 0], [-1, -1]]
-
-    def test_appendix_grouping(self):
-        # Nine 1-D training points at levels 1..9, split 5/4 between classes.
-        table = build_level_table(8, uniform_flip_budget(256, 10))
-        samples = table.signs[0, :9].astype(np.int64)
-        labels = np.array([1] * 5 + [2] * 4)
-        encoders = train_encoders(samples, labels, 2)
-        assert np.array_equal(encoders[0], samples[:5].sum(axis=0))
-        assert np.array_equal(encoders[1], samples[5:].sum(axis=0))
-
-    def test_empty_training_set_rejected(self):
-        with pytest.raises(DataError):
-            train_encoders(np.empty((0, 4)), np.empty(0), 2)
-
-    def test_out_of_range_label_rejected(self):
-        with pytest.raises(DataError):
-            train_encoders(np.ones((2, 4)), np.array([1, 3]), 2)
-
-    def test_empty_class_warns_zero_encoder(self):
-        with pytest.warns(UserWarning, match=r"\[2\]"):
-            encoders = train_encoders(np.ones((2, 4), dtype=int), np.array([1, 1]), 2)
-        assert np.all(encoders[1] == 0)
-
-    def test_sample_order_invariant(self):
-        rng = np.random.default_rng(0)
-        samples = rng.integers(-3, 4, size=(20, 16))
-        labels = rng.integers(1, 4, size=20)
-        baseline = train_encoders(samples, labels, 3)
-        order = rng.permutation(20)
-        assert np.array_equal(baseline, train_encoders(samples[order], labels[order], 3))
-
-
-class TestCosineSimilarity:
-    def test_identity(self):
-        v = np.array([3, -1, 2])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
-
-    def test_antipodal(self):
-        v = np.array([3, -1, 2])
-        assert cosine_similarity(v, -v) == pytest.approx(-1.0)
-
-    def test_zero_norm_convention(self):
-        assert cosine_similarity(np.array([1, 2]), np.zeros(2)) == 0.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            cosine_similarity(np.ones(3), np.ones(4))
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=50)
-    def test_bounded(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = rng.integers(-5, 6, size=(2, 32))
-        assert -1.0 - 1e-12 <= cosine_similarity(a, b) <= 1.0 + 1e-12
 
 
 class TestClassify:
@@ -217,6 +154,26 @@ class TestSinglePassTraining:
         )
         assert np.array_equal(whole, halves)
 
+    @pytest.fixture
+    def one_feature(self):
+        """train_model's arguments but the dataset: one feature, M=3, D=16."""
+        quantizer = Quantizer(mins=np.zeros(1), maxs=np.ones(1), levels=3)
+        return quantizer, uniform_flip_budget(16, 3), 0
+
+    def test_empty_class_warns_zero_encoder(self, one_feature):
+        train = Dataset(features=np.array([[0.0], [1.0]]), labels=np.array([1, 1]),
+                        label_names=["a", "b"])
+        with pytest.warns(UserWarning, match=r"classes \[2\] have no training samples"):
+            model = train_model(train, *one_feature)
+        assert model.encoders[0].any()
+        assert not model.encoders[1].any()
+
+    def test_out_of_range_label_rejected(self, one_feature):
+        train = Dataset(features=np.array([[0.0], [1.0]]), labels=np.array([1, 3]),
+                        label_names=["a", "b"])
+        with pytest.raises(DataError, match=r"labels \[3\] outside 1..2"):
+            train_model(train, *one_feature)
+
 
 class TestLevelSpaceKernel:
     @given(training_problems(), st.integers(0, 2**32 - 1))
@@ -240,7 +197,7 @@ class TestLevelSpaceKernel:
             warnings.simplefilter("ignore")  # empty classes warn
             model = train_model(train, quantizer, budget, seed)
             table = model.table
-            encoders = train_encoders(
+            encoders = class_sums(
                 encode_quantized(quantizer.quantize_matrix(train.features), table),
                 train.labels, train.n_classes,
             )

@@ -24,13 +24,11 @@ from hvdesign import (
     calibrate_quantizer,
     classify,
     confusion_matrix,
-    cosine_similarity,
     encode_quantized,
     fit_baseline,
     pairwise_similarities,
     predict_batch,
     repair_budget,
-    train_encoders,
     uniform_flip_budget,
     weighted_accuracy,
 )
@@ -49,13 +47,20 @@ def reference_wacc(confusion):
     return sum(recalls) / len(recalls)
 
 
+def reference_cosine(a, b):
+    """Float cosine by normalized dot product; 0 when either vector is zero."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    return 0.0 if na == 0.0 or nb == 0.0 else float(np.dot(a, b) / (na * nb))
+
+
 def reference_avg_sim(encoders):
     """Direct evaluation of the ordered-pair product form with clamp."""
     k = len(encoders)
     product = 1.0
     for i, j in itertools.product(range(k), range(k)):
         if i != j:
-            product *= max(cosine_similarity(encoders[i], encoders[j]), CLAMP)
+            product *= max(reference_cosine(encoders[i], encoders[j]), CLAMP)
     return product ** (1.0 / k)
 
 
@@ -64,7 +69,8 @@ def reference_scores(train, quantizer, seed, budget):
     level table, encoding of every training row, encoders, predictions."""
     table = build_level_table(seed, repair_budget(budget))
     samples = encode_quantized(quantizer.quantize_matrix(train.features), table)
-    encoders = train_encoders(samples, train.labels, train.n_classes)
+    encoders = np.array([samples[train.labels == k].sum(axis=0)
+                         for k in range(1, train.n_classes + 1)])
     model = TrainedModel(
         quantizer=quantizer,
         table=table,
@@ -250,10 +256,12 @@ class TestExactCosines:
     @given(integer_vectors(), st.booleans())
     @settings(max_examples=300, deadline=None)
     @example([[0, 0], [3, -4]], False)  # a zero row scores 0
+    @example([[3, -1, 2], [-3, 1, -2]], False)  # cosines of 1 to itself, -1 antipodal
     @example([[2**31 - 1, -(2**31 - 1)], [2**31 - 1, 2**31 - 2]], False)  # at the bound
     def test_cosines_match_decimal_oracle(self, rows, with_zero_row):
         encoders = np.array(rows + [[0] * len(rows[0])] * with_zero_row, dtype=np.int64)
         sims = pairwise_similarities(encoders)
+        assert np.all(np.abs(sims) <= 1.0 + 1e-12)
         for i, j in itertools.product(range(len(encoders)), repeat=2):
             assert_exact_cosine(float(sims[i, j]), encoders[i], encoders[j])
 
@@ -277,6 +285,18 @@ class TestExactCosines:
                 score(encoders)
         encoders[0, 0] = top - 1
         assert pairwise_similarities(encoders)[0, 1] == 0.0
+
+    def test_only_integer_values_accepted(self):
+        # A cast to int64 would truncate these: the fractions to all-zero rows.
+        for rows in ([[0.5, 0.5], [0.4, -0.9]], [[1.0, np.nan], [1.0, 2.0]],
+                     [[np.inf, 0.0], [1.0, 2.0]]):
+            for score in (pairwise_similarities, avg_similarity):
+                with pytest.raises(DataError, match="finite, integer-valued"):
+                    score(np.array(rows))
+        floats = np.array([[1.0, 2.0], [3.0, -1.0]])
+        ints = floats.astype(np.int64)
+        assert pairwise_similarities(floats).tobytes() == pairwise_similarities(ints).tobytes()
+        assert repr(avg_similarity(floats)) == repr(avg_similarity(ints))
 
 
 class TestFeasibility:
