@@ -17,6 +17,7 @@ from hvdesign import (
     classify,
     encode_quantized,
     fit_baseline,
+    pairwise_similarities,
     predict_batch,
     repair_budget,
     train_model,
@@ -82,6 +83,29 @@ def training_problems(draw):
     )
     budget = repair_budget(FlipBudget(budgets=np.array(budget), dim=dim))
     return train, quantizer, budget, np.array(queries, dtype=np.float64)
+
+
+class TestCosineSimilarity:
+    """Two-row cases of pairwise_similarities; entry [0, 1] is cos(a, b)."""
+
+    def test_identity(self):
+        v = np.array([3, -1, 2])
+        assert pairwise_similarities(np.stack([v, v]))[0, 1] == pytest.approx(1.0)
+
+    def test_antipodal(self):
+        v = np.array([3, -1, 2])
+        assert pairwise_similarities(np.stack([v, -v]))[0, 1] == pytest.approx(-1.0)
+
+    def test_zero_norm_convention(self):
+        sims = pairwise_similarities(np.array([[1, 2], [0, 0]]))
+        assert sims[0, 1] == 0.0 and sims[1, 0] == 0.0
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=50)
+    def test_bounded(self, seed):
+        rng = np.random.default_rng(seed)
+        sims = pairwise_similarities(rng.integers(-5, 6, size=(2, 32)))
+        assert np.all((-1.0 - 1e-12 <= sims) & (sims <= 1.0 + 1e-12))
 
 
 class TestClassify:
