@@ -95,6 +95,10 @@ class Quantizer:
         maxs = np.asarray(self.maxs, dtype=np.float64)
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise ShapeError("mins and maxs must be equal-length 1-D arrays")
+        if self.levels < 2:
+            raise ConfigError(f"need at least 2 quantization levels, got {self.levels}")
+        if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
+            raise DataError("calibration minima and maxima must be finite")
         if np.any(mins > maxs):
             raise ValueError("feature minimum exceeds maximum")
         object.__setattr__(self, "mins", mins)
@@ -126,8 +130,6 @@ class Quantizer:
 
 def calibrate_quantizer(train: Dataset, levels: int) -> Quantizer:
     """Per-feature min/max from the training split only."""
-    if levels < 2:
-        raise ConfigError(f"need at least 2 quantization levels, got {levels}")
     mins = train.features.min(axis=0)
     maxs = train.features.max(axis=0)
     q = Quantizer(mins=mins, maxs=maxs, levels=levels)

@@ -2,8 +2,9 @@
 
 The two objectives are (maximize wAcc, minimize avgSim), with
 feasibility-first dominance: a feasible individual always dominates an
-infeasible one. Dominance is decided in one place, an array kernel shared
-by ranking, front extraction and the hypervolume; `dominates` is its
+infeasible one. Dominance is decided in one place, `_ranks`, a sort-based
+non-dominated sort that ranking, front extraction (the feasible rows of
+rank 0) and the hypervolume (the rows of rank 0) share; `dominates` is the
 reference predicate on a single pair of ObjectiveScores.
 
 Inside the search a population is two arrays: (P, N, M-1) int64 genes, one
@@ -32,6 +33,7 @@ a pure function of (dataset, config).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import math
@@ -102,53 +104,64 @@ def dominates(a: ObjectiveScores, b: ObjectiveScores) -> bool:
     return a.wacc > b.wacc or a.avg_sim < b.avg_sim
 
 
-def _dominance(scores: np.ndarray) -> np.ndarray:
-    """(P, P) boolean matrix whose [p, q] entry is `dominates` of rows p and
-    q of a (P, 3) score array."""
-    f, w, s = scores.T
-    fp, wp, sp = f[:, None], w[:, None], s[:, None]
-    # Negated comparisons, as in `dominates`, so a NaN compares the same way.
-    pareto = ~(wp < w) & ~(sp > s) & ((wp > w) | (sp < s))
-    return np.where(fp == f, pareto, fp > f)
+def _ranks(scores: np.ndarray) -> np.ndarray:
+    """Non-dominated rank of each row of a (P, 3) score array under
+    `dominates`; rank 0 is the non-dominated front."""
+    if np.isnan(scores).any():
+        raise ValueError("cannot rank scores that hold NaN")
+    feasible, wacc, sim = scores.T
+    order = np.lexsort((sim, -wacc, -feasible))
+    ranks = []
+    offset, mins, prev = 0, [], None
+    for point in zip(feasible[order].tolist(), wacc[order].tolist(), sim[order].tolist()):
+        if point != prev:
+            if prev is None or point[0] != prev[0]:
+                offset, mins = offset + len(mins), []
+            # Every earlier point has at least this wAcc, so front k
+            # dominates this one iff its smallest avgSim so far is at most
+            # this avgSim; the fronts' smallest avgSims ascend.
+            k = bisect.bisect_right(mins, point[2])
+            mins[k:k + 1] = [point[2]]
+            prev = point
+        ranks.append(offset + k)
+    out = np.empty(len(scores), dtype=np.int64)
+    out[order] = ranks
+    return out
 
 
 def rank_population(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Non-dominated sorting plus per-front crowding distance of a (P, 3)
-    score array.
+    score array of (feasible, wAcc, avgSim) rows.
 
-    Returns (ranks, crowding); rank 0 is the non-dominated front, boundary
-    points of each front get infinite crowding.
+    Returns (ranks, crowding); rank 0 is the non-dominated front. The rows
+    are sorted once on (feasible desc, wAcc desc, avgSim asc), and each
+    point joins the first front whose smallest avgSim so far is above its
+    own, found by binary search (Jensen 2003): O(P log P) for P rows, not
+    the O(P^2) dominance matrix of Deb et al. (2002). Exact duplicates
+    share a rank, and infeasible rows rank after every feasible front.
+
+    Crowding is the per-front sum of the normalized wAcc gap, then the
+    avgSim gap, between each point's neighbours in that objective. The
+    boundary points of each front, and every member of a front of at most
+    2, get infinite crowding; an objective that spans 0 on a front adds no
+    gaps there. A NaN anywhere in the array raises ValueError: a sort
+    cannot order it.
     """
-    n = len(scores)
-    dominance = _dominance(scores)
-    ranks = np.full(n, -1, dtype=np.int64)
-    remaining = np.ones(n, dtype=bool)
-    rank = 0
-    while True:
-        front = remaining & ~dominance[remaining].any(axis=0)
-        if not front.any():
-            break
-        ranks[front] = rank
-        remaining &= ~front
-        rank += 1
-
-    crowding = np.zeros(n, dtype=np.float64)
-    for r in range(rank):
-        front = np.flatnonzero(ranks == r)
-        if front.size <= 2:
-            crowding[front] = np.inf
-            continue
-        for col in (1, 2):  # wAcc, avgSim
-            vals = scores[front, col]
-            order = np.argsort(vals, kind="stable")
-            crowding[front[order[0]]] = np.inf
-            crowding[front[order[-1]]] = np.inf
-            span = vals[order[-1]] - vals[order[0]]
-            if span == 0:
-                continue
-            inner = front[order[1:-1]]
-            gaps = (vals[order[2:]] - vals[order[:-2]]) / span
-            crowding[inner] += gaps
+    ranks = _ranks(scores)
+    crowding = np.zeros(len(scores), dtype=np.float64)
+    if not len(scores):
+        return ranks, crowding
+    for col in (1, 2):  # wAcc, avgSim
+        # Fronts in rank order, each sorted by the objective, ties by index.
+        order = np.lexsort((scores[:, col], ranks))
+        vals, fronts = scores[order, col], ranks[order]
+        step = fronts[1:] != fronts[:-1]
+        first, last = np.r_[True, step], np.r_[step, True]
+        crowding[order[first | last]] = np.inf
+        starts, ends = np.flatnonzero(first), np.flatnonzero(last)
+        span = np.repeat(vals[ends] - vals[starts], ends - starts + 1)
+        inner = np.flatnonzero(~(first | last) & (span != 0))
+        crowding[order[inner]] += (vals[inner + 1] - vals[inner - 1]) / span[inner]
     return ranks, crowding
 
 
@@ -310,7 +323,7 @@ def hypervolume(scores: np.ndarray) -> float:
     """Area dominated by the (wAcc, avgSim) points of a (P, 3) score array
     relative to the worst corner of the objective space, wAcc 0 and
     avgSim 1; a point outside that box adds nothing."""
-    kept = scores[~_dominance(scores).any(axis=0)]
+    kept = scores[_ranks(scores) == 0]
     coords = sorted(kept[:, 1:].tolist(), key=lambda p: -p[1])
     area = 0.0
     prev_sim = 1.0
@@ -322,7 +335,7 @@ def hypervolume(scores: np.ndarray) -> float:
 
 def _front_of(scores: np.ndarray) -> np.ndarray:
     """Mask of the feasible members that no member dominates."""
-    return (scores[:, 0] == 1) & ~_dominance(scores).any(axis=0)
+    return (scores[:, 0] == 1) & (_ranks(scores) == 0)
 
 
 def run_optimization(

@@ -65,11 +65,14 @@ class ObjectiveScores:
 
 
 def confusion_matrix(true_labels, predicted_labels, n_classes: int) -> np.ndarray:
-    """K x K counts, entry [true-1][predicted-1]."""
+    """K x K counts, entry [true-1][predicted-1]; a label outside 1..K
+    raises DataError."""
     t = np.asarray(true_labels, dtype=np.int64)
     p = np.asarray(predicted_labels, dtype=np.int64)
     if t.shape != p.shape:
         raise ShapeError("true and predicted label arrays differ in length")
+    _check_labels(t, n_classes)
+    _check_labels(p, n_classes)
     out = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(out, (t - 1, p - 1), 1)
     return out

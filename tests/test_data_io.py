@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvdesign import (
+    ConfigError,
     DataError,
     Dataset,
     FormatError,
@@ -266,6 +267,18 @@ class TestQuantizer:
         q = Quantizer(mins=np.array([0.0]), maxs=np.array([1.0]), levels=5)
         with pytest.raises(DataError):
             levels_of(q, [float("nan")])
+
+    @pytest.mark.parametrize("levels", [-1, 0, 1])
+    def test_fewer_than_two_levels_rejected(self, levels):
+        with pytest.raises(ConfigError, match="at least 2"):
+            Quantizer(mins=np.array([0.0]), maxs=np.array([1.0]), levels=levels)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_range_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            Quantizer(mins=np.array([bad, 0.0]), maxs=np.array([1.0, 1.0]), levels=4)
+        with pytest.raises(DataError, match="finite"):
+            Quantizer(mins=np.array([0.0, 0.0]), maxs=np.array([1.0, bad]), levels=4)
 
     @given(st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=100)

@@ -8,6 +8,7 @@ from hvdesign import (
     FlipBudget,
     GAConfig,
     ObjectiveScores,
+    calibrate_quantizer,
     dominates,
     evolve_generation,
     hypervolume,
@@ -26,6 +27,7 @@ from hvdesign.evolve import (
     _loop_draws,
     _variation_draws,
 )
+from hvdesign.objectives import _as_scores
 
 MICRO_CONFIG = dict(population_size=40, generations=50, dim=16, levels=3, mutation_rate=0.3)
 
@@ -64,6 +66,28 @@ def reference_ranks(scored):
         current = following
         rank += 1
     return ranks
+
+
+def reference_crowding(scores, ranks):
+    """Crowding distance front by front: each front's members in index
+    order, the normalized wAcc gaps between neighbours, then the avgSim
+    gaps; boundary points and fronts of at most 2 are infinite."""
+    crowding = np.zeros(len(scores), dtype=np.float64)
+    for r in np.unique(ranks):
+        front = np.flatnonzero(ranks == r)
+        if front.size <= 2:
+            crowding[front] = np.inf
+            continue
+        for col in (1, 2):  # wAcc, avgSim
+            vals = scores[front, col]
+            order = np.argsort(vals, kind="stable")
+            crowding[front[order[0]]] = np.inf
+            crowding[front[order[-1]]] = np.inf
+            span = vals[order[-1]] - vals[order[0]]
+            if span == 0:
+                continue
+            crowding[front[order[1:-1]]] += (vals[order[2:]] - vals[order[:-2]]) / span
+    return crowding
 
 
 def union_area(points, ref=(0.0, 1.0)):
@@ -179,7 +203,8 @@ class TestRankPopulation:
     def test_matches_pairwise_dominates_oracle(self, scored):
         scores = as_array(scored)
         ranks, crowding = rank_population(scores)
-        assert ranks.tolist() == reference_ranks(scored)
+        assert np.array_equal(ranks, reference_ranks(scored))
+        assert np.array_equal(crowding, reference_crowding(scores, ranks))
         objectives = scores[:, 1:]
         for r in set(ranks.tolist()):
             front = ranks == r
@@ -196,6 +221,35 @@ class TestRankPopulation:
         assert hypervolume(scores) == union_area(points)
         front = [i for i in kept if scored[i].feasible]
         assert np.flatnonzero(_front_of(scores)).tolist() == front
+
+    def test_grid_generation_matches_reference(self, motivational, monkeypatch):
+        # The 400 rows ranked at the end of the seed-0 grid search's first
+        # generation: float scores, many of them near-ties.
+        config = GAConfig(seed=0)
+        evaluator = CandidateEvaluator(
+            motivational, calibrate_quantizer(motivational, config.levels), config.seed
+        )
+        genes = initialize_population(config, motivational.n_features)
+        ranked = []
+
+        def recorded(scores):
+            ranked.append(scores)
+            return rank_population(scores)
+
+        monkeypatch.setattr(evolve, "rank_population", recorded)
+        evolve_generation(genes, evaluator._scores(genes, config.dim), evaluator, config, 0)
+        scores = ranked[1]
+        assert scores.shape == (400, 3)
+        ranks, crowding = rank_population(scores)
+        assert np.array_equal(ranks, reference_ranks(_as_scores(scores)))
+        assert np.array_equal(crowding, reference_crowding(scores, ranks))
+        assert ranks.max() > 1 and np.isfinite(crowding).sum() > 100
+
+    def test_nan_rejected(self):
+        scores = np.array([[1, np.nan, 0.5], [1, 0.5, 0.5], [1, 0.4, 0.6]])
+        for rank in (rank_population, hypervolume, _front_of):
+            with pytest.raises(ValueError, match="NaN"):
+                rank(scores)
 
 
 def scored_population(config, evaluator):

@@ -119,6 +119,16 @@ def scoring_problems(draw):
     return train, quantizer, FlipBudget(budgets=np.array(budget), dim=dim)
 
 
+class TestConfusionMatrix:
+    @pytest.mark.parametrize(
+        "true, predicted",
+        [([0, 1, 2], [1, 1, 2]), ([1, 1, 2], [-1, 1, 2]), ([1, 3, 2], [1, 1, 2])],
+    )
+    def test_labels_outside_classes_rejected(self, true, predicted):
+        with pytest.raises(DataError, match=r"outside 1\.\.2"):
+            confusion_matrix(true, predicted, 2)
+
+
 class TestWeightedAccuracy:
     def test_perfect_diagonal(self):
         assert weighted_accuracy(np.diag([5, 3, 9])) == 1.0
