@@ -119,25 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_file_defaults(argv) -> dict:
-    """Read --config early so its values become parser defaults; explicit
-    flags then override them."""
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-        else:
-            continue
-        try:
-            with open(path) as fh:
-                values = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"config file {path}: {exc}") from None
-        if not isinstance(values, dict):
-            raise ConfigError(f"config file {path}: expected a JSON object")
-        return {k.replace("-", "_"): v for k, v in values.items()}
-    return {}
+def _config_file_defaults(path) -> dict:
+    """The values of a JSON config file, keyed by flag destination; they
+    become parser defaults, so explicit flags override them."""
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
+    if not isinstance(values, dict):
+        raise ConfigError(f"config file {path}: expected a JSON object")
+    return {k.replace("-", "_"): v for k, v in values.items()}
 
 
 def _config_value(action, value):
@@ -304,8 +296,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        defaults = _config_file_defaults(argv)
-        if defaults:
+        if args.config is not None:
+            defaults = _config_file_defaults(args.config)
             sub = parser._subparsers._group_actions[0].choices[args.command]
             sub.set_defaults(**{
                 a.dest: _config_value(a, defaults[a.dest])

@@ -25,6 +25,7 @@ The model file is a little-endian binary format:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -338,25 +339,19 @@ def generate_motivational(grid_per_axis: int, seed=0) -> Dataset:
     )
 
 
+@contextlib.contextmanager
 def atomic_open(path, mode="w"):
-    """Write to a temp file in the target directory, rename on close."""
-    directory = os.path.dirname(os.path.abspath(path))
-
-    class _AtomicFile:
-        def __enter__(self):
-            fd, self.tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            self.fh = os.fdopen(fd, mode, **({"encoding": "utf-8", "newline": ""} if "b" not in mode else {}))
-            return self.fh
-
-        def __exit__(self, exc_type, exc, tb):
-            self.fh.close()
-            if exc_type is None:
-                os.replace(self.tmp, path)
-            else:
-                os.unlink(self.tmp)
-            return False
-
-    return _AtomicFile()
+    """Write to a temp file in the target directory, renamed to `path` on
+    close; on any failure, the rename included, the temp file is removed."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+        with os.fdopen(fd, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def model_file_size(dim: int, n_features: int, levels: int, n_classes: int,

@@ -1,16 +1,15 @@
 """NSGA-II-style search over flip-budget matrices.
 
-The two objectives are (maximize wAcc, minimize avgSim), with
-feasibility-first dominance: a feasible individual always dominates an
-infeasible one. Dominance is decided in one place, `_ranks`, a sort-based
-non-dominated sort that ranking, front extraction (the feasible rows of
-rank 0) and the hypervolume (the rows of rank 0) share; `dominates` is the
-reference predicate on a single pair of ObjectiveScores.
+The two objectives are (maximize wAcc, minimize avgSim). Dominance is
+decided in one place, `_ranks`, a sort-based non-dominated sort that
+ranking, front extraction and the hypervolume (both the rows of rank 0)
+share; `dominates` is the reference predicate on a single pair of
+ObjectiveScores, which also orders feasible budgets before infeasible ones.
 
 Inside the search a population is two arrays: (P, N, M-1) int64 genes, one
-flip-budget matrix per member, and (P, 3) float64 scores whose columns are
-(feasible, wAcc, avgSim), the rows `CandidateEvaluator` scores. FlipBudget
-and ObjectiveScores objects are built only for the returned front.
+flip-budget matrix per member, and (P, 2) float64 scores whose columns are
+(wAcc, avgSim), the rows `CandidateEvaluator` scores. FlipBudget and
+ObjectiveScores objects are built only for the returned front.
 
 Variation is binary tournament selection, per-gene uniform crossover and
 uniform-reset mutation on the integer genes. A generation's draws are the
@@ -23,8 +22,8 @@ loop itself, which also stays as the reference. Winners and children are
 then formed with array operations on the draws. The children are repaired in
 one array operation, the same floor-rescale `repair_budget` applies, which
 keeps every row sum within D/2, so only feasible individuals are ever
-evaluated as candidates for the front, and all of them are scored in one
-call, as is the initial population.
+scored, and the scores need no feasibility column; all of a generation's
+children are scored in one call, as is the initial population.
 
 Randomness comes from explicitly indexed substreams of the master seed
 (one for initialization, one per generation for variation), so results are
@@ -44,7 +43,7 @@ import numpy as np
 from .data import Dataset, Quantizer, atomic_open
 from .errors import ConfigError, ShapeError
 from .hypervector import FlipBudget, _repair, uniform_flip_budget
-from .objectives import CandidateEvaluator, ObjectiveScores, _as_scores
+from .objectives import CandidateEvaluator, ObjectiveScores
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,8 @@ class ParetoFront:
 
 
 def dominates(a: ObjectiveScores, b: ObjectiveScores) -> bool:
-    """Feasibility-first Pareto dominance on (max wAcc, min avgSim)."""
+    """Pareto dominance on (max wAcc, min avgSim); a feasible budget
+    dominates every infeasible one."""
     if a.feasible != b.feasible:
         return a.feasible
     if a.wacc < b.wacc or a.avg_sim > b.avg_sim:
@@ -105,40 +105,37 @@ def dominates(a: ObjectiveScores, b: ObjectiveScores) -> bool:
 
 
 def _ranks(scores: np.ndarray) -> np.ndarray:
-    """Non-dominated rank of each row of a (P, 3) score array under
-    `dominates`; rank 0 is the non-dominated front."""
+    """Non-dominated rank of each row of a (P, 2) (wAcc, avgSim) score
+    array under `dominates`; rank 0 is the non-dominated front."""
     if np.isnan(scores).any():
         raise ValueError("cannot rank scores that hold NaN")
-    feasible, wacc, sim = scores.T
-    order = np.lexsort((sim, -wacc, -feasible))
+    wacc, sim = scores.T
+    order = np.lexsort((sim, -wacc))
     ranks = []
-    offset, mins, prev = 0, [], None
-    for point in zip(feasible[order].tolist(), wacc[order].tolist(), sim[order].tolist()):
+    mins, prev = [], None
+    for point in zip(wacc[order].tolist(), sim[order].tolist()):
         if point != prev:
-            if prev is None or point[0] != prev[0]:
-                offset, mins = offset + len(mins), []
             # Every earlier point has at least this wAcc, so front k
             # dominates this one iff its smallest avgSim so far is at most
             # this avgSim; the fronts' smallest avgSims ascend.
-            k = bisect.bisect_right(mins, point[2])
-            mins[k:k + 1] = [point[2]]
+            k = bisect.bisect_right(mins, point[1])
+            mins[k:k + 1] = [point[1]]
             prev = point
-        ranks.append(offset + k)
+        ranks.append(k)
     out = np.empty(len(scores), dtype=np.int64)
     out[order] = ranks
     return out
 
 
 def rank_population(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Non-dominated sorting plus per-front crowding distance of a (P, 3)
-    score array of (feasible, wAcc, avgSim) rows.
+    """Non-dominated sorting plus per-front crowding distance of a (P, 2)
+    score array of (wAcc, avgSim) rows.
 
     Returns (ranks, crowding); rank 0 is the non-dominated front. The rows
-    are sorted once on (feasible desc, wAcc desc, avgSim asc), and each
-    point joins the first front whose smallest avgSim so far is above its
-    own, found by binary search (Jensen 2003): O(P log P) for P rows, not
-    the O(P^2) dominance matrix of Deb et al. (2002). Exact duplicates
-    share a rank, and infeasible rows rank after every feasible front.
+    are sorted once on (wAcc desc, avgSim asc), and each point joins the
+    first front whose smallest avgSim so far is above its own, found by
+    binary search (Jensen 2003): O(P log P) for P rows, not the O(P^2)
+    dominance matrix of Deb et al. (2002). Exact duplicates share a rank.
 
     Crowding is the per-front sum of the normalized wAcc gap, then the
     avgSim gap, between each point's neighbours in that objective. The
@@ -151,7 +148,7 @@ def rank_population(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     crowding = np.zeros(len(scores), dtype=np.float64)
     if not len(scores):
         return ranks, crowding
-    for col in (1, 2):  # wAcc, avgSim
+    for col in (0, 1):  # wAcc, avgSim
         # Fronts in rank order, each sorted by the objective, ties by index.
         order = np.lexsort((scores[:, col], ranks))
         vals, fronts = scores[order, col], ranks[order]
@@ -296,7 +293,7 @@ def evolve_generation(
     config: GAConfig,
     generation: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One (mu + lambda) NSGA-II step on (P, N, M-1) genes and their (P, 3)
+    """One (mu + lambda) NSGA-II step on (P, N, M-1) genes and their (P, 2)
     scores; returns the surviving genes and scores."""
     ranks, crowding = rank_population(scores)
     size = len(genes)
@@ -320,22 +317,17 @@ def evolve_generation(
 
 
 def hypervolume(scores: np.ndarray) -> float:
-    """Area dominated by the (wAcc, avgSim) points of a (P, 3) score array
+    """Area dominated by the points of a (P, 2) (wAcc, avgSim) score array
     relative to the worst corner of the objective space, wAcc 0 and
     avgSim 1; a point outside that box adds nothing."""
     kept = scores[_ranks(scores) == 0]
-    coords = sorted(kept[:, 1:].tolist(), key=lambda p: -p[1])
+    coords = sorted(kept.tolist(), key=lambda p: -p[1])
     area = 0.0
     prev_sim = 1.0
     for wacc, sim in coords:
         area += max(0.0, wacc) * max(0.0, prev_sim - sim)
         prev_sim = min(prev_sim, sim)
     return area
-
-
-def _front_of(scores: np.ndarray) -> np.ndarray:
-    """Mask of the feasible members that no member dominates."""
-    return (scores[:, 0] == 1) & (_ranks(scores) == 0)
 
 
 def run_optimization(
@@ -347,19 +339,22 @@ def run_optimization(
     evaluator = CandidateEvaluator(train, quantizer, config.seed)
     genes = initialize_population(config, train.n_features)
     scores = evaluator._scores(genes, config.dim)
-    hypervolumes = [hypervolume(scores[_front_of(scores)])]
+    hypervolumes = [hypervolume(scores)]
     for gen in range(config.generations):
         genes, scores = evolve_generation(genes, scores, evaluator, config, gen)
-        hypervolumes.append(hypervolume(scores[_front_of(scores)]))
+        hypervolumes.append(hypervolume(scores))
 
-    front = _front_of(scores)
+    front = _ranks(scores) == 0
     genes, scores = genes[front], scores[front]
     _, first = np.unique(genes.reshape(len(genes), -1), axis=0, return_index=True)
     order = sorted(
         first.tolist(),
-        key=lambda i: (-scores[i, 1], scores[i, 2], genes[i].tobytes()),
+        key=lambda i: (-scores[i, 0], scores[i, 1], genes[i].tobytes()),
     )
-    budgets = [FlipBudget(budgets=genes[i], dim=config.dim) for i in order]
+    members = [
+        (FlipBudget(budgets=genes[i], dim=config.dim), ObjectiveScores(wacc, sim, feasible=True))
+        for i, (wacc, sim) in zip(order, scores[order].tolist())
+    ]
 
     provenance = {
         **asdict(config),
@@ -368,7 +363,7 @@ def run_optimization(
         "n_classes": train.n_classes,
     }
     return ParetoFront(
-        members=list(zip(budgets, _as_scores(scores[order]))),
+        members=members,
         provenance=provenance,
         generation_hypervolumes=hypervolumes,
     )

@@ -182,6 +182,19 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> None:
         raise DataError(f"labels {np.unique(bad).tolist()} outside 1..{n_classes}")
 
 
+def _integer_valued(values, message: str) -> np.ndarray:
+    """`values` as an int64 array, or as a float64 one whose every value is
+    a finite whole number; any other value raises DataError(message), where
+    a cast would truncate it."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    values = values.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(values) & (values == np.round(values))):
+        raise DataError(message)
+    return values
+
+
 def pairwise_similarities(vectors) -> np.ndarray:
     """(..., K, K) cosine similarities between the rows of a (..., K, D)
     stack of integer-valued vectors, such as class encoders; a zero row has
@@ -193,13 +206,7 @@ def pairwise_similarities(vectors) -> np.ndarray:
     the summation order nor on the BLAS. A non-integer dtype is scanned
     first: a value that is not finite or not a whole number raises, where a
     cast would truncate it."""
-    vectors = np.asarray(vectors)
-    if vectors.dtype.kind in "iu":
-        vectors = vectors.astype(np.int64, copy=False)
-    else:
-        vectors = vectors.astype(np.float64, copy=False)
-        if not np.all(np.isfinite(vectors) & (vectors == np.round(vectors))):
-            raise DataError("cosines need finite, integer-valued vectors")
+    vectors = _integer_valued(vectors, "cosines need finite, integer-valued vectors")
     top = int(np.abs(vectors).max(initial=0))
     if vectors.shape[-1] * top * top >= 2**63:
         raise DataError(f"vector entries up to {top} are too large for exact cosines")

@@ -4,18 +4,19 @@ Two objectives drive the flip-budget search: maximize the macro-averaged
 recall on the training split (wAcc) and minimize the geometric mean of
 pairwise class-encoder cosine similarities (avgSim). Robustness is
 1 - avgSim. Feasibility is the per-feature row-sum constraint on the
-budget, `FlipBudget.feasible`; infeasible candidates still get scores
-(computed on the repaired budget) but carry feasible=False.
+budget, `FlipBudget.feasible`; `evaluate` scores an infeasible budget on
+its repaired form and carries feasible=False from the budget.
 
 `CandidateEvaluator` scores a population as arrays: a (P, N, M-1) stack of
-budget matrices in, (P, 3) float64 rows of (feasible, wAcc, avgSim) out.
-The stack is repaired in one array operation and the model's level-space
-kernel runs over a leading candidate axis, in blocks of candidates sized
-from the problem's shapes so the temporaries stay small. The GA keeps its
-population in that form; `evaluate` scores one FlipBudget as a population
-of one. Scores do not depend on the population a budget is scored in: wAcc
-and avgSim keep the bytes of `weighted_accuracy` and `avg_similarity` on
-that budget's own confusion matrix and encoders.
+budget matrices in, (P, 2) float64 rows of (wAcc, avgSim) out. The stack is
+repaired in one array operation and the model's level-space kernel runs
+over a leading candidate axis, in blocks of candidates sized from the
+problem's shapes so the temporaries stay small. The GA keeps its
+population in that form, and only ever holds repaired, so feasible,
+budgets; `evaluate` scores one FlipBudget as a population of one. Scores
+do not depend on the population a budget is scored in: wAcc and avgSim
+keep the bytes of `weighted_accuracy` and `avg_similarity` on that
+budget's own confusion matrix and encoders.
 
 avgSim depends on no summation order: its cosines come from the exact
 integer Gram matrix of `pairwise_similarities`, and each set's logs are
@@ -37,6 +38,7 @@ from .hypervector import FlipBudget, _level_signs, _prefix_flips, _repair, _sche
 from .model import (
     _check_labels,
     _class_encoders,
+    _integer_valued,
     _level_histogram,
     _nearest,
     _projection,
@@ -65,16 +67,17 @@ class ObjectiveScores:
 
 
 def confusion_matrix(true_labels, predicted_labels, n_classes: int) -> np.ndarray:
-    """K x K counts, entry [true-1][predicted-1]; a label outside 1..K
-    raises DataError."""
-    t = np.asarray(true_labels, dtype=np.int64)
-    p = np.asarray(predicted_labels, dtype=np.int64)
+    """K x K counts, entry [true-1][predicted-1]; a label that is not a
+    whole number in 1..K raises DataError."""
+    message = "labels need finite, integer-valued entries"
+    t = _integer_valued(true_labels, message)
+    p = _integer_valued(predicted_labels, message)
     if t.shape != p.shape:
         raise ShapeError("true and predicted label arrays differ in length")
     _check_labels(t, n_classes)
     _check_labels(p, n_classes)
     out = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(out, (t - 1, p - 1), 1)
+    np.add.at(out, (t.astype(np.int64) - 1, p.astype(np.int64) - 1), 1)
     return out
 
 
@@ -126,11 +129,6 @@ def avg_similarity(encoders: np.ndarray) -> float:
     return _avg_similarities(encoders[None])[0]
 
 
-def _as_scores(rows: np.ndarray) -> list:
-    """One ObjectiveScores per (feasible, wAcc, avgSim) row."""
-    return [ObjectiveScores(wacc=w, avg_sim=a, feasible=bool(f)) for f, w, a in rows.tolist()]
-
-
 class CandidateEvaluator:
     """Evaluates flip budgets against a fixed calibrated training split.
 
@@ -173,15 +171,15 @@ class CandidateEvaluator:
                 f"budget shape ({budget.features}, {budget.levels - 1}) does not match "
                 f"dataset N={n_features}, M={n_levels}"
             )
-        return _as_scores(self._scores(budget.budgets[None], budget.dim))[0]
+        wacc, avg_sim = self._scores(budget.budgets[None], budget.dim)[0].tolist()
+        return ObjectiveScores(wacc, avg_sim, feasible=budget.feasible)
 
     def _scores(self, genes: np.ndarray, dim: int) -> np.ndarray:
-        """(P, 3) float64 rows (feasible, wAcc, avgSim) of a non-empty
-        (P, N, M-1) stack of budgets of dimension `dim`."""
+        """(P, 2) float64 rows (wAcc, avgSim) of a non-empty (P, N, M-1)
+        stack of budgets of dimension `dim`, each scored on its repaired form."""
         n_features, n_levels = genes.shape[1], genes.shape[2] + 1
         if dim not in self._schedules:
             self._schedules[dim] = _schedule(self.base_seed, n_features, dim)
-        feasible = genes.sum(axis=2).max(axis=1) <= dim // 2
         prefix = _prefix_flips(_repair(genes, dim))
         classes = np.arange(1, self.n_classes + 1)[:, None]  # (K, 1) labels
         block = max(1, _BLOCK_ELEMENTS // (n_features * (n_levels * dim + self.counts.size)))
@@ -194,4 +192,4 @@ class CandidateEvaluator:
             hits.append(((predicted[:, None, :] == classes) * self.counts).sum(axis=2))
             avg_sims += _avg_similarities(encoders)
         waccs = _macro_recalls(np.concatenate(hits), self.class_sizes)
-        return np.column_stack([feasible, waccs, avg_sims])
+        return np.column_stack([waccs, avg_sims])

@@ -193,6 +193,22 @@ class TestConfigFile:
         )
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--conf", "{b}"], ["--config={a}", "--config", "{b}"], ["--config", "{a}", "--conf={b}"]],
+        ids=["abbreviated", "last-wins", "last-abbreviated"],
+    )
+    def test_config_file_is_the_one_argparse_reads(self, flags, synth_csv, tmp_path):
+        # argparse accepts unique prefixes of a flag and keeps its last value.
+        (tmp_path / "a.json").write_text(json.dumps({"dim": 40, "seed": 2}))
+        (tmp_path / "b.json").write_text(json.dumps({"dim": 64, "seed": 9}))
+        out_a = str(tmp_path / "a.hdcm")
+        flags = [flag.format(a=tmp_path / "a.json", b=tmp_path / "b.json") for flag in flags]
+        assert main(["train", "--data", synth_csv, *flags, "--out", out_a]) == 0
+        out_b = str(tmp_path / "b.hdcm")
+        main(["train", "--data", synth_csv, "--dim", "64", "--seed", "9", "--out", out_b])
+        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -225,6 +241,14 @@ class TestBadInput:
         err = capsys.readouterr().err.splitlines()
         lines = [line for line in err if not line.startswith("INFO ")]
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
+        # The output path is a directory, so the final rename fails.
+        (tmp_path / "out").mkdir()
+        assert main(["synth", "--out", str(tmp_path / "out")]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert not any((tmp_path / "out").iterdir())
 
     def test_one_class_model_names_the_file(self, hand_built_model, synth_csv, tmp_path, capsys):
         path = tmp_path / "one.hdcm"

@@ -22,12 +22,11 @@ from hvdesign import evolve
 from hvdesign.evolve import (
     _block_draws,
     _draw_layout,
-    _front_of,
     _generation_rng,
     _loop_draws,
+    _ranks,
     _variation_draws,
 )
-from hvdesign.objectives import _as_scores
 
 MICRO_CONFIG = dict(population_size=40, generations=50, dim=16, levels=3, mutation_rate=0.3)
 
@@ -78,7 +77,7 @@ def reference_crowding(scores, ranks):
         if front.size <= 2:
             crowding[front] = np.inf
             continue
-        for col in (1, 2):  # wAcc, avgSim
+        for col in (0, 1):  # wAcc, avgSim
             vals = scores[front, col]
             order = np.argsort(vals, kind="stable")
             crowding[front[order[0]]] = np.inf
@@ -101,9 +100,10 @@ def union_area(points, ref=(0.0, 1.0)):
 
 
 # Objective values on a 1/8 grid: many ties, and every sum and product in
-# the hypervolume is exact in float64, so areas compare with ==.
+# the hypervolume is exact in float64, so areas compare with ==. The search
+# scores only repaired budgets, so every member is feasible.
 grid = st.integers(0, 8).map(lambda k: k / 8)
-scores = st.builds(ObjectiveScores, wacc=grid, avg_sim=grid, feasible=st.booleans())
+scores = st.builds(ObjectiveScores, wacc=grid, avg_sim=grid, feasible=st.just(True))
 # Members drawn from a small pool repeat the same ObjectiveScores object.
 populations = st.lists(scores, min_size=1, max_size=10).flatmap(
     lambda pool: st.lists(st.sampled_from(pool), max_size=40)
@@ -111,10 +111,13 @@ populations = st.lists(scores, min_size=1, max_size=10).flatmap(
 
 
 def as_array(scored):
-    """The (P, 3) score array of a list of ObjectiveScores."""
-    return np.array(
-        [[s.feasible, s.wacc, s.avg_sim] for s in scored], dtype=np.float64
-    ).reshape(-1, 3)
+    """The (P, 2) (wAcc, avgSim) score array of a list of ObjectiveScores."""
+    return np.array([[s.wacc, s.avg_sim] for s in scored], dtype=np.float64).reshape(-1, 2)
+
+
+def as_scored(scores):
+    """One feasible ObjectiveScores per row of a (P, 2) score array."""
+    return [ObjectiveScores(wacc, sim, feasible=True) for wacc, sim in scores.tolist()]
 
 
 def front_budgets(front):
@@ -179,14 +182,6 @@ class TestRankPopulation:
         ranks, _ = rank_population(as_array(scored))
         assert ranks.tolist() == [0, 0, 0]
 
-    def test_feasible_dominates_infeasible(self):
-        scored = [
-            ObjectiveScores(wacc=1.0, avg_sim=0.0, feasible=False),
-            ObjectiveScores(wacc=0.1, avg_sim=0.9, feasible=True),
-        ]
-        ranks, _ = rank_population(as_array(scored))
-        assert ranks.tolist() == [1, 0]
-
     def test_boundary_points_infinite_crowding(self):
         scored = [
             ObjectiveScores(wacc=0.9, avg_sim=0.9, feasible=True),
@@ -205,11 +200,10 @@ class TestRankPopulation:
         ranks, crowding = rank_population(scores)
         assert np.array_equal(ranks, reference_ranks(scored))
         assert np.array_equal(crowding, reference_crowding(scores, ranks))
-        objectives = scores[:, 1:]
         for r in set(ranks.tolist()):
             front = ranks == r
             infinite = np.isinf(crowding[front])
-            for vals in objectives[front].T:
+            for vals in scores[front].T:
                 assert infinite[vals == vals.min()].any()
                 assert infinite[vals == vals.max()].any()
         kept = [
@@ -219,8 +213,7 @@ class TestRankPopulation:
         ]
         points = [(scored[i].wacc, scored[i].avg_sim) for i in kept]
         assert hypervolume(scores) == union_area(points)
-        front = [i for i in kept if scored[i].feasible]
-        assert np.flatnonzero(_front_of(scores)).tolist() == front
+        assert np.flatnonzero(_ranks(scores) == 0).tolist() == kept
 
     def test_grid_generation_matches_reference(self, motivational, monkeypatch):
         # The 400 rows ranked at the end of the seed-0 grid search's first
@@ -239,15 +232,15 @@ class TestRankPopulation:
         monkeypatch.setattr(evolve, "rank_population", recorded)
         evolve_generation(genes, evaluator._scores(genes, config.dim), evaluator, config, 0)
         scores = ranked[1]
-        assert scores.shape == (400, 3)
+        assert scores.shape == (400, 2)
         ranks, crowding = rank_population(scores)
-        assert np.array_equal(ranks, reference_ranks(_as_scores(scores)))
+        assert np.array_equal(ranks, reference_ranks(as_scored(scores)))
         assert np.array_equal(crowding, reference_crowding(scores, ranks))
         assert ranks.max() > 1 and np.isfinite(crowding).sum() > 100
 
     def test_nan_rejected(self):
-        scores = np.array([[1, np.nan, 0.5], [1, 0.5, 0.5], [1, 0.4, 0.6]])
-        for rank in (rank_population, hypervolume, _front_of):
+        scores = np.array([[np.nan, 0.5], [0.5, 0.5], [0.4, 0.6]])
+        for rank in (rank_population, hypervolume, _ranks):
             with pytest.raises(ValueError, match="NaN"):
                 rank(scores)
 
@@ -303,11 +296,8 @@ class TestEvolveGeneration:
         survivors, survivor_scores = evolve_generation(genes, scores, evaluator, config, 0)
         assert survivors.shape == genes.shape and survivor_scores.shape == scores.shape
         assert np.all(survivors.sum(axis=2) <= config.dim // 2)
-        assert np.all(survivor_scores[:, 0] == 1)
-        for g, row in zip(survivors, survivor_scores):
-            assert evaluator.evaluate(FlipBudget(budgets=g, dim=config.dim)) == ObjectiveScores(
-                wacc=row[1], avg_sim=row[2], feasible=True
-            )
+        for g, want in zip(survivors, as_scored(survivor_scores)):
+            assert evaluator.evaluate(FlipBudget(budgets=g, dim=config.dim)) == want
 
     @pytest.mark.parametrize("seed", [2, 3, 5])
     def test_matches_pairwise_reference(self, micro_dataset, micro_quantizer, seed):
@@ -425,6 +415,23 @@ class TestRunOptimization:
                 if i != j:
                     assert not dominates(si, sj)
 
+    def test_scores_only_feasible_budgets(self, motivational, monkeypatch):
+        # Score rows carry no feasibility column: every budget the grid
+        # search scores has each row summing to at most D/2.
+        config = GAConfig(generations=3, seed=0)
+        scored = []
+        score = CandidateEvaluator._scores
+
+        def recorded(evaluator, genes, dim):
+            scored.append(genes.copy())
+            return score(evaluator, genes, dim)
+
+        monkeypatch.setattr(CandidateEvaluator, "_scores", recorded)
+        run_optimization(motivational, calibrate_quantizer(motivational, config.levels), config)
+        genes = np.concatenate(scored)
+        assert len(genes) == config.population_size * (config.generations + 1)
+        assert genes.sum(axis=2).max() <= config.dim // 2
+
     def test_hypervolume_monotone(self, micro_dataset, micro_quantizer):
         config = GAConfig(seed=2, **MICRO_CONFIG)
         front = run_optimization(micro_dataset, micro_quantizer, config)
@@ -447,13 +454,13 @@ class TestRunOptimization:
 
 class TestHypervolume:
     def test_single_point(self):
-        scores = np.array([[1, 0.8, 0.3]])
+        scores = np.array([[0.8, 0.3]])
         assert hypervolume(scores) == pytest.approx(0.8 * 0.7)
 
     def test_dominated_point_ignored(self):
-        scores = np.array([[1, 0.8, 0.3], [1, 0.5, 0.5]])
+        scores = np.array([[0.8, 0.3], [0.5, 0.5]])
         assert hypervolume(scores) == pytest.approx(0.8 * 0.7)
 
     def test_two_point_front(self):
-        scores = np.array([[1, 0.9, 0.5], [1, 0.4, 0.1]])
+        scores = np.array([[0.9, 0.5], [0.4, 0.1]])
         assert hypervolume(scores) == pytest.approx(0.9 * 0.5 + 0.4 * 0.4)
