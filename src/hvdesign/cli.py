@@ -1,10 +1,11 @@
 """Command-line frontend.
 
 Subcommands: train, optimize, sweep, eval, synth, export-embeddings.
-Flags override values from an optional JSON config file (--config); every
-run logs its fully resolved configuration so results can be reproduced.
-Exit codes: 0 success, 2 for bad input (a flag value, a config file, a CSV
-or a model file), reported as one `error:` line on stderr.
+A JSON config file (--config) is read as flags placed before the command
+line's own, which override it. Every run logs its fully resolved
+configuration so results can be reproduced. Exit codes: 0 success, 2 for
+bad input (a flag, a config file, a CSV or a model file), reported as one
+`error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .data import (
     generate_motivational,
     load_dataset_csv,
     load_model,
-    model_file_size,
+    model_bytes,
     save_dataset_csv,
     save_model,
 )
@@ -43,6 +44,20 @@ from .objectives import (
 log = logging.getLogger("hvdesign")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on every parse error; subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def u64(value: str) -> int:
+    """An integer in [0, 2**64), the range of the seed a model file stores."""
+    if not 0 <= int(value) < 2**64:
+        raise ValueError(value)
+    return int(value)
+
+
 def _label_column(value: str):
     try:
         return int(value)
@@ -51,12 +66,12 @@ def _label_column(value: str):
 
 
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    parser.add_argument("--seed", type=u64, default=0, help="master RNG seed")
     parser.add_argument("--config", help="JSON file with defaults; flags override")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hvdesign",
         description="HDC classification with evolutionary flip-budget design",
     )
@@ -119,9 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_file_defaults(path) -> dict:
-    """The values of a JSON config file, keyed by flag destination; they
-    become parser defaults, so explicit flags override them."""
+def _config_flags(path) -> list:
+    """A JSON config file as `--key=value` arguments; `null` values are skipped."""
     try:
         with open(path) as fh:
             values = json.load(fh)
@@ -129,18 +143,10 @@ def _config_file_defaults(path) -> dict:
         raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")
-    return {k.replace("-", "_"): v for k, v in values.items()}
-
-
-def _config_value(action, value):
-    """Parse a config file value the way argparse parses the flag's string."""
-    text = value if isinstance(value, str) else json.dumps(value)
-    try:
-        return (action.type or str)(text)
-    except (TypeError, ValueError):  # str never raises: action.type is set
-        raise ConfigError(
-            f"config value {action.dest}={value!r} is not a valid {action.type.__name__}"
-        ) from None
+    return [
+        f"--{key.replace('_', '-')}={value if isinstance(value, str) else json.dumps(value)}"
+        for key, value in values.items() if value is not None
+    ]
 
 
 def _resolved(args) -> dict:
@@ -230,11 +236,7 @@ def cmd_sweep(args) -> int:
     for dim in dims:
         model = fit_baseline(train, dim, args.levels, args.seed)
         metrics = _metrics(model, train)
-        size = model_file_size(
-            dim, train.n_features, args.levels, model.n_classes,
-            len(json.dumps(model.labels).encode("utf-8")),
-            len(json.dumps(model.feature_names).encode("utf-8")),
-        )
+        size = len(model_bytes(model))
         rows.append((dim, metrics["wAcc"], metrics["totalAcc"], metrics["avgSim"], size))
         print(f"D={dim}: wAcc={metrics['wAcc']:.4f} totalAcc={metrics['totalAcc']:.4f} "
               f"avgSim={metrics['avgSim']:.4f} modelBytes={size}")
@@ -297,13 +299,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            defaults = _config_file_defaults(args.config)
-            sub = parser._subparsers._group_actions[0].choices[args.command]
-            sub.set_defaults(**{
-                a.dest: _config_value(a, defaults[a.dest])
-                for a in sub._actions if defaults.get(a.dest) is not None
-            })
-            args = parser.parse_args(argv)
+            # argv[0] is the subcommand: only -h and --version precede it, and both exit.
+            args = parser.parse_args([argv[0], *_config_flags(args.config), *argv[1:]])
         log.info("resolved config: %s", json.dumps(_resolved(args), default=str, sort_keys=True))
         return COMMANDS[args.command](args)
     except (OSError, HvError) as exc:

@@ -354,21 +354,9 @@ def atomic_open(path, mode="w"):
         raise
 
 
-def model_file_size(dim: int, n_features: int, levels: int, n_classes: int,
-                    labels_json_bytes: int = 2, features_json_bytes: int = 2) -> int:
-    """Exact serialized size in bytes for given shape parameters."""
-    header = 4 + 4 + 4 * 4 + 8
-    minmax = 16 * n_features
-    budgets = 4 * n_features * (levels - 1)
-    table = -(-n_features * levels * dim // 8)  # ceil
-    encoders = 4 * n_classes * dim
-    counts = 4 * n_classes
-    blobs = 4 + labels_json_bytes + 4 + features_json_bytes
-    return header + minmax + budgets + table + encoders + counts + blobs
-
-
-def save_model(model, path) -> None:
-    """Serialize a trained model; see the module docstring for the layout."""
+def model_bytes(model) -> bytes:
+    """The `.hdcm` serialization of a trained model; see the module
+    docstring for the layout."""
     dim = model.table.dim
     n_feat, n_lvl = model.table.features, model.table.levels
     n_cls = model.n_classes
@@ -378,21 +366,27 @@ def save_model(model, path) -> None:
     counts = np.asarray(model.metadata["class_counts"], dtype=np.uint32)
     labels_blob = json.dumps(model.labels).encode("utf-8")
     feats_blob = json.dumps(model.feature_names).encode("utf-8")
+    return b"".join([
+        MODEL_MAGIC,
+        struct.pack("<IIIII", MODEL_VERSION, dim, n_feat, n_lvl, n_cls),
+        struct.pack("<Q", int(model.metadata["seed"])),
+        model.quantizer.mins.astype("<f8").tobytes(),
+        model.quantizer.maxs.astype("<f8").tobytes(),
+        model.table.budgets.budgets.astype("<i4").tobytes(),
+        _repack_table(model.table.packed, dim, (n_feat * n_lvl * dim,)).tobytes(),
+        encoders.astype("<i4").tobytes(),
+        counts.astype("<u4").tobytes(),
+        struct.pack("<I", len(labels_blob)),
+        labels_blob,
+        struct.pack("<I", len(feats_blob)),
+        feats_blob,
+    ])
 
+
+def save_model(model, path) -> None:
+    """Write `model_bytes(model)` to `path`."""
     with atomic_open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<IIIII", MODEL_VERSION, dim, n_feat, n_lvl, n_cls))
-        fh.write(struct.pack("<Q", int(model.metadata["seed"])))
-        fh.write(model.quantizer.mins.astype("<f8").tobytes())
-        fh.write(model.quantizer.maxs.astype("<f8").tobytes())
-        fh.write(model.table.budgets.budgets.astype("<i4").tobytes())
-        fh.write(_repack_table(model.table.packed, dim, (n_feat * n_lvl * dim,)).tobytes())
-        fh.write(encoders.astype("<i4").tobytes())
-        fh.write(counts.astype("<u4").tobytes())
-        fh.write(struct.pack("<I", len(labels_blob)))
-        fh.write(labels_blob)
-        fh.write(struct.pack("<I", len(feats_blob)))
-        fh.write(feats_blob)
+        fh.write(model_bytes(model))
 
 
 def _repack_table(bits: np.ndarray, row_bits: int, shape: tuple) -> np.ndarray:
@@ -449,6 +443,8 @@ def load_model(path):
     version, dim, n_feat, n_lvl, n_cls = struct.unpack("<IIIII", take(20))
     if version != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
+    if n_feat < 1:
+        raise FormatError(f"{path}: {n_feat} features, need at least 1")
     if n_lvl < 2:
         raise FormatError(f"{path}: {n_lvl} quantization levels, need at least 2")
     if dim == 0 or dim % 2:

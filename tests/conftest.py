@@ -50,25 +50,27 @@ def toy_dataset():
 
 @pytest.fixture(scope="session")
 def hand_built_model():
-    """Builds the bytes of a model file field by field: D=16, N=1, M=3 and
-    K classes named "a", "b", ... Every part is consistent with the others,
-    so only the class count decides whether it loads."""
+    """Builds the bytes of a model file field by field: D=16, M=3, N features
+    named "f1", "f2", ... (one by default) and K classes named "a", "b", ...
+    Every part is consistent with the others, so only the class and feature
+    counts decide whether it loads."""
 
-    def build(n_classes: int) -> bytes:
+    def build(n_classes: int, n_features: int = 1) -> bytes:
         dim, levels, seed = 16, 3, 9
-        budget = FlipBudget(budgets=np.array([[4, 4]]), dim=dim)
+        budget = FlipBudget(budgets=np.full((n_features, 2), 4), dim=dim)
         table = build_level_table(seed, budget)
         labels = json.dumps([chr(ord("a") + k) for k in range(n_classes)]).encode()
+        names = json.dumps([f"f{i + 1}" for i in range(n_features)]).encode()
         return b"".join([
             b"HDCM",
-            struct.pack("<IIIIIQ", 1, dim, 1, levels, n_classes, seed),
-            np.array([0.0, 1.0], dtype="<f8").tobytes(),  # min, then max
+            struct.pack("<IIIIIQ", 1, dim, n_features, levels, n_classes, seed),
+            np.repeat([0.0, 1.0], n_features).astype("<f8").tobytes(),  # minima, then maxima
             budget.budgets.astype("<i4").tobytes(),
             np.packbits(table.signs.reshape(-1) > 0).tobytes(),
             np.ones((n_classes, dim), dtype="<i4").tobytes(),
             np.full(n_classes, 3, dtype="<u4").tobytes(),
             struct.pack("<I", len(labels)), labels,
-            struct.pack("<I", 6), b'["f1"]',
+            struct.pack("<I", len(names)), names,
         ])
 
     return build

@@ -209,6 +209,17 @@ class TestConfigFile:
         main(["train", "--data", synth_csv, "--dim", "64", "--seed", "9", "--out", out_b])
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
 
+    def test_null_keeps_the_default(self, synth_csv, tmp_path, caplog):
+        (tmp_path / "cfg.json").write_text(json.dumps({"dim": None}))
+        with caplog.at_level("INFO", logger="hvdesign"):
+            assert main(["train", "--data", synth_csv, "--config", str(tmp_path / "cfg.json")]) == 0
+        assert '"dim": 2048' in caplog.text
+
+    def test_unknown_key_is_named(self, synth_csv, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"dimm": 64}))
+        assert main(["train", "--data", synth_csv, "--config", str(tmp_path / "cfg.json")]) == 2
+        assert "error: unrecognized arguments: --dimm=64" in capsys.readouterr().err
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -226,13 +237,24 @@ class TestBadInput:
             ["optimize", "--data", "{tmp}/one.csv", "--out", "{tmp}/front.csv"],
             ["train", "--data", "{tmp}/latin1.csv"],
             ["train", "--data", "{tmp}/long.csv"],
+            ["train", "--data", "{data}", "--config", "{tmp}/dimm.json"],
+            ["train", "--data", "{data}", "--dim", "abc"],
+            ["train"],
+            ["train", "--data", "{data}", "--dimm", "64"],
+            ["train", "--data", "{data}", "--seed", "-1"],
+            ["train", "--data", "{data}", "--config", "{tmp}/seed.json"],
+            ["train", "--data", "{data}", "--seed", str(2**64), "--out", "{tmp}/m.hdcm"],
         ],
         ids=["pop-3", "levels-1", "missing-config", "malformed-config", "dims-abc", "grid-5",
-             "config-pop-list", "data-is-directory", "one-class", "not-utf8", "long-cell"],
+             "config-pop-list", "data-is-directory", "one-class", "not-utf8", "long-cell",
+             "config-unknown-key", "dim-abc", "no-data", "unknown-flag", "seed-negative",
+             "config-seed-negative", "seed-2-64"],
     )
     def test_exits_2_with_one_error_line(self, argv, synth_csv, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{bad")
         (tmp_path / "list.json").write_text('{"pop": [1]}')
+        (tmp_path / "dimm.json").write_text('{"dimm": 64}')
+        (tmp_path / "seed.json").write_text('{"seed": -1}')
         (tmp_path / "one.csv").write_text("f1,label\n0.1,a\n0.5,a\n0.9,a\n")
         (tmp_path / "latin1.csv").write_bytes(b"f1,label\n0.5,\xe9\n0.7,b\n")
         (tmp_path / "long.csv").write_text("f1,label\n0.5,a\n0." + "0" * 140_000 + "1,b\n")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import string
 import struct
 from unittest import mock
@@ -29,7 +30,7 @@ from hvdesign import (
     save_model,
 )
 import hvdesign.data
-from hvdesign.data import MOTIVATIONAL_LOOKUP, model_file_size, motivational_label
+from hvdesign.data import MOTIVATIONAL_LOOKUP, motivational_label
 
 
 # The JSON name blocks of a model trained on the toy dataset.
@@ -350,10 +351,16 @@ class TestModelFile:
         save_model(model, path)
         import json
 
-        expected = model_file_size(
-            64, 2, 5, 3,
-            labels_json_bytes=len(json.dumps(model.labels)),
-            features_json_bytes=len(json.dumps(model.feature_names)),
+        dim, n, m, k = 64, 2, 5, 3
+        expected = (
+            4 + 4 + 4 * 4 + 8  # magic, version, D, N, M, K, seed
+            + 8 * n + 8 * n  # calibration minima and maxima
+            + 4 * n * (m - 1)  # flip budgets
+            + -(-n * m * dim // 8)  # level table, ceil(N*M*D / 8)
+            + 4 * k * dim  # encoders
+            + 4 * k  # class counts
+            + 4 + len(json.dumps(model.labels))
+            + 4 + len(json.dumps(model.feature_names))
         )
         assert os.path.getsize(path) == expected
 
@@ -437,6 +444,12 @@ class TestModelFile:
         path.write_bytes(hand_built_model(2))
         model = load_model(str(path))
         assert model.labels == ["a", "b"] and model.table.dim == 16
+
+    def test_zero_features_rejected(self, hand_built_model, tmp_path):
+        path = tmp_path / "m.hdcm"
+        path.write_bytes(hand_built_model(2, n_features=0))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: 0 features"):
+            load_model(str(path))
 
     @pytest.mark.parametrize("dim", [10, 16, 8192])
     def test_table_bytes_match_flat_repacking_of_signs(self, toy_dataset, tmp_path,
