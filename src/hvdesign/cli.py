@@ -2,10 +2,10 @@
 
 Subcommands: train, optimize, sweep, eval, synth, export-embeddings.
 A JSON config file (--config) is read as flags placed before the command
-line's own, which override it. Every run logs its fully resolved
-configuration so results can be reproduced. Exit codes: 0 success, 2 for
-bad input (a flag, a config file, a CSV or a model file), reported as one
-`error:` line on stderr.
+line's own, which override it; it may give required flags too. Every run
+logs its fully resolved configuration so results can be reproduced. Exit
+codes: 0 success, 2 for bad input (a flag, a config file, a CSV or a model
+file), reported as one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -147,6 +147,16 @@ def _config_flags(path) -> list:
         f"--{key.replace('_', '-')}={value if isinstance(value, str) else json.dumps(value)}"
         for key, value in values.items() if value is not None
     ]
+
+
+def _config_path(argv) -> str | None:
+    """The last --config value among a subcommand's arguments, or None.
+
+    Read apart from the subcommand's parser, so that the file can give
+    the flags that parser requires."""
+    config = _Parser(add_help=False)
+    config.add_argument("--config")
+    return config.parse_known_args(argv)[0].config
 
 
 def _resolved(args) -> dict:
@@ -297,10 +307,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
+        # Only -h and --version may precede the subcommand, and both exit.
+        config = _config_path(argv[1:]) if argv and argv[0] in COMMANDS else None
+        if config is not None:
+            argv = [argv[0], *_config_flags(config), *argv[1:]]
         args = parser.parse_args(argv)
-        if args.config is not None:
-            # argv[0] is the subcommand: only -h and --version precede it, and both exit.
-            args = parser.parse_args([argv[0], *_config_flags(args.config), *argv[1:]])
         log.info("resolved config: %s", json.dumps(_resolved(args), default=str, sort_keys=True))
         return COMMANDS[args.command](args)
     except (OSError, HvError) as exc:

@@ -14,14 +14,20 @@ hypervectors its features fall in, x_s = sum_n L[n, l_sn], so
   class at each (feature, level);
 - a dot product is x_s . e_k = sum_n P[n, l_sn, k], where P = L @ E^T
   projects every level hypervector on every encoder;
-- the label is the argmax of (x_s . e_k) / |e_k|: |x_s| is the same for
-  every class of a row, so it cannot move the argmax.
+- the winner of a row is the argmax of (x_s . e_k) / |e_k|: |x_s| is the
+  same for every class of a row, so it cannot move the argmax.
+
+`_winners` settles the winners of a whole population at once as a
+(P, K, S) bool mask with one True per candidate and row: candidate
+scoring counts its hits against the class counts straight from the mask,
+and `_nearest` reads labels off it for `predict_batch` and `classify`.
 
 E, P, the squared norms and the dot products are exact integers (float64
-products are used only under a checked bound that keeps every partial sum
-below 2**53), and scores that come within float rounding of each other are
-compared exactly in integers. A label therefore depends neither on the
-batch it is scored in nor on the BLAS and its summation order.
+products and sums are used only under a checked bound that keeps every
+partial sum below 2**53), and scores that come within float rounding of
+each other are compared exactly in integers. A winner therefore depends
+neither on the batch it is scored in nor on the BLAS and its summation
+order.
 
 Every reported cosine (avgSim, `classify`'s similarities and the appendix
 experiment's decision) comes from `pairwise_similarities`, an exact int64
@@ -103,26 +109,51 @@ def _exact_score(dot: int, sq_norm: int) -> Fraction:
     return Fraction(dot * abs(dot), sq_norm) if sq_norm else Fraction(0)
 
 
-def _nearest(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """(P, S) labels (1..K) that each of the P candidates gives the (S, N)
-    rows of levels (values 1..M): the argmax of x_s . e_k / |e_k|, ties to
-    the lowest k."""
+def _winners(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """(P, K, S) bool mask of the class each of the P candidates gives each
+    of the (S, N) rows of levels (values 1..M): one True per (p, s), at the
+    argmax of x_s . e_k / |e_k|, ties to the lowest k.
+
+    The level scores are gathered and summed in float64, exact under
+    `_projection`'s bound. Integer dots are recomputed from the projection
+    only for rows where several classes come within float rounding of the
+    best, and those rows are settled exactly."""
     n_candidates, n_features, n_levels, n_classes = projection.shape
     picks = levels.T - 1 + n_levels * np.arange(n_features)[:, None]  # (N, S)
-    gathered = np.take(projection.reshape(n_candidates, -1, n_classes), picks, axis=1)
-    dots = gathered.sum(axis=1).transpose(0, 2, 1).copy()  # (P, K, S)
-    norms = np.where(sq_norms > 0, np.sqrt(sq_norms), np.inf)  # zero encoder: score 0
-    scores = dots / norms[:, :, None]
+    rows = projection.reshape(n_candidates, -1, n_classes)  # (P, N*M, K)
+    if n_candidates == 1:
+        # One model: gathering rows of K scores is faster, and the (S, K)
+        # sum is small to transpose.
+        scores = np.take(rows.astype(np.float64), picks, axis=1).sum(axis=1)
+        scores = scores.transpose(0, 2, 1).copy()
+    else:
+        # A population: gather in (P, K, N, S) order and sum over N straight
+        # into (P, K, S), so no transposed copy is made.
+        columns = rows.transpose(0, 2, 1).astype(np.float64, order="C")
+        scores = np.take(columns, picks.ravel(), axis=2).reshape(
+            n_candidates, n_classes, n_features, -1
+        ).sum(axis=2)
+    norms = np.sqrt(sq_norms)
+    norms[sq_norms == 0] = np.inf  # zero encoder: score 0
+    scores /= norms[:, :, None]
     best = scores.max(axis=1)
-    near = scores >= (best - _NEAR_TIE * np.abs(best))[:, None]
-    labels = near.argmax(axis=1)
-    if np.count_nonzero(near) > labels.size:  # a row has several near-best classes
-        for p, s in zip(*np.nonzero(near.sum(axis=1) > 1)):  # settle them exactly
-            labels[p, s] = max(
-                np.flatnonzero(near[p, :, s]),
-                key=lambda k: (_exact_score(int(dots[p, k, s]), int(sq_norms[p, k])), -k),
+    won = scores >= (best - _NEAR_TIE * np.abs(best))[:, None]
+    if np.count_nonzero(won) > best.size:  # a row has several near-best classes
+        features = np.arange(n_features)
+        for p, s in zip(*np.nonzero(won.sum(axis=1) > 1)):  # settle them exactly
+            dots = projection[p, features, levels[s] - 1].sum(axis=0).tolist()
+            k = max(
+                np.flatnonzero(won[p, :, s]).tolist(),
+                key=lambda k: (_exact_score(dots[k], int(sq_norms[p, k])), -k),
             )
-    return labels + 1
+            won[p, :, s] = False
+            won[p, k, s] = True
+    return won
+
+
+def _nearest(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """(P, S) labels (1..K) of the `_winners` mask."""
+    return _winners(projection, sq_norms, levels).argmax(axis=1) + 1
 
 
 @dataclass(frozen=True)

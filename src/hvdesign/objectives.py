@@ -11,12 +11,13 @@ its repaired form and carries feasible=False from the budget.
 budget matrices in, (P, 2) float64 rows of (wAcc, avgSim) out. The stack is
 repaired in one array operation and the model's level-space kernel runs
 over a leading candidate axis, in blocks of candidates sized from the
-problem's shapes so the temporaries stay small. The GA keeps its
-population in that form, and only ever holds repaired, so feasible,
-budgets; `evaluate` scores one FlipBudget as a population of one. Scores
-do not depend on the population a budget is scored in: wAcc and avgSim
-keep the bytes of `weighted_accuracy` and `avg_similarity` on that
-budget's own confusion matrix and encoders.
+problem's shapes (see `_BLOCK_ELEMENTS`). A block's confusion diagonal
+comes straight from the kernel's winner mask, with no labels in between.
+The GA keeps its population in that form, and only ever holds repaired,
+so feasible, budgets; `evaluate` scores one FlipBudget as a population of
+one. Scores do not depend on the population a budget is scored in: wAcc
+and avgSim keep the bytes of `weighted_accuracy` and `avg_similarity` on
+that budget's own confusion matrix and encoders.
 
 avgSim depends on no summation order: its cosines come from the exact
 integer Gram matrix of `pairwise_similarities`, and each set's logs are
@@ -40,8 +41,8 @@ from .model import (
     _class_encoders,
     _integer_valued,
     _level_histogram,
-    _nearest,
     _projection,
+    _winners,
     pairwise_similarities,
 )
 
@@ -49,9 +50,18 @@ SIMILARITY_CLAMP = 1e-12
 
 # Candidates per scoring block: this many elements of level signs and
 # gathered level scores (their sizes per candidate are N*M*D and N*U*K).
-# A block spreads the numpy calls of one kernel pass over many candidates
-# while its temporaries stay in cache; a whole 200-candidate grid generation
-# at once (D=64, M=20, U=400) took 14 MB more memory and ran slower.
+# A block's largest temporaries are float64: the N*U*K level scores that
+# `_winners` gathers, the U*K scores it sums them into, and one feature's
+# M*D level signs cast for the encoder and projection products. A block
+# spreads the numpy calls of one kernel pass over many candidates, but its
+# working set must stay small enough that glibc reuses the heap pages one
+# block frees for the next; otherwise every block maps and faults in fresh
+# pages. At the grid shape (D=64, M=20, U=400: 22 candidates a block) a
+# generation of 200 takes about 250 minor faults and 10 ms in a plain
+# process; keeping one more int64 copy of the dots alive in `_winners` took
+# 2,600 faults and 15-16 ms. Swept from 2**16 to 2**18, 2**17 was fastest in
+# the benchmark and in a plain process, and faulted least (420-600 faults
+# at 1.5-2 times the size).
 _BLOCK_ELEMENTS = 2**17
 
 
@@ -89,10 +99,11 @@ def _macro_recalls(hits: np.ndarray, totals: np.ndarray) -> list:
         warnings.warn(f"classes {missing} have no true samples; excluded from wAcc")
     if not present.any():
         raise DataError("confusion matrix has no samples at all")
-    recalls = hits[:, present] / totals[present]
-    # One row at a time: a sum over axis 1 of the stack may add in another
-    # order. A row's sum over its length is the bytes of its mean.
-    return [float(row.sum() / row.size) for row in recalls]
+    # compress keeps the stack C-contiguous (hits[:, present] would not), and
+    # numpy adds each row of a C-contiguous stack over axis 1 in the order of
+    # that row's own sum, so each wAcc has the bytes of its row's mean.
+    recalls = hits.compress(present, axis=1) / totals[present]
+    return (recalls.sum(axis=1) / recalls.shape[1]).tolist()
 
 
 def weighted_accuracy(confusion: np.ndarray) -> float:
@@ -138,10 +149,11 @@ class CandidateEvaluator:
     drawn once per dimension. A population of budgets is repaired and
     turned into prefix sums in one array operation; then, one block of
     candidates at a time, the level signs are built and scored in level
-    space with the model's kernel: encoders from the histogram, labels of
-    the U distinct rows from the level projection, and the confusion
-    diagonal as an integer product with the counts. Pure: identical budgets
-    give identical scores, alone or in any population.
+    space with the model's kernel: encoders from the histogram, the winner
+    mask of the U distinct rows from the level projection, and the
+    confusion diagonal as the mask's integer product with the class counts.
+    Pure: identical budgets give identical scores, alone or in any
+    population.
     """
 
     def __init__(self, train: Dataset, quantizer: Quantizer, base_seed):
@@ -181,15 +193,14 @@ class CandidateEvaluator:
         if dim not in self._schedules:
             self._schedules[dim] = _schedule(self.base_seed, n_features, dim)
         prefix = _prefix_flips(_repair(genes, dim))
-        classes = np.arange(1, self.n_classes + 1)[:, None]  # (K, 1) labels
         block = max(1, _BLOCK_ELEMENTS // (n_features * (n_levels * dim + self.counts.size)))
         hits, avg_sims = [], []
         for start in range(0, len(genes), block):
             signs = _level_signs(*self._schedules[dim], prefix[start : start + block])
             encoders = _class_encoders(signs, self.histogram)
-            predicted = _nearest(*_projection(signs, encoders), self.rows)  # (B, U)
-            # hits[p, k-1] = training samples of class k that candidate p labels k
-            hits.append(((predicted[:, None, :] == classes) * self.counts).sum(axis=2))
+            won = _winners(*_projection(signs, encoders), self.rows)  # (B, K, U)
+            # hits[p, k-1] = training samples of class k that candidate p gives class k
+            hits.append(np.einsum("pku,ku->pk", won, self.counts))
             avg_sims += _avg_similarities(encoders)
         waccs = _macro_recalls(np.concatenate(hits), self.class_sizes)
         return np.column_stack([waccs, avg_sims])

@@ -215,6 +215,47 @@ class TestConfigFile:
             assert main(["train", "--data", synth_csv, "--config", str(tmp_path / "cfg.json")]) == 0
         assert '"dim": 2048' in caplog.text
 
+    @pytest.mark.parametrize("flag", ["--config", "--conf"])
+    def test_required_flags_from_the_file(self, flag, synth_csv, tmp_path):
+        # The file's entries are flag values, those of required flags too.
+        out_a, out_b = str(tmp_path / "a.hdcm"), str(tmp_path / "b.hdcm")
+        (tmp_path / "cfg.json").write_text(json.dumps({"data": synth_csv, "dim": 64, "out": out_a}))
+        assert main(["train", flag, str(tmp_path / "cfg.json")]) == 0
+        assert main(["train", "--data", synth_csv, "--dim", "64", "--out", out_b]) == 0
+        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["optimize", "--pop", "4", "--gens", "1"], {"data": "{data}", "out": "{tmp}/f.csv"}),
+            (["sweep", "--out", "{tmp}/s.csv"], {"data": "{data}", "dims": "64,128"}),
+            (["eval"], {"model": "{tmp}/m.hdcm", "data": "{data}"}),
+            (["export-embeddings", "--model", "{tmp}/m.hdcm"],
+             {"data": "{data}", "out": "{tmp}/e.csv"}),
+        ],
+        ids=["optimize", "sweep", "eval", "export-embeddings"],
+    )
+    def test_every_required_flag_can_come_from_the_file(self, argv, config, synth_csv, tmp_path):
+        assert main(["train", "--data", synth_csv, "--dim", "64", "--out", str(tmp_path / "m.hdcm")]) == 0
+        config = {key: value.format(data=synth_csv, tmp=tmp_path) for key, value in config.items()}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main([*argv, "--config", str(tmp_path / "cfg.json")]) == 0
+
+    def test_command_line_overrides_a_required_flag(self, synth_csv, tmp_path, caplog):
+        missing = str(tmp_path / "missing.csv")
+        (tmp_path / "cfg.json").write_text(json.dumps({"data": missing, "dim": 64}))
+        with caplog.at_level("INFO", logger="hvdesign"):
+            assert main(["train", "--config", str(tmp_path / "cfg.json"), "--data", synth_csv]) == 0
+        assert missing not in caplog.text and '"dim": 64' in caplog.text
+
+    def test_required_flag_in_neither_is_named(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"dim": 64}))
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        lines = [line for line in err if not line.startswith("INFO ")]
+        assert lines == ["error: the following arguments are required: --data"]
+
     def test_unknown_key_is_named(self, synth_csv, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"dimm": 64}))
         assert main(["train", "--data", synth_csv, "--config", str(tmp_path / "cfg.json")]) == 2

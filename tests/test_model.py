@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hvdesign import (
     train_model,
     uniform_flip_budget,
 )
+from hvdesign.model import _projection, _winners
 
 
 def score_beats(dot_a, sq_norm_a, dot_b, sq_norm_b):
@@ -199,7 +201,65 @@ class TestSinglePassTraining:
             train_model(train, *one_feature)
 
 
+@st.composite
+def winner_problems(draw):
+    """(P, N, M, D) level signs, (P, K, D) encoders and (S, N) level rows.
+
+    Each class's encoder is free, zero, a multiple of an earlier class's
+    free draw (an exact tie), a 10**5 multiple of one with one entry moved
+    by one (a near tie), or a multiple of a level hypervector."""
+    n_candidates = draw(st.integers(1, 6))
+    n_classes = draw(st.sampled_from([2, 4, 7]))
+    n_features, n_levels = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    dim = draw(st.sampled_from([2, 4, 16]))
+    kinds = draw(st.lists(st.sampled_from(["free", "zero", "multiple", "near", "level"]),
+                          min_size=n_classes, max_size=n_classes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_candidates, n_features, n_levels, dim))
+    free = rng.integers(-3, 4, size=(n_candidates, n_classes, dim))
+    encoders = free.copy()
+    for k, kind in enumerate(kinds):
+        if kind == "zero":
+            encoders[:, k] = 0
+        elif kind == "multiple" and k:
+            encoders[:, k] = free[:, rng.integers(k)] * rng.integers(1, 4)
+        elif kind == "near" and k:
+            encoders[:, k] = free[:, rng.integers(k)] * 10**5
+            encoders[:, k, rng.integers(dim)] += rng.choice([-1, 1])
+        elif kind == "level":
+            level = signs[:, rng.integers(n_features), rng.integers(n_levels)]
+            encoders[:, k] = level * rng.integers(-2, 3)
+    levels = rng.integers(1, n_levels + 1, size=(draw(st.integers(1, 20)), n_features))
+    return signs, encoders, levels
+
+
+def reference_winners(signs, encoders, levels):
+    """(P, S) labels: per candidate and row, the k of the largest exact
+    sign(x . e_k) * (x . e_k)**2 / |e_k|**2 (0 for a zero encoder), lowest k first."""
+    labels = []
+    for p in range(len(signs)):
+        encoder_rows = encoders[p].tolist()
+        sq_norms = [sum(v * v for v in e) for e in encoder_rows]
+        row_labels = []
+        for row in levels.tolist():
+            x = signs[p, np.arange(len(row)), np.array(row) - 1].sum(axis=0).tolist()
+            dots = [sum(a * b for a, b in zip(x, e)) for e in encoder_rows]
+            scores = [Fraction(d * abs(d), q) if q else Fraction(0) for d, q in zip(dots, sq_norms)]
+            row_labels.append(1 + max(range(len(scores)), key=lambda k: (scores[k], -k)))
+        labels.append(row_labels)
+    return labels
+
+
 class TestLevelSpaceKernel:
+    @given(winner_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_winners_match_exact_reference(self, problem):
+        signs, encoders, levels = problem
+        won = _winners(*_projection(signs, encoders), levels)
+        assert won.shape == (len(signs), encoders.shape[1], len(levels))
+        assert won.dtype == bool and np.all(won.sum(axis=1) == 1)
+        assert (won.argmax(axis=1) + 1).tolist() == reference_winners(signs, encoders, levels)
+
     @given(training_problems(), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     @example(  # D=2, zero budget: every level is the base vector, all scores tie

@@ -64,9 +64,9 @@ def reference_avg_sim(encoders):
     return product ** (1.0 / k)
 
 
-def reference_scores(train, quantizer, seed, budget):
-    """The candidate scores composed from the public single-pass pipeline:
-    level table, encoding of every training row, encoders, predictions."""
+def reference_confusion(train, quantizer, seed, budget):
+    """The model of the public single-pass pipeline (level table, encoding
+    of every training row, encoders) and its training confusion matrix."""
     table = build_level_table(seed, repair_budget(budget))
     samples = encode_quantized(quantizer.quantize_matrix(train.features), table)
     encoders = np.array([samples[train.labels == k].sum(axis=0)
@@ -80,10 +80,15 @@ def reference_scores(train, quantizer, seed, budget):
         metadata={"seed": seed},
     )
     predicted = predict_batch(train.features, model)
-    confusion = confusion_matrix(train.labels, predicted, train.n_classes)
+    return model, confusion_matrix(train.labels, predicted, train.n_classes)
+
+
+def reference_scores(train, quantizer, seed, budget):
+    """The candidate scores composed from the public single-pass pipeline."""
+    model, confusion = reference_confusion(train, quantizer, seed, budget)
     return ObjectiveScores(
         wacc=weighted_accuracy(confusion),
-        avg_sim=avg_similarity(encoders),
+        avg_sim=avg_similarity(model.encoders),
         feasible=budget.feasible,
     )
 
@@ -174,6 +179,23 @@ class TestWeightedAccuracy:
             assert weighted_accuracy(confusion) == pytest.approx(
                 reference_wacc(confusion), abs=1e-12
             )
+
+    @given(st.integers(1, 300), st.integers(1, 500), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_population_wacc_is_each_rows_own_mean(self, n_classes, n_candidates, seed):
+        # The wAcc of each row of a (P, K) stack of hit counts has the bytes
+        # of that row's recalls summed alone; classes with no samples are left out.
+        rng = np.random.default_rng(seed)
+        totals = rng.integers(1, 50, size=n_classes)
+        totals[rng.random(n_classes) < 0.2] = 0
+        totals[rng.integers(n_classes)] += 1  # some class has samples
+        hits = rng.integers(0, totals + 1, size=(n_candidates, n_classes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty classes warn
+            got = objectives._macro_recalls(hits, totals)
+        present = totals > 0
+        expected = [float(row.sum() / row.size) for row in hits[:, present] / totals[present]]
+        assert list(map(repr, got)) == list(map(repr, expected))
 
 
 class TestAvgSimilarity:
@@ -460,6 +482,24 @@ class TestEvaluateCandidate:
                 mock.patch.object(objectives, "_BLOCK_ELEMENTS", block_elements):
             warnings.simplefilter("ignore")  # empty classes warn
             assert_population_matches_pipeline(train, quantizer, seed, population)
+
+    @given(scoring_populations(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_hits_are_the_pipelines_confusion_diagonals(self, problem, seed):
+        train, quantizer, population, block_elements = problem
+        evaluator = CandidateEvaluator(train, quantizer, seed)
+        genes = np.array([b.budgets for b in population])
+        with warnings.catch_warnings(), \
+                mock.patch.object(objectives, "_BLOCK_ELEMENTS", block_elements), \
+                mock.patch.object(objectives, "_macro_recalls",
+                                  wraps=objectives._macro_recalls) as macro_recalls:
+            warnings.simplefilter("ignore")  # empty classes warn
+            evaluator._scores(genes, population[0].dim)
+            expected = [np.diag(reference_confusion(train, quantizer, seed, b)[1]).tolist()
+                        for b in population]
+        hits, class_sizes = macro_recalls.call_args.args
+        assert hits.tolist() == expected
+        assert class_sizes.tolist() == np.bincount(train.labels - 1, minlength=train.n_classes).tolist()
 
     def test_population_across_blocks_matches_public_pipeline(self, motivational):
         # The acceptance grid: at D=64, M=20 a scoring block holds 22
