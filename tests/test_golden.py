@@ -1,8 +1,10 @@
 """Golden outputs, read here and never written: bench/golden.json (the
 benchmark's 3-generation grid front and D=8192 baseline accuracy),
-tests/golden_grid150.json (the full 150-generation grid search at seed 0)
-and tests/golden_search.json (the micro problem's front and hypervolume
-trajectory, and the trajectory of the seed-0 150-generation grid search).
+tests/golden_grid150.json (the full 150-generation grid search at seed 0),
+tests/golden_search.json (the micro problem's front and hypervolume
+trajectory, and the trajectory of the seed-0 150-generation grid search)
+and tests/golden_wide.json (a short search on the 57-feature wide problem,
+its front and hypervolume trajectory).
 
 A change that alters the search or the scores shows up here as a different
 front, trajectory or baseline accuracy. avgSim and hypervolumes may move
@@ -31,6 +33,7 @@ ROOT = Path(__file__).parents[1]
 GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text())
 GRID150 = json.loads((ROOT / "tests" / "golden_grid150.json").read_text())
 SEARCH = json.loads((ROOT / "tests" / "golden_search.json").read_text())
+WIDE = json.loads((ROOT / "tests" / "golden_wide.json").read_text())
 
 
 def close(got, want):
@@ -108,6 +111,34 @@ def test_grid_hypervolumes_150_generations(grid150_front):
         k: GRID150[k] for k in ("seed", "population", "generations", "dim", "levels")
     }
     assert_hypervolumes(grid150_front, spec)
+
+
+def wide_problem(seed, n_features, n_samples):
+    """The wide problem: n_features uniform features on [0, 1] drawn from
+    default_rng([seed, n_features]), and class 2 exactly where the first
+    half of the features sums to more than the second half."""
+    rng = np.random.default_rng([seed, n_features])
+    features = rng.uniform(0.0, 1.0, size=(n_samples, n_features))
+    half = n_features // 2
+    labels = 1 + (features[:, :half].sum(axis=1) > features[:, half : 2 * half].sum(axis=1))
+    return Dataset(features=features, labels=labels, label_names=["neg", "pos"])
+
+
+def test_wide_search():
+    # Every scoring kernel runs here at N=57, the shape where a block of
+    # candidates is smallest and every per-feature loop is longest.
+    spec = WIDE
+    data = wide_problem(spec["seed"], spec["n_features"], spec["samples"])
+    config = GAConfig(
+        population_size=spec["population"],
+        generations=spec["generations"],
+        seed=spec["seed"],
+        dim=spec["dim"],
+        levels=spec["levels"],
+    )
+    front = run_optimization(data, calibrate_quantizer(data, spec["levels"]), config)
+    assert_front(front, spec)
+    assert_hypervolumes(front, spec)
 
 
 def test_baseline_d8192_train_wacc(tmp_path, capsys):

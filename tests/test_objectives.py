@@ -355,27 +355,43 @@ class TestFeasibility:
 
 
 @st.composite
+def wide_scoring_problems(draw):
+    """A scoring problem like `scoring_problems`, but with 4 to 60 features,
+    its rows, labels and budget drawn by numpy from a drawn seed."""
+    dim = draw(st.sampled_from([2, 4, 16, 64]))
+    n_feat, levels = draw(st.integers(4, 60)), draw(st.integers(2, 5))
+    n_classes, n_samples = draw(st.integers(2, 4)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    train = Dataset(
+        features=rng.integers(1, levels + 1, size=(n_samples, n_feat)).astype(np.float64),
+        labels=rng.integers(1, n_classes + 1, size=n_samples),
+        label_names=[f"c{k}" for k in range(1, n_classes + 1)],
+    )
+    quantizer = Quantizer(
+        mins=np.ones(n_feat), maxs=np.full(n_feat, levels + 1.0), levels=levels
+    )
+    budget = rng.integers(0, dim + 1, size=(n_feat, levels - 1))
+    return train, quantizer, FlipBudget(budgets=budget, dim=dim)
+
+
+@st.composite
 def scoring_populations(draw):
-    """A scoring problem and 1-40 budgets drawn from a small pool (so
-    budgets repeat) that always holds a zero budget, a row at D/2 and the
-    problem's own budget, whose rows may exceed D/2; plus an element
-    budget for the scoring blocks, so blocks run from one candidate to the
-    whole population."""
-    train, quantizer, budget = draw(scoring_problems())
+    """A scoring problem of 1 to 60 features and 1-40 budgets drawn from a
+    small pool (so budgets repeat) that always holds a zero budget, a row at
+    D/2 and the problem's own budget, whose rows may exceed D/2; plus an
+    element budget for the scoring blocks, so blocks run from one candidate
+    to the whole population."""
+    train, quantizer, budget = draw(st.one_of(scoring_problems(), wide_scoring_problems()))
     (n_feat, gaps), dim = budget.budgets.shape, budget.dim
     at_half = np.zeros((n_feat, gaps), dtype=np.int64)
     at_half[0, 0] = dim // 2
-    matrices = draw(st.lists(
-        st.lists(
-            st.lists(st.integers(0, dim), min_size=gaps, max_size=gaps),
-            min_size=n_feat, max_size=n_feat,
-        ),
-        max_size=6,
-    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = rng.integers(0, dim + 1, size=(draw(st.integers(0, 6)), n_feat, gaps))
     pool = [np.zeros((n_feat, gaps), dtype=np.int64), at_half, budget.budgets, *matrices]
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
     population = [FlipBudget(budgets=np.array(pool[i]), dim=dim) for i in picks]
-    return train, quantizer, population, draw(st.integers(1, 2**12))
+    block_elements = draw(st.one_of(st.integers(1, 2**12), st.integers(2**12, 2**24)))
+    return train, quantizer, population, block_elements
 
 
 def assert_population_matches_pipeline(train, quantizer, seed, population):
