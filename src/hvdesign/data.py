@@ -413,9 +413,10 @@ def load_model(path):
     its seed and flip budget build, which `level_table_matches` checks on the
     stored bits without rebuilding it: level 1 of every feature is the base
     drawn from the seed, each level's flips against level 1 contain the
-    previous level's, and every index is flipped at as many levels as its
-    position in the drawn flip permutation implies. Labels must be K distinct
-    strings, and feature names N strings or none."""
+    previous level's, and every index has the flip level its position in the
+    drawn flip permutation implies. The table keeps those flip levels, so the
+    first batch after a load only builds its projection. Labels must be K
+    distinct strings, and feature names N strings or none."""
     from .model import TrainedModel  # here, not at the top: model imports data
 
     with open(path, "rb") as fh:
@@ -480,10 +481,13 @@ def load_model(path):
 
     budget = FlipBudget(budgets=budgets, dim=dim)
     packed = _repack_table(table_bits, n_feat * n_lvl * dim, (n_feat, n_lvl, dim))
-    if not level_table_matches(seed, budget, packed):
-        raise FormatError(f"{path}: stored level table does not match its seed and budget")
     table = LevelTable(packed=packed, dim=dim, budgets=budget)
-    table.signs  # unpacked now, so the first batch after a load only builds its projection
+    if not level_table_matches(seed, table):
+        raise FormatError(f"{path}: stored level table does not match its seed and budget")
+    # Unpacked now, with the load: `classify` encodes its query from the signs,
+    # and unpacking them on the first query after a load would put the whole
+    # table's unpack into that one query's latency.
+    table.signs
 
     return TrainedModel(
         quantizer=Quantizer(mins=mins, maxs=maxs, levels=n_lvl),

@@ -9,7 +9,10 @@ Level hypervectors for one feature are derived from a single random base
 vector plus a flip schedule: one fixed random permutation of the indices,
 with each level negating a prefix of that permutation. A bit flipped for
 level m therefore stays flipped for every level above m, which gives exact
-Hamming control between any two levels of the same feature.
+Hamming control between any two levels of the same feature. So each index
+has a flip level: the last level at which it keeps its base sign. A table
+exposes its (N, D) base signs and flip levels, from which the model's
+kernel scores it without the (N, M, D) signs.
 """
 
 from __future__ import annotations
@@ -21,12 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ConstraintError, DimensionError, ShapeError
-
-
-def pack_signs(signs: np.ndarray) -> np.ndarray:
-    """Pack sign values (+1/-1) into uint8 bits along the last axis."""
-    bits = (np.asarray(signs) > 0).astype(np.uint8)
-    return np.packbits(bits, axis=-1)
 
 
 def unpack_signs(packed: np.ndarray, dim: int) -> np.ndarray:
@@ -166,11 +163,21 @@ def _prefix_flips(budgets: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def _level_signs(bases: np.ndarray, ranks: np.ndarray, prefix: np.ndarray) -> np.ndarray:
-    """(..., N, M, D) int8 signs of every level of the (..., N, M) prefix
-    sums (one budget, or a leading axis of candidates), in one broadcast."""
-    flipped = (ranks[:, None] < prefix[..., None]).astype(np.int8)
-    return bases[:, None] * (1 - 2 * flipped)
+def _flip_levels(ranks: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """(..., N, D) int64 flip level of every index: the last level (1..M) at
+    which it keeps its base sign, for (N, D) ranks and the (..., N, M)
+    prefix sums of feasible budgets (one budget, or a leading axis of
+    candidates).
+
+    Level m keeps index d when its prefix sum is at most rank(d), and the
+    prefix sums only grow, so the flip level is the number of prefix sums at
+    or below rank(d): per row, a count of the prefix sums (all below D) at
+    each value, accumulated and read at the ranks."""
+    dim = ranks.shape[1]
+    offsets = dim * np.arange(prefix[..., 0].size).reshape(prefix.shape[:-1] + (1,))
+    at_or_below = np.bincount((prefix + offsets).ravel(), minlength=offsets.size * dim)
+    np.cumsum(at_or_below.reshape(-1, dim), axis=1, out=at_or_below.reshape(-1, dim))
+    return np.take(at_or_below, ranks + offsets)
 
 
 @dataclass(frozen=True)
@@ -200,6 +207,27 @@ class LevelTable:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def bases(self) -> np.ndarray:
+        """(N, D) int8 base signs: level 1 of every feature."""
+        out = unpack_signs(self.packed[:, 0], self.dim)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def flips(self) -> np.ndarray:
+        """(N, D) flip level of every index, in the smallest unsigned dtype
+        that holds M: M less the number of levels where it differs from its
+        base sign. With nested flip sets, as in every table
+        `build_level_table` builds, that is the last level (1..M) at which
+        it keeps its base sign."""
+        differ = self.packed ^ self.packed[:, :1]
+        out = np.full((self.features, self.dim), self.levels, dtype=np.min_scalar_type(self.levels))
+        for level in range(1, self.levels):  # one level at a time: no (N, M, D) temporary
+            out -= np.unpackbits(differ[:, level], axis=-1, count=self.dim)
+        out.flags.writeable = False
+        return out
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LevelTable)
@@ -217,42 +245,45 @@ def build_level_table(base_seed, budget: FlipBudget) -> LevelTable:
             f"budget row sums {budget.row_sums.tolist()} exceed D/2 = {budget.dim // 2}"
         )
     bases, ranks = _schedule(base_seed, budget.features, budget.dim)
+    flips = _flip_levels(ranks, _prefix_flips(budget.budgets))
+    # Bit set == +1: a positive base, except at the levels above the flip level.
+    above = np.arange(1, budget.levels + 1)[:, None] > flips[:, None]
     return LevelTable(
-        packed=pack_signs(_level_signs(bases, ranks, _prefix_flips(budget.budgets))),
+        packed=np.packbits((bases[:, None] > 0) != above, axis=-1),
         dim=budget.dim,
         budgets=budget,
     )
 
 
-def level_table_matches(base_seed, budget: FlipBudget, packed: np.ndarray) -> bool:
-    """Whether (N, M, ceil(D/8)) levels, packed per row, are exactly
-    `build_level_table(base_seed, budget).packed`, checked without building
-    that table.
+def level_table_matches(base_seed, table: LevelTable) -> bool:
+    """Whether `table` holds exactly the levels that
+    `build_level_table(base_seed, table.budgets)` packs, checked without
+    building that table.
 
     Let F_m be the bits where level m differs from level 1. The levels are
     that table exactly when level 1 is the drawn base, the flip sets are
-    nested (F_m within F_m+1), and every index is in as many F_m as its
+    nested (F_m within F_m+1), and every index has the flip level its
     position in the flip permutation implies. Nesting makes the levels an
-    index differs at a run of top levels, so that count fixes its column.
+    index differs at a run of top levels, so its flip level fixes its column.
     """
+    budget, packed = table.budgets, table.packed
     n_feat, n_lvl, dim = budget.features, budget.levels, budget.dim
     if not budget.feasible or packed.shape != (n_feat, n_lvl, -(-dim // 8)):
         return False
     bits, perms = _draws(base_seed, n_feat, dim)
     if not np.array_equal(packed[:, 0], np.packbits(bits, axis=-1)):
         return False
-    flips = packed ^ packed[:, :1]
-    if np.any(flips[:, :-1] & ~flips[:, 1:]):
+    differ = packed ^ packed[:, :1]
+    if np.any(differ[:, :-1] & ~differ[:, 1:]):
         return False
-    if dim % 8 and np.any(flips[..., -1] & (0xFF >> dim % 8)):  # padding bits
+    if dim % 8 and np.any(differ[..., -1] & (0xFF >> dim % 8)):  # padding bits
         return False
-    counts = np.unpackbits(flips, axis=-1, count=dim).sum(axis=1, dtype=np.min_scalar_type(n_lvl))
-    # Position j of a permutation differs at the levels whose prefix sum
-    # exceeds j: M-1 levels over the first transition's budget, one fewer
-    # over each later one, none past the row sum.
+    # Position j of a permutation keeps its base sign up to the number of
+    # prefix sums at or below j: level 1 over the first transition's budget,
+    # one more level over each later one, all M past the row sum.
     runs = np.column_stack([budget.budgets, dim - budget.row_sums])
-    implied = np.repeat(n_lvl - 1 - np.arange(n_feat * n_lvl) % n_lvl, runs.ravel())
-    by_position = np.take(counts, perms + dim * np.arange(n_feat)[:, None])  # flat: 3x a 2-D gather
+    implied = np.repeat(1 + np.arange(n_feat * n_lvl) % n_lvl, runs.ravel())
+    by_position = np.take(table.flips, perms + dim * np.arange(n_feat)[:, None])  # flat gather
     return np.array_equal(by_position, implied.reshape(n_feat, dim))
 
 

@@ -7,20 +7,32 @@ lowest class index, and a zero-norm vector has similarity 0 to everything
 by convention.
 
 Training, inference and candidate scoring never build a sample
-hypervector. They work in level space: a sample is the sum of the level
-hypervectors its features fall in, x_s = sum_n L[n, l_sn], so
+hypervector, nor the (N, M, D) signs of the level hypervectors. They work
+in level space: a sample is the sum of the level hypervectors its features
+fall in, x_s = sum_n L[n, l_sn]. Level m of feature n is its base vector
+with the first b_1 + ... + b_{m-1} indices of its flip permutation
+negated, so index d keeps its base sign up to its flip level t(n, d) and
+has the opposite sign above it. One kernel, shared by training,
+prediction and candidate scoring, works from the (N, D) base signs and
+flip levels alone, in O(N*D*K) per candidate:
 
 - the encoders are E = H @ L, where H counts the training samples of each
-  class at each (feature, level);
-- a dot product is x_s . e_k = sum_n P[n, l_sn, k], where P = L @ E^T
-  projects every level hypervector on every encoder;
+  class at each (feature, level): E_k[d] = sum_n base[n, d] *
+  (2*C_k[n, t(n, d)] - S_k), with C_k the cumulative counts of class k and
+  S_k its size (`_encoder_weights`, `_class_encoders`);
+- a dot product is x_s . e_k = sum_n P[k, n, l_sn], where P = L @ E^T
+  projects every level hypervector on every encoder: P[k, n, j] is the
+  sum of base[n, d] * E_k[d] over the indices with t(n, d) >= j, less the
+  sum over the rest (`_projection`);
 - the winner of a row is the argmax of (x_s . e_k) / |e_k|: |x_s| is the
   same for every class of a row, so it cannot move the argmax.
 
 `_winners` settles the winners of a whole population at once as a
 (P, K, S) bool mask with one True per candidate and row: candidate
-scoring counts its hits against the class counts straight from the mask,
-and `_nearest` reads labels off it for `predict_batch` and `classify`.
+scoring sums each row's level scores in one product with the rows'
+incidence matrix and counts its hits against the class counts straight
+from the mask, and `_nearest` reads labels off it for `predict_batch` and
+`classify`, which gather the level scores of their rows instead.
 
 E, P, the squared norms and the dot products are exact integers (float64
 products and sums are used only under a checked bound that keeps every
@@ -59,6 +71,13 @@ from .hypervector import (
 # float rounding of an exact dot over a rounded norm is below 1e-15.
 _NEAR_TIE = 1e-9
 
+# Elements of the D-long temporaries `_projection` holds at once (one
+# float64 and one int64 array). Larger ones, such as the 2 x 0.9 MB of a
+# whole N=57, D=2048 model, cost about 1,450 minor page faults each time a
+# model was loaded and first scored, where the per-feature sign products
+# this kernel replaced took none.
+_PROJECTION_ELEMENTS = 2**14
+
 
 def _level_histogram(levels: np.ndarray, labels: np.ndarray, n_classes: int,
                      n_levels: int) -> np.ndarray:
@@ -70,38 +89,73 @@ def _level_histogram(levels: np.ndarray, labels: np.ndarray, n_classes: int,
     return counts.reshape(n_classes, n_features * n_levels)
 
 
-def _class_encoders(signs: np.ndarray, histogram: np.ndarray) -> np.ndarray:
-    """(P, K, D) int64 encoders E = H @ L from the (P, N, M, D) level signs
-    of P candidates.
+def _encoder_weights(histogram: np.ndarray, n_levels: int) -> np.ndarray:
+    """(K, N*M) int64 W[k-1, n*M + x-1] = 2*C_k[n, x] - S_k of a (K, N*M)
+    class x level histogram of M levels, where C_k[n, x] counts class-k
+    samples of feature n at levels <= x and S_k is the class size: what an
+    index of feature n with flip level x adds to e_k, times its base sign,
+    because the C_k[n, x] samples at levels up to x add its base sign and
+    the rest subtract it.
 
-    |E| is at most the N*S_k level hypervectors a class sums, so under the
-    checked bound each float64 product is exact."""
-    n_candidates, n_features, n_levels, dim = signs.shape
+    |E| is at most the N*S_k level hypervectors a class sums; that is
+    checked to stay below 2**53."""
     if histogram.sum(axis=1).max(initial=0) >= 2**53:
         raise DataError("training set too large for exact encoder sums")
-    per_feature = histogram.reshape(-1, n_features, n_levels).astype(np.float64)
-    encoders = np.zeros((n_candidates, histogram.shape[0], dim))
-    for n in range(n_features):
-        encoders += per_feature[:, n] @ signs[:, n]
-    return encoders.astype(np.int64)
+    cumulative = histogram.reshape(len(histogram), -1, n_levels).cumsum(axis=2)
+    return (2 * cumulative - cumulative[:, :, -1:]).reshape(len(histogram), -1)
 
 
-def _projection(signs: np.ndarray, encoders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P, N, M, K) int64 P[p, n, m-1, k-1] = L[n, m] . e_k of each of the P
-    candidates, and their (P, K) squared encoder norms.
+def _class_encoders(bases: np.ndarray, flips: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(P, K, D) int64 encoders E = H @ L of P candidates, from the (N, D)
+    base signs and the (P, N, D) flip levels of their level tables and the
+    `_encoder_weights` of the training histogram H.
 
-    A sum of N entries of P is bounded by N*D*max|E|; keeping that below
-    2**53 makes every float64 product, every dot product and its float64
-    value exact."""
-    n_candidates, n_features, n_levels, dim = signs.shape
+    Level m of feature n is base[n, d] where m <= t(n, d) and -base[n, d]
+    above, so E_k[d] = sum_n base[n, d] * W_k[n, t(n, d)]: one gather of
+    the weights at every flip level."""
+    n_features = flips.shape[1]
+    picks = flips - 1 + (weights.shape[1] // n_features) * np.arange(n_features)[:, None]
+    return np.einsum("kpnd,nd->pkd", np.take(weights, picks, axis=1), bases)
+
+
+def _projection(bases: np.ndarray, flips: np.ndarray, encoders: np.ndarray,
+                n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, K, N, M) int64 P[p, k-1, n, m-1] = L[n, m] . e_k of each of the
+    P candidates, and their (P, K) squared encoder norms, from the (N, D)
+    base signs, the (P, N, D) flip levels and the (P, K, D) encoders.
+
+    With a_k[n, d] = base[n, d] * E_k[d], level j adds a_k at the indices
+    whose flip level is at least j and subtracts it at the rest:
+    P[k, n, j] = sum_x A[k, n, x] * (1 if x >= j else -1), where A[k, n, x]
+    sums a_k over the indices of flip level x (a float64 `bincount` per
+    class). A sum of N entries of P is bounded by N*D*max|E|, and keeping
+    that below 2**53 makes every partial sum of A, of the level product, of
+    a dot product and its float64 value exact."""
+    n_candidates, n_features, dim = flips.shape
+    n_classes = encoders.shape[1]
     top = int(np.abs(encoders).max(initial=0))
     if n_features * dim * top >= 2**53 or dim * top * top >= 2**63:
         raise DataError(f"encoder entries up to {top} are too large for exact scoring")
-    columns = encoders.transpose(0, 2, 1).astype(np.float64)
-    projection = np.empty((n_candidates, n_features, n_levels, encoders.shape[1]))
-    for n in range(n_features):
-        np.matmul(signs[:, n], columns, out=projection[:, n])
-    return projection.astype(np.int64), np.einsum("pkd,pkd->pk", encoders, encoders)
+    columns = encoders.astype(np.float64)[:, :, None, :]  # exact: |E| < 2**53
+    sums = np.empty((n_classes, n_candidates, n_features, n_levels))
+    # A few features at a time, so the D-long temporaries stay small.
+    step = max(1, _PROJECTION_ELEMENTS // (n_candidates * dim))
+    for first in range(0, n_features, step):
+        chunk = slice(first, first + step)
+        width = len(bases[chunk])
+        rows = np.arange(n_candidates * width).reshape(-1, width, 1)
+        bins = flips[:, chunk] - 1 + n_levels * rows
+        for k in range(n_classes):
+            spread = columns[:, k] * bases[chunk]  # (P, width, D) a_k
+            sums[k, :, chunk] = np.bincount(
+                bins.ravel(), weights=spread.ravel(), minlength=bins.size // dim * n_levels
+            ).reshape(n_candidates, width, n_levels)
+    signs = np.where(np.arange(n_levels)[:, None] >= np.arange(n_levels), 1.0, -1.0)
+    projection = (sums.reshape(-1, n_levels) @ signs).reshape(sums.shape)
+    return (
+        projection.transpose(1, 0, 2, 3).astype(np.int64, order="C"),
+        np.einsum("pkd,pkd->pk", encoders, encoders),
+    )
 
 
 def _exact_score(dot: int, sq_norm: int) -> Fraction:
@@ -109,39 +163,48 @@ def _exact_score(dot: int, sq_norm: int) -> Fraction:
     return Fraction(dot * abs(dot), sq_norm) if sq_norm else Fraction(0)
 
 
-def _winners(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def _row_incidence(levels: np.ndarray, n_levels: int) -> np.ndarray:
+    """(N*M, S) float64 0/1 matrix of (S, N) rows of levels (values 1..M):
+    [n*M + l-1, s] is 1 where row s has feature n at level l."""
+    n_samples, n_features = levels.shape
+    incidence = np.zeros((n_features * n_levels, n_samples))
+    incidence[levels - 1 + n_levels * np.arange(n_features), np.arange(n_samples)[:, None]] = 1.0
+    return incidence
+
+
+def _winners(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray,
+             incidence: np.ndarray | None = None) -> np.ndarray:
     """(P, K, S) bool mask of the class each of the P candidates gives each
     of the (S, N) rows of levels (values 1..M): one True per (p, s), at the
     argmax of x_s . e_k / |e_k|, ties to the lowest k.
 
-    The level scores are gathered and summed in float64, exact under
-    `_projection`'s bound. Integer dots are recomputed from the projection
-    only for rows where several classes come within float rounding of the
-    best, and those rows are settled exactly."""
-    n_candidates, n_features, n_levels, n_classes = projection.shape
-    picks = levels.T - 1 + n_levels * np.arange(n_features)[:, None]  # (N, S)
-    rows = projection.reshape(n_candidates, -1, n_classes)  # (P, N*M, K)
-    if n_candidates == 1:
-        # One model: gathering rows of K scores is faster, and the (S, K)
-        # sum is small to transpose.
-        scores = np.take(rows.astype(np.float64), picks, axis=1).sum(axis=1)
-        scores = scores.transpose(0, 2, 1).copy()
+    The level scores of a row are summed in float64, exact under
+    `_projection`'s bound: gathered, or, given the rows' `_row_incidence`,
+    in one matrix product whose every partial sum is a sum of some of a
+    row's N level scores, so exact in any order. Integer dots are
+    recomputed from the projection only for rows where several classes come
+    within float rounding of the best, and those rows are settled exactly."""
+    n_candidates, n_classes, n_features, n_levels = projection.shape
+    columns = projection.reshape(n_candidates, n_classes, -1).astype(np.float64)  # (P, K, N*M)
+    if incidence is None:
+        picks = levels.T - 1 + n_levels * np.arange(n_features)[:, None]  # (N, S)
+        scores = np.take(columns, picks, axis=2).sum(axis=2)
     else:
-        # A population: gather in (P, K, N, S) order and sum over N straight
-        # into (P, K, S), so no transposed copy is made.
-        columns = rows.transpose(0, 2, 1).astype(np.float64, order="C")
-        scores = np.take(columns, picks.ravel(), axis=2).reshape(
-            n_candidates, n_classes, n_features, -1
-        ).sum(axis=2)
+        scores = (columns.reshape(n_candidates * n_classes, -1) @ incidence).reshape(
+            n_candidates, n_classes, -1
+        )
     norms = np.sqrt(sq_norms)
     norms[sq_norms == 0] = np.inf  # zero encoder: score 0
     scores /= norms[:, :, None]
     best = scores.max(axis=1)
-    won = scores >= (best - _NEAR_TIE * np.abs(best))[:, None]
+    cut = np.abs(best)  # best - _NEAR_TIE * |best|, with one temporary
+    cut *= -_NEAR_TIE
+    cut += best
+    won = scores >= cut[:, None]
     if np.count_nonzero(won) > best.size:  # a row has several near-best classes
         features = np.arange(n_features)
         for p, s in zip(*np.nonzero(won.sum(axis=1) > 1)):  # settle them exactly
-            dots = projection[p, features, levels[s] - 1].sum(axis=0).tolist()
+            dots = projection[p][:, features, levels[s] - 1].sum(axis=1).tolist()
             k = max(
                 np.flatnonzero(won[p, :, s]).tolist(),
                 key=lambda k: (_exact_score(dots[k], int(sq_norms[p, k])), -k),
@@ -152,8 +215,10 @@ def _winners(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray) -
 
 
 def _nearest(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """(P, S) labels (1..K) of the `_winners` mask."""
-    return _winners(projection, sq_norms, levels).argmax(axis=1) + 1
+    """(P, S) labels (1..K) of the `_winners` mask: the one True of each
+    (p, s) picks its k from 1..K in a product, not a strided argmax."""
+    won = _winners(projection, sq_norms, levels)
+    return np.arange(1, won.shape[1] + 1) @ won
 
 
 @dataclass(frozen=True)
@@ -184,7 +249,8 @@ class TrainedModel:
     def _scoring(self) -> tuple[np.ndarray, np.ndarray]:
         """The level projection and squared encoder norms `_nearest` takes,
         for this model as a population of one."""
-        return _projection(self.table.signs[None], self.encoders[None])
+        table = self.table
+        return _projection(table.bases, table.flips[None], self.encoders[None], table.levels)
 
     def __eq__(self, other) -> bool:
         return (
@@ -282,9 +348,10 @@ def train_model(
         empty = (np.flatnonzero(counts == 0) + 1).tolist()
         warnings.warn(f"classes {empty} have no training samples; zero encoders")
     levels = quantizer.quantize_matrix(train.features)
-    encoders = _class_encoders(
-        table.signs[None], _level_histogram(levels, train.labels, train.n_classes, table.levels)
-    )[0]
+    weights = _encoder_weights(
+        _level_histogram(levels, train.labels, train.n_classes, table.levels), table.levels
+    )
+    encoders = _class_encoders(table.bases, table.flips[None], weights)[0]
     return TrainedModel(
         quantizer=quantizer,
         table=table,

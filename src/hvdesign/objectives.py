@@ -35,34 +35,37 @@ import numpy as np
 
 from .data import Dataset, Quantizer
 from .errors import DataError, ShapeError
-from .hypervector import FlipBudget, _level_signs, _prefix_flips, _repair, _schedule
+from .hypervector import FlipBudget, _flip_levels, _prefix_flips, _repair, _schedule
 from .model import (
     _check_labels,
     _class_encoders,
+    _encoder_weights,
     _integer_valued,
     _level_histogram,
     _projection,
+    _row_incidence,
     _winners,
     pairwise_similarities,
 )
 
 SIMILARITY_CLAMP = 1e-12
 
-# Candidates per scoring block: this many elements of level signs and
-# gathered level scores (their sizes per candidate are N*M*D and N*U*K).
-# A block's largest temporaries are float64: the N*U*K level scores that
-# `_winners` gathers, the U*K scores it sums them into, and one feature's
-# M*D level signs cast for the encoder and projection products. A block
-# spreads the numpy calls of one kernel pass over many candidates, but its
-# working set must stay small enough that glibc reuses the heap pages one
-# block frees for the next; otherwise every block maps and faults in fresh
-# pages. At the grid shape (D=64, M=20, U=400: 22 candidates a block) a
-# generation of 200 takes about 250 minor faults and 10 ms in a plain
-# process; keeping one more int64 copy of the dots alive in `_winners` took
-# 2,600 faults and 15-16 ms. Swept from 2**16 to 2**18, 2**17 was fastest in
-# the benchmark and in a plain process, and faulted least (420-600 faults
-# at 1.5-2 times the size).
-_BLOCK_ELEMENTS = 2**17
+# Candidates per scoring block: this many elements of the kernel's largest
+# per-candidate temporaries, N*D*K and K*U (N features, D dimensions, K
+# classes, U distinct training rows). The first is the int64 weights
+# `_class_encoders` gathers at every flip level; the second the float64
+# level-score sums `_winners` takes from one product with the row
+# incidence matrix, and the comparisons it makes on them. No (N, M, D)
+# array is built. A block spreads the numpy calls of one kernel pass over
+# many candidates, but its working set must stay small enough that glibc
+# reuses the heap pages one block frees for the next; otherwise every block
+# maps and faults in fresh pages. Swept from 2**14 to 2**19 in a plain
+# process: at the grid shape (D=64, M=20, K=4, U=400) 2**16 gives 31
+# candidates a block and 220-260 minor faults per generation of 200, as the
+# sign kernel this one replaced took; 2**17 took 420-520 and was no faster
+# in the benchmark. At the wide shape (N=57, D=64, K=2) it gives 8 a block,
+# and scoring faults nothing; 16 a block was a few percent faster.
+_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -144,16 +147,17 @@ class CandidateEvaluator:
     """Evaluates flip budgets against a fixed calibrated training split.
 
     Work that does not depend on the budget is done once: the training rows
-    are quantized into a (K, N*M) class x level histogram, their distinct
-    rows are kept with a (K, U) class-count matrix, and the flip schedule is
-    drawn once per dimension. A population of budgets is repaired and
-    turned into prefix sums in one array operation; then, one block of
-    candidates at a time, the level signs are built and scored in level
-    space with the model's kernel: encoders from the histogram, the winner
-    mask of the U distinct rows from the level projection, and the
-    confusion diagonal as the mask's integer product with the class counts.
-    Pure: identical budgets give identical scores, alone or in any
-    population.
+    are quantized into the (K, N*M) encoder weights of their class x level
+    histogram, their distinct rows are kept with a (K, U) class-count matrix
+    and an (N*M, U) incidence matrix, and the flip schedule is drawn once
+    per dimension. A population of budgets is repaired and turned into
+    prefix sums in one array operation; then, one block of candidates at a
+    time, the flip level of every index is read off the prefix sums and
+    scored in level space with the model's kernel: encoders from the
+    weights, the winner mask of the U distinct rows from the level
+    projection and the incidence matrix, and the confusion diagonal as the
+    mask's integer product with the class counts. Pure: identical budgets
+    give identical scores, alone or in any population.
     """
 
     def __init__(self, train: Dataset, quantizer: Quantizer, base_seed):
@@ -167,12 +171,14 @@ class CandidateEvaluator:
         self.base_seed = int(base_seed)
         self.n_classes = train.n_classes
         levels = quantizer.quantize_matrix(train.features)
-        self.histogram = _level_histogram(levels, train.labels, self.n_classes, quantizer.levels)
+        histogram = _level_histogram(levels, train.labels, self.n_classes, quantizer.levels)
+        self.weights = _encoder_weights(histogram, quantizer.levels)
         # (U, N) distinct quantized rows; counts[k-1, u] = samples of class k at row u.
         self.rows, row_of = np.unique(levels, axis=0, return_inverse=True)
         self.counts = np.zeros((self.n_classes, len(self.rows)), dtype=np.int64)
         np.add.at(self.counts, (train.labels - 1, row_of.reshape(-1)), 1)
         self.class_sizes = self.counts.sum(axis=1)
+        self.incidence = _row_incidence(self.rows, quantizer.levels)  # (N*M, U)
         self._schedules = {}  # dim -> (bases, ranks)
 
     def evaluate(self, budget: FlipBudget) -> ObjectiveScores:
@@ -192,13 +198,15 @@ class CandidateEvaluator:
         n_features, n_levels = genes.shape[1], genes.shape[2] + 1
         if dim not in self._schedules:
             self._schedules[dim] = _schedule(self.base_seed, n_features, dim)
+        bases, ranks = self._schedules[dim]
         prefix = _prefix_flips(_repair(genes, dim))
-        block = max(1, _BLOCK_ELEMENTS // (n_features * (n_levels * dim + self.counts.size)))
+        block = max(1, _BLOCK_ELEMENTS // (n_features * dim * self.n_classes + self.counts.size))
         hits, avg_sims = [], []
         for start in range(0, len(genes), block):
-            signs = _level_signs(*self._schedules[dim], prefix[start : start + block])
-            encoders = _class_encoders(signs, self.histogram)
-            won = _winners(*_projection(signs, encoders), self.rows)  # (B, K, U)
+            flips = _flip_levels(ranks, prefix[start : start + block])
+            encoders = _class_encoders(bases, flips, self.weights)
+            projection = _projection(bases, flips, encoders, n_levels)
+            won = _winners(*projection, self.rows, self.incidence)  # (B, K, U)
             # hits[p, k-1] = training samples of class k that candidate p gives class k
             hits.append(np.einsum("pku,ku->pk", won, self.counts))
             avg_sims += _avg_similarities(encoders)

@@ -16,7 +16,7 @@ from hvdesign import (
     repair_budget,
     uniform_flip_budget,
 )
-from hvdesign.hypervector import level_table_matches
+from hvdesign.hypervector import LevelTable, level_table_matches
 
 
 def dot(a, b):
@@ -145,6 +145,9 @@ class TestBuildLevelTable:
                 expected[n, m, perm[:flipped]] *= -1
         table = build_level_table(seed, budget)
         assert np.array_equal(table.signs, expected)
+        # An index keeps its base sign from level 1 up to its flip level.
+        assert np.array_equal(table.bases, expected[:, 0])
+        assert table.flips.tolist() == (expected == expected[:, :1]).sum(axis=1).tolist()
         # No re-flips: level m is (b_1 + ... + b_{m-1}) bits away from level 1.
         distances = np.count_nonzero(table.signs != table.signs[:, :1], axis=2)
         assert distances.tolist() == [[0, *np.cumsum(r).tolist()] for r in rows]
@@ -193,7 +196,8 @@ class TestBuildLevelTable:
         elif damage == "seed":
             check_seed = seed ^ 1
         expected = np.array_equal(candidate, build_level_table(check_seed, budget).packed)
-        assert level_table_matches(check_seed, budget, candidate) == expected
+        stored = LevelTable(packed=candidate, dim=dim, budgets=budget)
+        assert level_table_matches(check_seed, stored) == expected
 
 
 class TestLevelVector:

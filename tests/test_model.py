@@ -24,7 +24,14 @@ from hvdesign import (
     train_model,
     uniform_flip_budget,
 )
-from hvdesign.model import _projection, _winners
+from hvdesign.hypervector import _flip_levels, _prefix_flips, _schedule
+from hvdesign.model import (
+    _class_encoders,
+    _encoder_weights,
+    _projection,
+    _row_incidence,
+    _winners,
+)
 
 
 def score_beats(dot_a, sq_norm_a, dot_b, sq_norm_b):
@@ -201,9 +208,64 @@ class TestSinglePassTraining:
             train_model(train, *one_feature)
 
 
+def level_signs(bases, flips, n_levels):
+    """(P, N, M, D) int8 signs of the levels that (N, D) base signs and
+    (P, N, D) flip levels give: level m of feature n is base[n, d] up to
+    level flips[p, n, d] and -base[n, d] above it."""
+    above = np.arange(1, n_levels + 1)[:, None] > flips[:, :, None]
+    return np.where(above, -bases[:, None], bases[:, None]).astype(np.int8)
+
+
+def sign_path_encoders(signs, histogram):
+    """(P, K, D) int64 encoders E = H @ L, one float64 product a feature,
+    from (P, N, M, D) level signs: the kernel the flip-level form replaced."""
+    n_candidates, n_features, n_levels, dim = signs.shape
+    per_feature = histogram.reshape(-1, n_features, n_levels).astype(np.float64)
+    encoders = np.zeros((n_candidates, histogram.shape[0], dim))
+    for n in range(n_features):
+        encoders += per_feature[:, n] @ signs[:, n]
+    return encoders.astype(np.int64)
+
+
+def sign_path_projection(signs, encoders):
+    """(P, N, M, K) int64 projection L[n, m] . e_k and (P, K) squared norms,
+    one float64 product a feature, from (P, N, M, D) level signs."""
+    n_candidates, n_features, n_levels, dim = signs.shape
+    columns = encoders.transpose(0, 2, 1).astype(np.float64)
+    projection = np.empty((n_candidates, n_features, n_levels, encoders.shape[1]))
+    for n in range(n_features):
+        np.matmul(signs[:, n], columns, out=projection[:, n])
+    return projection.astype(np.int64), np.einsum("pkd,pkd->pk", encoders, encoders)
+
+
+@st.composite
+def kernel_problems(draw):
+    """A seed, D, the (P, N, M-1) budgets of P candidates and a (K, N*M)
+    class x level histogram. Each budget row is zero, sums to D/2 or is
+    free below D/2; counts reach up to 10**6."""
+    dim = draw(st.sampled_from([2, 10, 64, 2048]))
+    n_candidates, n_features = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    n_levels, n_classes = draw(st.integers(2, 6)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["zero", "half", "free"]),
+                          min_size=n_candidates * n_features,
+                          max_size=n_candidates * n_features))
+    cuts = np.sort(rng.integers(0, dim // 2 + 1, size=(len(kinds), n_levels - 1)), axis=1)
+    for row, kind in zip(cuts, kinds):
+        if kind == "zero":
+            row[:] = 0
+        elif kind == "half":
+            row[-1] = dim // 2
+    budgets = np.diff(cuts, prepend=0).reshape(n_candidates, n_features, n_levels - 1)
+    top = draw(st.sampled_from([1, 50, 10**6]))
+    histogram = rng.integers(0, top + 1, size=(n_classes, n_features * n_levels))
+    return draw(st.integers(0, 2**32 - 1)), dim, budgets, histogram
+
+
 @st.composite
 def winner_problems(draw):
-    """(P, N, M, D) level signs, (P, K, D) encoders and (S, N) level rows.
+    """(N, D) base signs, (P, N, D) flip levels (any of 1..M), (P, K, D)
+    encoders, (S, N) level rows and M.
 
     Each class's encoder is free, zero, a multiple of an earlier class's
     free draw (an exact tie), a 10**5 multiple of one with one entry moved
@@ -215,7 +277,9 @@ def winner_problems(draw):
     kinds = draw(st.lists(st.sampled_from(["free", "zero", "multiple", "near", "level"]),
                           min_size=n_classes, max_size=n_classes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_candidates, n_features, n_levels, dim))
+    bases = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_features, dim))
+    flips = rng.integers(1, n_levels + 1, size=(n_candidates, n_features, dim))
+    signs = level_signs(bases, flips, n_levels)
     free = rng.integers(-3, 4, size=(n_candidates, n_classes, dim))
     encoders = free.copy()
     for k, kind in enumerate(kinds):
@@ -230,7 +294,7 @@ def winner_problems(draw):
             level = signs[:, rng.integers(n_features), rng.integers(n_levels)]
             encoders[:, k] = level * rng.integers(-2, 3)
     levels = rng.integers(1, n_levels + 1, size=(draw(st.integers(1, 20)), n_features))
-    return signs, encoders, levels
+    return bases, flips, encoders, levels, n_levels
 
 
 def reference_winners(signs, encoders, levels):
@@ -251,14 +315,40 @@ def reference_winners(signs, encoders, levels):
 
 
 class TestLevelSpaceKernel:
+    @given(kernel_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_flip_level_kernel_matches_sign_path(self, problem):
+        # The same bytes as the per-feature sign products it replaced, for
+        # one candidate and many, zero budgets and rows at D/2.
+        seed, dim, budgets, histogram = problem
+        n_levels = budgets.shape[2] + 1
+        bases, ranks = _schedule(seed, budgets.shape[1], dim)
+        flips = _flip_levels(ranks, _prefix_flips(budgets))
+        signs = level_signs(bases, flips, n_levels)
+        for p, budget in enumerate(budgets):  # the levels the table of each budget holds
+            assert np.array_equal(signs[p], build_level_table(seed, FlipBudget(budget, dim)).signs)
+        encoders = _class_encoders(bases, flips, _encoder_weights(histogram, n_levels))
+        want = sign_path_encoders(signs, histogram)
+        assert encoders.dtype == want.dtype and encoders.tobytes() == want.tobytes()
+        projection, sq_norms = _projection(bases, flips, encoders, n_levels)
+        want_projection, want_sq_norms = sign_path_projection(signs, want)
+        want_projection = want_projection.transpose(0, 3, 1, 2).copy()  # (P, K, N, M)
+        for got, want in [(projection, want_projection), (sq_norms, want_sq_norms)]:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     @given(winner_problems())
     @settings(max_examples=300, deadline=None)
     def test_winners_match_exact_reference(self, problem):
-        signs, encoders, levels = problem
-        won = _winners(*_projection(signs, encoders), levels)
-        assert won.shape == (len(signs), encoders.shape[1], len(levels))
+        bases, flips, encoders, levels, n_levels = problem
+        projection = _projection(bases, flips, encoders, n_levels)
+        won = _winners(*projection, levels)
+        assert won.shape == (len(flips), encoders.shape[1], len(levels))
         assert won.dtype == bool and np.all(won.sum(axis=1) == 1)
+        signs = level_signs(bases, flips, n_levels)
         assert (won.argmax(axis=1) + 1).tolist() == reference_winners(signs, encoders, levels)
+        summed = _winners(*projection, levels, _row_incidence(levels, n_levels))
+        assert np.array_equal(summed, won)
 
     @given(training_problems(), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)

@@ -32,7 +32,7 @@ from hvdesign import (
     uniform_flip_budget,
     weighted_accuracy,
 )
-from hvdesign.hypervector import _level_signs
+from hvdesign.hypervector import _schedule
 
 CLAMP = 1e-12
 
@@ -283,18 +283,18 @@ class TestExactCosines:
             assert repr(avg_similarity(reordered)) == repr(avg_similarity(encoders))
 
     def test_evaluator_invariant_under_permuting_dimensions(self, motivational):
-        # Permuting every level hypervector's D axis permutes the encoders'
-        # D axis and leaves every dot product, so every label, as it was.
+        # Permuting the D axis of the kernel's inputs, the base signs and the
+        # ranks that give the flip levels, permutes every level
+        # hypervector's D axis and the encoders' D axis, and leaves every
+        # dot product, so every label, as it was.
         quantizer = calibrate_quantizer(motivational, 20)
         evaluator = CandidateEvaluator(motivational, quantizer, 5)
         genes = np.random.default_rng(3).integers(0, 4, size=(50, 2, 19))
         order = np.random.default_rng(4).permutation(64)
         want = evaluator._scores(genes, 64)
-        permuted = mock.patch.object(
-            objectives, "_level_signs", lambda *a: _level_signs(*a)[..., order]
-        )
-        with permuted:
-            got = evaluator._scores(genes, 64)
+        bases, ranks = _schedule(5, 2, 64)
+        evaluator._schedules[64] = (bases[:, order], ranks[:, order])
+        got = evaluator._scores(genes, 64)
         assert got.tobytes() == want.tobytes()
 
     @given(integer_vectors(), st.booleans())
