@@ -216,6 +216,14 @@ def level_signs(bases, flips, n_levels):
     return np.where(above, -bases[:, None], bases[:, None]).astype(np.int8)
 
 
+def schedule_signs(bases, ranks, prefix):
+    """(P, N, M, D) int8 signs straight from the flip schedule: level m
+    negates the indices whose rank is below its prefix sum. The sign path
+    built its levels this way."""
+    flipped = (ranks[:, None] < prefix[..., None]).astype(np.int8)
+    return bases[:, None] * (1 - 2 * flipped)
+
+
 def sign_path_encoders(signs, histogram):
     """(P, K, D) int64 encoders E = H @ L, one float64 product a feature,
     from (P, N, M, D) level signs: the kernel the flip-level form replaced."""
@@ -323,10 +331,10 @@ class TestLevelSpaceKernel:
         seed, dim, budgets, histogram = problem
         n_levels = budgets.shape[2] + 1
         bases, ranks = _schedule(seed, budgets.shape[1], dim)
-        flips = _flip_levels(ranks, _prefix_flips(budgets))
-        signs = level_signs(bases, flips, n_levels)
-        for p, budget in enumerate(budgets):  # the levels the table of each budget holds
-            assert np.array_equal(signs[p], build_level_table(seed, FlipBudget(budget, dim)).signs)
+        prefix = _prefix_flips(budgets)
+        signs = schedule_signs(bases, ranks, prefix)
+        flips = _flip_levels(ranks, prefix)
+        assert np.array_equal(level_signs(bases, flips, n_levels), signs)
         encoders = _class_encoders(bases, flips, _encoder_weights(histogram, n_levels))
         want = sign_path_encoders(signs, histogram)
         assert encoders.dtype == want.dtype and encoders.tobytes() == want.tobytes()
