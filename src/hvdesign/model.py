@@ -20,8 +20,8 @@ flip levels alone, in O(N*D*K) per candidate:
   class at each (feature, level): E_k[d] = sum_n base[n, d] *
   (2*C_k[n, t(n, d)] - S_k), with C_k the cumulative counts of class k and
   S_k its size (`_encoder_weights`, `_class_encoders`);
-- a dot product is x_s . e_k = sum_n P[k, n, l_sn], where P = L @ E^T
-  projects every level hypervector on every encoder: P[k, n, j] is the
+- a dot product is x_s . e_k = sum_n P[n, l_sn, k], where P = L @ E^T
+  projects every level hypervector on every encoder: P[n, j, k] is the
   sum of base[n, d] * E_k[d] over the indices with t(n, d) >= j, less the
   sum over the rest (`_projection`);
 - the winner of a row is the argmax of (x_s . e_k) / |e_k|: |x_s| is the
@@ -120,13 +120,13 @@ def _class_encoders(bases: np.ndarray, flips: np.ndarray, weights: np.ndarray) -
 
 def _projection(bases: np.ndarray, flips: np.ndarray, encoders: np.ndarray,
                 n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, K, N, M) int64 P[p, k-1, n, m-1] = L[n, m] . e_k of each of the
+    """(P, N, M, K) int64 P[p, n, m-1, k-1] = L[n, m] . e_k of each of the
     P candidates, and their (P, K) squared encoder norms, from the (N, D)
     base signs, the (P, N, D) flip levels and the (P, K, D) encoders.
 
     With a_k[n, d] = base[n, d] * E_k[d], level j adds a_k at the indices
     whose flip level is at least j and subtracts it at the rest:
-    P[k, n, j] = sum_x A[k, n, x] * (1 if x >= j else -1), where A[k, n, x]
+    P[n, j, k] = sum_x A[n, x, k] * (1 if x >= j else -1), where A[n, x, k]
     sums a_k over the indices of flip level x (a float64 `bincount` per
     class). A sum of N entries of P is bounded by N*D*max|E|, and keeping
     that below 2**53 makes every partial sum of A, of the level product, of
@@ -153,7 +153,7 @@ def _projection(bases: np.ndarray, flips: np.ndarray, encoders: np.ndarray,
     signs = np.where(np.arange(n_levels)[:, None] >= np.arange(n_levels), 1.0, -1.0)
     projection = (sums.reshape(-1, n_levels) @ signs).reshape(sums.shape)
     return (
-        projection.transpose(1, 0, 2, 3).astype(np.int64, order="C"),
+        projection.transpose(1, 2, 3, 0).astype(np.int64, order="C"),
         np.einsum("pkd,pkd->pk", encoders, encoders),
     )
 
@@ -184,12 +184,16 @@ def _winners(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray,
     row's N level scores, so exact in any order. Integer dots are
     recomputed from the projection only for rows where several classes come
     within float rounding of the best, and those rows are settled exactly."""
-    n_candidates, n_classes, n_features, n_levels = projection.shape
-    columns = projection.reshape(n_candidates, n_classes, -1).astype(np.float64)  # (P, K, N*M)
+    n_candidates, n_features, n_levels, n_classes = projection.shape
+    rows = projection.reshape(n_candidates, -1, n_classes)  # (P, N*M, K)
     if incidence is None:
+        # Gathering rows of K scores is fast for one model, and its (S, K)
+        # sum is small to transpose.
         picks = levels.T - 1 + n_levels * np.arange(n_features)[:, None]  # (N, S)
-        scores = np.take(columns, picks, axis=2).sum(axis=2)
+        scores = np.take(rows.astype(np.float64), picks, axis=1).sum(axis=1)
+        scores = scores.transpose(0, 2, 1).copy()
     else:
+        columns = rows.transpose(0, 2, 1).astype(np.float64, order="C")  # (P, K, N*M)
         scores = (columns.reshape(n_candidates * n_classes, -1) @ incidence).reshape(
             n_candidates, n_classes, -1
         )
@@ -204,7 +208,7 @@ def _winners(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray,
     if np.count_nonzero(won) > best.size:  # a row has several near-best classes
         features = np.arange(n_features)
         for p, s in zip(*np.nonzero(won.sum(axis=1) > 1)):  # settle them exactly
-            dots = projection[p][:, features, levels[s] - 1].sum(axis=1).tolist()
+            dots = projection[p, features, levels[s] - 1].sum(axis=0).tolist()
             k = max(
                 np.flatnonzero(won[p, :, s]).tolist(),
                 key=lambda k: (_exact_score(dots[k], int(sq_norms[p, k])), -k),

@@ -338,10 +338,8 @@ class TestLevelSpaceKernel:
         encoders = _class_encoders(bases, flips, _encoder_weights(histogram, n_levels))
         want = sign_path_encoders(signs, histogram)
         assert encoders.dtype == want.dtype and encoders.tobytes() == want.tobytes()
-        projection, sq_norms = _projection(bases, flips, encoders, n_levels)
-        want_projection, want_sq_norms = sign_path_projection(signs, want)
-        want_projection = want_projection.transpose(0, 3, 1, 2).copy()  # (P, K, N, M)
-        for got, want in [(projection, want_projection), (sq_norms, want_sq_norms)]:
+        for got, want in zip(_projection(bases, flips, encoders, n_levels),
+                             sign_path_projection(signs, want)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
