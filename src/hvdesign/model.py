@@ -71,8 +71,8 @@ from .hypervector import (
 # float rounding of an exact dot over a rounded norm is below 1e-15.
 _NEAR_TIE = 1e-9
 
-# Elements of the (K, P, width, D) temporaries `_projection` holds at once
-# (one float64 and one int64 array). Larger ones, such as the 2 x 0.9 MB of a
+# Elements of the D-long temporaries `_projection` holds at once (one
+# float64 and one int64 array). Larger ones, such as the 2 x 0.9 MB of a
 # whole N=57, D=2048 model, cost about 1,450 minor page faults each time a
 # model was loaded and first scored, where the per-feature sign products
 # this kernel replaced took none.
@@ -127,31 +127,30 @@ def _projection(bases: np.ndarray, flips: np.ndarray, encoders: np.ndarray,
     With a_k[n, d] = base[n, d] * E_k[d], level j adds a_k at the indices
     whose flip level is at least j and subtracts it at the rest:
     P[n, j, k] = sum_x A[n, x, k] * (1 if x >= j else -1), where A[n, x, k]
-    sums a_k over the indices of flip level x (one float64 `bincount` for
-    every class and candidate). A sum of N entries of P is bounded by
-    N*D*max|E|, and keeping that below 2**53 makes every partial sum of A,
-    of the level product, of a dot product and its float64 value exact."""
+    sums a_k over the indices of flip level x (a float64 `bincount` per
+    class). A sum of N entries of P is bounded by N*D*max|E|, and keeping
+    that below 2**53 makes every partial sum of A, of the level product, of
+    a dot product and its float64 value exact."""
     n_candidates, n_features, dim = flips.shape
     n_classes = encoders.shape[1]
     top = int(np.abs(encoders).max(initial=0))
     if n_features * dim * top >= 2**53 or dim * top * top >= 2**63:
         raise DataError(f"encoder entries up to {top} are too large for exact scoring")
-    columns = encoders.transpose(1, 0, 2).astype(np.float64)[:, :, None, :]  # exact, |E| < 2**53
+    columns = encoders.astype(np.float64)[:, :, None, :]  # exact: |E| < 2**53
     sums = np.empty((n_classes, n_candidates, n_features, n_levels))
-    # A few features at a time, so the (K, P, width, D) temporaries stay small.
-    step = max(1, _PROJECTION_ELEMENTS // (n_classes * n_candidates * dim))
+    # A few features at a time, so the D-long temporaries stay small.
+    step = max(1, _PROJECTION_ELEMENTS // (n_candidates * dim))
     for first in range(0, n_features, step):
         chunk = slice(first, first + step)
         width = len(bases[chunk])
-        rows = np.arange(n_classes * n_candidates * width).reshape(n_classes, -1, width, 1)
+        rows = np.arange(n_candidates * width).reshape(-1, width, 1)
         bins = flips[:, chunk] - 1 + n_levels * rows
-        spread = columns * bases[chunk]  # a_k[n, d] of every class and candidate
-        sums[:, :, chunk] = np.bincount(
-            bins.ravel(), weights=spread.ravel(), minlength=rows.size * n_levels
-        ).reshape(n_classes, n_candidates, width, n_levels)
-    # signs[x, j] = +1 where an index of flip level x+1 keeps its base sign at
-    # level j+1 (x >= j), else -1
-    signs = 2 * np.tri(n_levels) - 1
+        for k in range(n_classes):
+            spread = columns[:, k] * bases[chunk]  # (P, width, D) a_k
+            sums[k, :, chunk] = np.bincount(
+                bins.ravel(), weights=spread.ravel(), minlength=bins.size // dim * n_levels
+            ).reshape(n_candidates, width, n_levels)
+    signs = np.where(np.arange(n_levels)[:, None] >= np.arange(n_levels), 1.0, -1.0)
     projection = (sums.reshape(-1, n_levels) @ signs).reshape(sums.shape)
     return (
         projection.transpose(1, 2, 3, 0).astype(np.int64, order="C"),
