@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
-from .hypervector import FlipBudget, LevelTable, encode_quantized, level_table_matches
+from .hypervector import FlipBudget, build_level_table, encode_quantized
 
 MODEL_MAGIC = b"HDCM"
 MODEL_VERSION = 1
@@ -373,7 +373,7 @@ def model_bytes(model) -> bytes:
         model.quantizer.mins.astype("<f8").tobytes(),
         model.quantizer.maxs.astype("<f8").tobytes(),
         model.table.budgets.budgets.astype("<i4").tobytes(),
-        _repack_table(model.table.packed, dim, (n_feat * n_lvl * dim,)).tobytes(),
+        _table_bits(model.table),
         encoders.astype("<i4").tobytes(),
         counts.astype("<u4").tobytes(),
         struct.pack("<I", len(labels_blob)),
@@ -389,19 +389,15 @@ def save_model(model, path) -> None:
         fh.write(model_bytes(model))
 
 
-def _repack_table(bits: np.ndarray, row_bits: int, shape: tuple) -> np.ndarray:
-    """Move level-table bits between the file's layout, all N*M*D bits
-    packed flat, and the in-memory one, each D-bit row packed on its own.
-
-    `bits` holds rows of `row_bits` bits, each packed along the last axis;
-    the result holds the same bits unpacked to `shape` and packed along its
-    last axis. When both row lengths are whole bytes (D % 8 == 0) the two
-    layouts are the same bytes, and only the shape changes.
-    """
-    if row_bits % 8 == 0 and shape[-1] % 8 == 0:
-        return bits.reshape(shape[:-1] + (shape[-1] // 8,))
-    flat = np.unpackbits(bits, axis=-1, count=row_bits)
-    return np.packbits(flat.reshape(shape), axis=-1)
+def _table_bits(table) -> bytes:
+    """The file's level table: the signs of all N*M*D level entries, in
+    (feature, level, index) order, packed flat with bit set == +1."""
+    # A positive base sign, but at the levels above the flip level; the
+    # levels take the flip levels' dtype, so numpy casts neither side.
+    levels = np.arange(1, table.levels + 1, dtype=table.flips.dtype)
+    bits = levels[:, None] > table.flips[:, None]  # (N, M, D)
+    bits ^= table.bases[:, None] > 0
+    return np.packbits(bits).tobytes()
 
 
 def _strings(value) -> bool:
@@ -410,13 +406,9 @@ def _strings(value) -> bool:
 
 def load_model(path):
     """Inverse of save_model. The stored level table must be exactly the one
-    its seed and flip budget build, which `level_table_matches` checks on the
-    stored bits without rebuilding it: level 1 of every feature is the base
-    drawn from the seed, each level's flips against level 1 contain the
-    previous level's, and every index has the flip level its position in the
-    drawn flip permutation implies. The table keeps those flip levels, so the
-    first batch after a load only builds its projection. Labels must be K
-    distinct strings, and feature names N strings or none."""
+    its seed and flip budget build: the load builds that table and rejects
+    the file unless the stored table bytes are the table's `_table_bits`.
+    Labels must be K distinct strings, and feature names N strings or none."""
     from .model import TrainedModel  # here, not at the top: model imports data
 
     with open(path, "rb") as fh:
@@ -466,7 +458,7 @@ def load_model(path):
     if np.any(budgets.sum(axis=1) > dim // 2):
         raise FormatError(f"{path}: flip budget rows exceed D/2 = {dim // 2}")
     n_table_bytes = -(-n_feat * n_lvl * dim // 8)
-    table_bits = np.frombuffer(take(n_table_bytes), dtype=np.uint8)
+    table_bits = take(n_table_bytes)
     encoders = np.frombuffer(take(4 * n_cls * dim), dtype="<i4")
     encoders = encoders.reshape(n_cls, dim).astype(np.int64)
     counts = np.frombuffer(take(4 * n_cls), dtype="<u4").astype(np.int64)
@@ -479,15 +471,9 @@ def load_model(path):
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    budget = FlipBudget(budgets=budgets, dim=dim)
-    packed = _repack_table(table_bits, n_feat * n_lvl * dim, (n_feat, n_lvl, dim))
-    table = LevelTable(packed=packed, dim=dim, budgets=budget)
-    if not level_table_matches(seed, table):
+    table = build_level_table(seed, FlipBudget(budgets=budgets, dim=dim))
+    if table_bits != _table_bits(table):
         raise FormatError(f"{path}: stored level table does not match its seed and budget")
-    # Unpacked now, with the load: `classify` encodes its query from the signs,
-    # and unpacking them on the first query after a load would put the whole
-    # table's unpack into that one query's latency.
-    table.signs
 
     return TrainedModel(
         quantizer=Quantizer(mins=mins, maxs=maxs, levels=n_lvl),

@@ -1,37 +1,28 @@
 """Bipolar hypervectors, flip budgets, and level-hypervector tables.
 
-Hypervectors are D-dimensional sign vectors (entries in {-1, +1}). The
-canonical storage is bit-packed (one bit per entry, bit set == +1); all
-arithmetic is defined on the unpacked int8 sign values, so a dot product
-is taken after a cast to int64 (an int8 product overflows from D = 128).
+Hypervectors are D-dimensional sign vectors (entries in {-1, +1}), held as
+int8; a dot product is taken after a cast to int64 (an int8 product
+overflows from D = 128).
 
 Level hypervectors for one feature are derived from a single random base
 vector plus a flip schedule: one fixed random permutation of the indices,
 with each level negating a prefix of that permutation. A bit flipped for
 level m therefore stays flipped for every level above m, which gives exact
 Hamming control between any two levels of the same feature. So each index
-has a flip level: the last level at which it keeps its base sign. A table
-exposes its (N, D) base signs and flip levels, from which the model's
-kernel scores it without the (N, M, D) signs.
+has a flip level: the last level at which it keeps its base sign. A level
+table is just that: the (N, D) base signs and flip levels, from which the
+model's kernel scores it and `level_vector` and `encode_quantized` read
+signs, without the (N, M, D) signs of every level.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, ConstraintError, DimensionError, ShapeError
-
-
-def unpack_signs(packed: np.ndarray, dim: int) -> np.ndarray:
-    """Unpack uint8 bits back to int8 signs (+1/-1) along the last axis."""
-    signs = np.unpackbits(packed, axis=-1, count=dim).view(np.int8)
-    signs += signs  # in place: an int8 shift costs several times as much
-    signs -= 1
-    return signs
 
 
 @dataclass(frozen=True)
@@ -130,161 +121,104 @@ def _feature_rng(base_seed, feature: int) -> np.random.Generator:
     return np.random.default_rng([int(base_seed), int(feature)])
 
 
-def _draws(base_seed, features: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The random draws of every feature from `_feature_rng`, in draw order:
-    (N, D) uint8 base bits (1 is +1) and (N, D) flip permutations of range(D)."""
-    bits = np.empty((features, dim), dtype=np.uint8)
+def _schedule(base_seed, features: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flip schedule of every feature, drawn from `_feature_rng`: (N, D)
+    int8 base signs and (N, D) flip permutations of range(D). Level m
+    negates the first b_1 + ... + b_{m-1} indices of its feature's
+    permutation."""
+    bases = np.empty((features, dim), dtype=np.int8)
     perms = np.empty((features, dim), dtype=np.int64)
     for n in range(features):
         rng = _feature_rng(base_seed, n)
-        bits[n] = rng.integers(0, 2, size=dim)
+        bases[n] = rng.integers(0, 2, size=dim)
         perms[n] = rng.permutation(dim)
-    return bits, perms
-
-
-def _schedule(base_seed, features: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flip schedule of every feature: (N, D) int8 base signs and the
-    (N, D) rank of each index in that feature's flip permutation. Level m
-    negates the indices whose rank is below its prefix sum."""
-    bits, perms = _draws(base_seed, features, dim)
-    bases = bits.view(np.int8)
     bases += bases
     bases -= 1
-    ranks = np.empty_like(perms)
-    ranks[np.arange(features)[:, None], perms] = np.arange(dim)
-    return bases, ranks
+    return bases, perms
 
 
-def _prefix_flips(budgets: np.ndarray) -> np.ndarray:
-    """(..., N, M) flips applied up to each level of (..., N, M-1) budgets;
-    the first column is zero."""
-    prefix = np.zeros(budgets.shape[:-1] + (budgets.shape[-1] + 1,), dtype=np.int64)
-    np.cumsum(budgets, axis=-1, out=prefix[..., 1:])
-    return prefix
+def _flip_levels(perms: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """(..., N, D) flip level of every index, in the smallest unsigned dtype
+    that holds M: the last level (1..M) at which it keeps its base sign, for
+    (N, D) flip permutations and (..., N, M-1) feasible budgets (one budget,
+    or a leading axis of candidates).
 
-
-def _flip_levels(ranks: np.ndarray, prefix: np.ndarray) -> np.ndarray:
-    """(..., N, D) int64 flip level of every index: the last level (1..M) at
-    which it keeps its base sign, for (N, D) ranks and the (..., N, M)
-    prefix sums of feasible budgets (one budget, or a leading axis of
-    candidates).
-
-    Level m keeps index d when its prefix sum is at most rank(d), and the
-    prefix sums only grow, so the flip level is the number of prefix sums at
-    or below rank(d): per row, a count of the prefix sums (all below D) at
-    each value, accumulated and read at the ranks."""
-    dim = ranks.shape[1]
-    offsets = dim * np.arange(prefix[..., 0].size).reshape(prefix.shape[:-1] + (1,))
-    at_or_below = np.bincount((prefix + offsets).ravel(), minlength=offsets.size * dim)
-    np.cumsum(at_or_below.reshape(-1, dim), axis=1, out=at_or_below.reshape(-1, dim))
-    return np.take(at_or_below, ranks + offsets)
+    In permutation order a feature's flip levels are runs: level 1 over the
+    first transition's budget, one more level over each later one, and M
+    past the row sum. So position j has the number of prefix sums 0, b_1,
+    b_1 + b_2, ... at or below j: per row, a `bincount` of the prefix sums
+    (all below D), accumulated, then scattered to the permutation's indices.
+    (An `np.repeat` of the runs gives the same levels, but took a grid
+    scoring block about 8% longer, in its numpy calls' fixed costs.)"""
+    n_features, dim = perms.shape
+    n_levels = budgets.shape[-1] + 1
+    rows = budgets.reshape(-1, n_levels - 1)  # M-1 >= 1, so even N = 0 reshapes
+    prefix = np.zeros((len(rows), n_levels), dtype=np.int64)
+    np.cumsum(rows, axis=1, out=prefix[:, 1:])
+    prefix += dim * np.arange(len(rows))[:, None]  # row r counts in [r*D, (r+1)*D)
+    in_order = np.bincount(prefix.ravel(), minlength=len(rows) * dim).reshape(len(rows), dim)
+    np.cumsum(in_order, axis=1, out=in_order)
+    flips = np.empty(budgets.shape[:-1] + (dim,), dtype=np.min_scalar_type(n_levels))
+    flips[..., np.arange(n_features)[:, None], perms] = in_order.reshape(flips.shape)
+    return flips
 
 
 @dataclass(frozen=True)
 class LevelTable:
-    """All N x M level hypervectors, bit-packed, and the flip budget they
-    were built from."""
+    """All N x M level hypervectors of a flip budget, held as what fixes
+    them: level m of feature n is its base sign at the indices whose flip
+    level is at least m, and the opposite sign at the rest."""
 
-    packed: np.ndarray  # (N, M, ceil(D/8)) uint8
-    dim: int
+    bases: np.ndarray  # (N, D) int8 base signs: level 1 of every feature
+    flips: np.ndarray  # (N, D) flip levels 1..M, dtype np.min_scalar_type(M)
     budgets: FlipBudget
 
     def __post_init__(self):
-        self.packed.flags.writeable = False
+        self.bases.flags.writeable = False
+        self.flips.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.budgets.dim
 
     @property
     def features(self) -> int:
-        return self.packed.shape[0]
+        return self.budgets.features
 
     @property
     def levels(self) -> int:
-        return self.packed.shape[1]
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        """(N, M, D) int8 sign values of every level hypervector."""
-        out = unpack_signs(self.packed, self.dim)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def bases(self) -> np.ndarray:
-        """(N, D) int8 base signs: level 1 of every feature."""
-        out = unpack_signs(self.packed[:, 0], self.dim)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def flips(self) -> np.ndarray:
-        """(N, D) flip level of every index, in the smallest unsigned dtype
-        that holds M: M less the number of levels where it differs from its
-        base sign. With nested flip sets, as in every table
-        `build_level_table` builds, that is the last level (1..M) at which
-        it keeps its base sign."""
-        differ = self.packed ^ self.packed[:, :1]
-        out = np.full((self.features, self.dim), self.levels, dtype=np.min_scalar_type(self.levels))
-        for level in range(1, self.levels):  # one level at a time: no (N, M, D) temporary
-            out -= np.unpackbits(differ[:, level], axis=-1, count=self.dim)
-        out.flags.writeable = False
-        return out
+        return self.budgets.levels
 
     def __eq__(self, other) -> bool:
+        # The flip levels fix the budget: b_m indices have flip level m.
         return (
             isinstance(other, LevelTable)
-            and self.dim == other.dim
-            and np.array_equal(self.packed, other.packed)
+            and self.levels == other.levels
+            and np.array_equal(self.bases, other.bases)
+            and np.array_equal(self.flips, other.flips)
         )
 
     __hash__ = None
 
 
 def build_level_table(base_seed, budget: FlipBudget) -> LevelTable:
-    """Materialize every level hypervector implied by a flip budget."""
+    """The level table a flip budget gives from the schedule of `base_seed`."""
     if not budget.feasible:
         raise ConstraintError(
             f"budget row sums {budget.row_sums.tolist()} exceed D/2 = {budget.dim // 2}"
         )
-    bases, ranks = _schedule(base_seed, budget.features, budget.dim)
-    flips = _flip_levels(ranks, _prefix_flips(budget.budgets))
-    # Bit set == +1: a positive base, except at the levels above the flip level.
-    above = np.arange(1, budget.levels + 1)[:, None] > flips[:, None]
-    return LevelTable(
-        packed=np.packbits((bases[:, None] > 0) != above, axis=-1),
-        dim=budget.dim,
-        budgets=budget,
-    )
+    bases, perms = _schedule(base_seed, budget.features, budget.dim)
+    return LevelTable(bases=bases, flips=_flip_levels(perms, budget.budgets), budgets=budget)
 
 
-def level_table_matches(base_seed, table: LevelTable) -> bool:
-    """Whether `table` holds exactly the levels that
-    `build_level_table(base_seed, table.budgets)` packs, checked without
-    building that table.
-
-    Let F_m be the bits where level m differs from level 1. The levels are
-    that table exactly when level 1 is the drawn base, the flip sets are
-    nested (F_m within F_m+1), and every index has the flip level its
-    position in the flip permutation implies. Nesting makes the levels an
-    index differs at a run of top levels, so its flip level fixes its column.
-    """
-    budget, packed = table.budgets, table.packed
-    n_feat, n_lvl, dim = budget.features, budget.levels, budget.dim
-    if not budget.feasible or packed.shape != (n_feat, n_lvl, -(-dim // 8)):
-        return False
-    bits, perms = _draws(base_seed, n_feat, dim)
-    if not np.array_equal(packed[:, 0], np.packbits(bits, axis=-1)):
-        return False
-    differ = packed ^ packed[:, :1]
-    if np.any(differ[:, :-1] & ~differ[:, 1:]):
-        return False
-    if dim % 8 and np.any(differ[..., -1] & (0xFF >> dim % 8)):  # padding bits
-        return False
-    # Position j of a permutation keeps its base sign up to the number of
-    # prefix sums at or below j: level 1 over the first transition's budget,
-    # one more level over each later one, all M past the row sum.
-    runs = np.column_stack([budget.budgets, dim - budget.row_sums])
-    implied = np.repeat(1 + np.arange(n_feat * n_lvl) % n_lvl, runs.ravel())
-    by_position = np.take(table.flips, perms + dim * np.arange(n_feat)[:, None])  # flat gather
-    return np.array_equal(by_position, implied.reshape(n_feat, dim))
+def _signs(bases: np.ndarray, flips: np.ndarray, levels) -> np.ndarray:
+    """int8 signs at `levels` (1..M) of base signs and flip levels, all
+    broadcast together: the base sign up to the flip level, the opposite
+    sign above it."""
+    signs = (flips < levels).view(np.int8)  # 1 above the flip level
+    signs *= -2  # 0b11111110: x ^ -2 == -x for x in {-1, +1}
+    signs ^= bases
+    return signs
 
 
 def level_vector(table: LevelTable, feature: int, level: int) -> np.ndarray:
@@ -294,13 +228,22 @@ def level_vector(table: LevelTable, feature: int, level: int) -> np.ndarray:
         raise IndexError(f"feature index {feature} out of range [0, {table.features})")
     if not 1 <= level <= table.levels:
         raise IndexError(f"level {level} out of range [1, {table.levels}]")
-    return table.signs[feature, level - 1]
+    row = _signs(table.bases[feature], table.flips[feature], level)
+    row.flags.writeable = False
+    return row
 
 
 def encode_quantized(levels: np.ndarray, table: LevelTable) -> np.ndarray:
     """Bundle pre-quantized samples: the (S, D) int64 sums of the level
     hypervectors each (S, N) row of levels (values 1..M) picks."""
-    picked = table.signs[np.arange(table.features)[None, :], levels - 1]  # (S, N, D)
-    # |sum| <= N, and N < 2**31 for any table that fits in memory; an int32
-    # accumulator is about twice as fast as int64 for one row.
-    return picked.sum(axis=1, dtype=np.int32).astype(np.int64)
+    if levels.min(initial=1) < 1 or levels.max(initial=1) > table.levels:
+        raise IndexError(f"levels out of range [1, {table.levels}]")
+    # Compared in the flip levels' own dtype, which holds 1..M: against int64
+    # levels numpy would cast every flip level first, several times slower.
+    picked = _signs(table.bases, table.flips, levels.astype(table.flips.dtype)[:, :, None])
+    # A sum of at most 127 signs fits in int8, and an int8 sum over features
+    # is several times as fast as one that casts every sign to int32.
+    out = np.zeros((len(levels), table.dim), dtype=np.int64)
+    for first in range(0, table.features, 127):
+        out += picked[:, first : first + 127].sum(axis=1, dtype=np.int8)
+    return out

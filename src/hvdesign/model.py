@@ -12,9 +12,11 @@ in level space: a sample is the sum of the level hypervectors its features
 fall in, x_s = sum_n L[n, l_sn]. Level m of feature n is its base vector
 with the first b_1 + ... + b_{m-1} indices of its flip permutation
 negated, so index d keeps its base sign up to its flip level t(n, d) and
-has the opposite sign above it. One kernel, shared by training,
-prediction and candidate scoring, works from the (N, D) base signs and
-flip levels alone, in O(N*D*K) per candidate:
+has the opposite sign above it. A `LevelTable` holds just those (N, D)
+base signs and flip levels, and `hypervector._flip_levels` lays the flip
+levels out for a block of candidates the same way. One kernel, shared by
+training, prediction and candidate scoring, works from them alone, in
+O(N*D*K) per candidate:
 
 - the encoders are E = H @ L, where H counts the training samples of each
   class at each (feature, level): E_k[d] = sum_n base[n, d] *
@@ -64,6 +66,7 @@ from .hypervector import (
     LevelTable,
     build_level_table,
     encode_quantized,
+    level_vector,
     uniform_flip_budget,
 )
 
@@ -395,7 +398,9 @@ def appendix_experiment(dim: int, trials: int, mode: str, seed=0) -> float:
             rng_seed = np.random.default_rng([int(seed), t]).integers(0, 2**32)
             budget = uniform_flip_budget(dim, n_levels, features=1)
             table = build_level_table(int(rng_seed), budget)
-            level_signs = table.signs[0].astype(np.int64)  # (M, D)
+            level_signs = np.stack(
+                [level_vector(table, 0, m) for m in range(1, n_levels + 1)]
+            ).astype(np.int64)
         else:
             rng = np.random.default_rng([int(seed), t])
             level_signs = (rng.integers(0, 2, size=(n_levels, dim)) * 2 - 1).astype(np.int64)

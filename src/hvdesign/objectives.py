@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import Dataset, Quantizer
 from .errors import DataError, ShapeError
-from .hypervector import FlipBudget, _flip_levels, _prefix_flips, _repair, _schedule
+from .hypervector import FlipBudget, _flip_levels, _repair, _schedule
 from .model import (
     _check_labels,
     _class_encoders,
@@ -150,14 +150,14 @@ class CandidateEvaluator:
     are quantized into the (K, N*M) encoder weights of their class x level
     histogram, their distinct rows are kept with a (K, U) class-count matrix
     and an (N*M, U) incidence matrix, and the flip schedule is drawn once
-    per dimension. A population of budgets is repaired and turned into
-    prefix sums in one array operation; then, one block of candidates at a
-    time, the flip level of every index is read off the prefix sums and
-    scored in level space with the model's kernel: encoders from the
-    weights, the winner mask of the U distinct rows from the level
-    projection and the incidence matrix, and the confusion diagonal as the
-    mask's integer product with the class counts. Pure: identical budgets
-    give identical scores, alone or in any population.
+    per dimension. A population of budgets is repaired in one array
+    operation; then, one block of candidates at a time, the flip level of
+    every index is laid out from the budgets and scored in level space with
+    the model's kernel: encoders from the weights, the winner mask of the U
+    distinct rows from the level projection and the incidence matrix, and
+    the confusion diagonal as the mask's integer product with the class
+    counts. Pure: identical budgets give identical scores, alone or in any
+    population.
     """
 
     def __init__(self, train: Dataset, quantizer: Quantizer, base_seed):
@@ -179,7 +179,7 @@ class CandidateEvaluator:
         np.add.at(self.counts, (train.labels - 1, row_of.reshape(-1)), 1)
         self.class_sizes = self.counts.sum(axis=1)
         self.incidence = _row_incidence(self.rows, quantizer.levels)  # (N*M, U)
-        self._schedules = {}  # dim -> (bases, ranks)
+        self._schedules = {}  # dim -> (bases, perms)
 
     def evaluate(self, budget: FlipBudget) -> ObjectiveScores:
         """The scores of one budget: a population of one."""
@@ -198,12 +198,12 @@ class CandidateEvaluator:
         n_features, n_levels = genes.shape[1], genes.shape[2] + 1
         if dim not in self._schedules:
             self._schedules[dim] = _schedule(self.base_seed, n_features, dim)
-        bases, ranks = self._schedules[dim]
-        prefix = _prefix_flips(_repair(genes, dim))
+        bases, perms = self._schedules[dim]
+        genes = _repair(genes, dim)
         block = max(1, _BLOCK_ELEMENTS // (n_features * dim * self.n_classes + self.counts.size))
         hits, avg_sims = [], []
         for start in range(0, len(genes), block):
-            flips = _flip_levels(ranks, prefix[start : start + block])
+            flips = _flip_levels(perms, genes[start : start + block])
             encoders = _class_encoders(bases, flips, self.weights)
             projection = _projection(bases, flips, encoders, n_levels)
             won = _winners(*projection, self.rows, self.incidence)  # (B, K, U)

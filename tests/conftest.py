@@ -4,7 +4,32 @@ import struct
 import numpy as np
 import pytest
 
-from hvdesign import Dataset, FlipBudget, build_level_table, calibrate_quantizer, generate_motivational
+from hvdesign import Dataset, FlipBudget, calibrate_quantizer, generate_motivational
+
+
+def oracle_signs(seed, budgets, dim: int) -> np.ndarray:
+    """(..., N, M, D) int8 signs of every level that (..., N, M-1) flip
+    budgets give under `seed`, from the draws alone: feature n draws its
+    base bits, then its flip permutation, from default_rng([seed, n]), and
+    level m negates the indices whose rank in that permutation is below
+    b_1 + ... + b_{m-1}."""
+    budgets = np.asarray(budgets, dtype=np.int64)
+    n_features = budgets.shape[-2]
+    bases = np.empty((n_features, dim), dtype=np.int64)
+    ranks = np.empty((n_features, dim), dtype=np.int64)
+    for n in range(n_features):
+        rng = np.random.default_rng([seed, n])
+        bases[n] = 2 * rng.integers(0, 2, size=dim) - 1
+        ranks[n] = np.argsort(rng.permutation(dim))
+    prefix = np.concatenate([np.zeros_like(budgets[..., :1]), budgets.cumsum(axis=-1)], axis=-1)
+    flipped = ranks[:, None] < prefix[..., None]
+    return np.where(flipped, -bases[:, None], bases[:, None]).astype(np.int8)
+
+
+@pytest.fixture(scope="session")
+def sign_oracle():
+    """`oracle_signs`, for tests to take as a fixture."""
+    return oracle_signs
 
 
 @pytest.fixture(scope="session")
@@ -58,7 +83,6 @@ def hand_built_model():
     def build(n_classes: int, n_features: int = 1) -> bytes:
         dim, levels, seed = 16, 3, 9
         budget = FlipBudget(budgets=np.full((n_features, 2), 4), dim=dim)
-        table = build_level_table(seed, budget)
         labels = json.dumps([chr(ord("a") + k) for k in range(n_classes)]).encode()
         names = json.dumps([f"f{i + 1}" for i in range(n_features)]).encode()
         return b"".join([
@@ -66,7 +90,7 @@ def hand_built_model():
             struct.pack("<IIIIIQ", 1, dim, n_features, levels, n_classes, seed),
             np.repeat([0.0, 1.0], n_features).astype("<f8").tobytes(),  # minima, then maxima
             budget.budgets.astype("<i4").tobytes(),
-            np.packbits(table.signs.reshape(-1) > 0).tobytes(),
+            np.packbits(oracle_signs(seed, budget.budgets, dim) > 0).tobytes(),
             np.ones((n_classes, dim), dtype="<i4").tobytes(),
             np.full(n_classes, 3, dtype="<u4").tobytes(),
             struct.pack("<I", len(labels)), labels,

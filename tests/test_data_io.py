@@ -4,6 +4,7 @@ import os
 import re
 import string
 import struct
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -15,22 +16,36 @@ from hvdesign import (
     ConfigError,
     DataError,
     Dataset,
+    FlipBudget,
     FormatError,
     HvError,
     ParseError,
     Quantizer,
+    TrainedModel,
     build_level_table,
     calibrate_quantizer,
+    encode_quantized,
     export_sample_hypervectors,
     fit_baseline,
     generate_motivational,
     load_dataset_csv,
     load_model,
+    predict_batch,
     save_dataset_csv,
     save_model,
+    train_model,
+    uniform_flip_budget,
 )
 import hvdesign.data
-from hvdesign.data import MOTIVATIONAL_LOOKUP, motivational_label
+from hvdesign.data import MOTIVATIONAL_LOOKUP, model_bytes, motivational_label
+
+
+def table_span(n_features, levels, dim):
+    """(start, end) of the level table in a model file: after the header
+    (32 bytes), the calibration range (16 bytes a feature) and the budget
+    (4 bytes a transition), ceil(N*M*D / 8) bytes."""
+    start = 32 + 16 * n_features + 4 * n_features * (levels - 1)
+    return start, start + -(-n_features * levels * dim // 8)
 
 
 # The JSON name blocks of a model trained on the toy dataset.
@@ -452,22 +467,19 @@ class TestModelFile:
             load_model(str(path))
 
     @pytest.mark.parametrize("dim", [10, 16, 8192])
-    def test_table_bytes_match_flat_repacking_of_signs(self, toy_dataset, tmp_path,
-                                                       monkeypatch, dim):
-        # The table is written as it is held when D % 8 == 0; the file must
-        # still hold the flat packing of all N*M*D signs, as it always has.
+    def test_table_bytes_match_flat_repacking_of_signs(self, toy_dataset, sign_oracle, tmp_path,
+                                                       dim):
+        # The file holds the flat packing of all N*M*D signs, as it always has.
         model = fit_baseline(toy_dataset, dim, 5, seed=21)
-        new, old = tmp_path / "new.hdcm", tmp_path / "old.hdcm"
-        save_model(model, str(new))
-        with monkeypatch.context() as patched:
-            patched.setattr(hvdesign.data, "_repack_table",
-                            lambda *args: np.packbits(model.table.signs.reshape(-1) > 0))
-            save_model(model, str(old))
-        assert new.read_bytes() == old.read_bytes()
-        assert load_model(str(new)) == model
+        path = tmp_path / "m.hdcm"
+        save_model(model, str(path))
+        start, end = table_span(2, 5, dim)
+        signs = sign_oracle(21, model.table.budgets.budgets, dim)
+        assert path.read_bytes()[start:end] == np.packbits(signs > 0).tobytes()
+        assert load_model(str(path)) == model
 
     @pytest.mark.parametrize("dim", [10, 64, 2048])
-    def test_swapped_flip_columns_rejected(self, toy_dataset, tmp_path, dim):
+    def test_swapped_flip_columns_rejected(self, toy_dataset, sign_oracle, tmp_path, dim):
         # Two indices of feature 0 with the same base sign and different
         # first flip levels trade columns at every level. Each level keeps
         # its flip count and the flip sets stay nested, but the flips no
@@ -475,24 +487,125 @@ class TestModelFile:
         model = fit_baseline(toy_dataset, dim, 5, seed=21)
         path = tmp_path / "m.hdcm"
         save_model(model, str(path))
-        signs = model.table.signs.copy()  # (N=2, M=5, D)
+        original = sign_oracle(21, model.table.budgets.budgets, dim)  # (N=2, M=5, D)
+        signs = original.copy()
         flipped = signs[0] != signs[0, 0]
         first = np.where(flipped.any(axis=0), flipped.argmax(axis=0), 5)
         i, j = next((i, j) for i, j in itertools.combinations(range(dim), 2)
                     if signs[0, 0, i] == signs[0, 0, j] and first[i] != first[j])
         signs[0][:, [i, j]] = signs[0][:, [j, i]]
         assert np.array_equal((signs != signs[:, :1]).sum(axis=-1),
-                              (model.table.signs != model.table.signs[:, :1]).sum(axis=-1))
-        # The table follows the header (32 bytes), the calibration range
-        # (16 bytes a feature) and the budget (4 bytes a transition).
-        start = 32 + 16 * 2 + 4 * 2 * 4
-        end = start + -(-2 * 5 * dim // 8)
+                              (original != original[:, :1]).sum(axis=-1))
+        start, end = table_span(2, 5, dim)
         raw = bytearray(path.read_bytes())
-        assert raw[start:end] == np.packbits(model.table.signs.reshape(-1) > 0).tobytes()
-        raw[start:end] = np.packbits(signs.reshape(-1) > 0).tobytes()
+        assert raw[start:end] == np.packbits(original > 0).tobytes()
+        raw[start:end] = np.packbits(signs > 0).tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="does not match its seed and budget"):
             load_model(str(path))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 10, 64]),
+        st.integers(1, 3),
+        st.integers(2, 6),
+        st.sampled_from(["none", "bit", "padding", "columns", "levels", "seed"]),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_file_loads_exactly_with_the_built_table(
+        self, sign_oracle, file_slots, seed, dim, n_feat, levels, damage, data
+    ):
+        # A file loads if and only if its table bytes are those of the table
+        # its seed and budget build; any other table is the same FormatError.
+        rows = [
+            np.diff([0, *sorted(data.draw(st.lists(
+                st.integers(0, dim // 2), min_size=levels - 1, max_size=levels - 1
+            )))]).tolist()
+            for _ in range(n_feat)
+        ]
+        budget = FlipBudget(budgets=np.array(rows), dim=dim)
+        model = TrainedModel(
+            quantizer=Quantizer(mins=np.zeros(n_feat), maxs=np.ones(n_feat), levels=levels),
+            table=build_level_table(seed, budget),
+            encoders=np.ones((2, dim), dtype=np.int64),
+            labels=["a", "b"],
+            feature_names=[],
+            metadata={"seed": seed, "class_counts": [1, 1]},
+        )
+        raw = bytearray(model_bytes(model))
+        start, end = table_span(n_feat, levels, dim)
+        signs = sign_oracle(seed, budget.budgets, dim)
+        assert raw[start:end] == np.packbits(signs > 0).tobytes()
+        check_seed = seed
+        n = data.draw(st.integers(0, n_feat - 1))
+        if damage == "bit":
+            bit = data.draw(st.integers(0, 8 * (end - start) - 1))
+            raw[start + bit // 8] ^= 1 << (bit % 8)
+        elif damage == "padding":  # the bits past the N*M*D table bits in its last byte
+            used = n_feat * levels * dim % 8
+            raw[end - 1] ^= 0xFF >> used if used else 0
+        elif damage == "columns":  # two indices trade columns at every level
+            i, j = data.draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+            signs[n][:, [i, j]] = signs[n][:, [j, i]]
+            raw[start:end] = np.packbits(signs > 0).tobytes()
+        elif damage == "levels":  # one index trades its signs at two levels
+            a, b = data.draw(st.lists(st.integers(0, levels - 1), min_size=2, max_size=2, unique=True))
+            # Above level 1 this keeps the index's flip count; only the
+            # nesting of the flip sets can tell.
+            differ = np.flatnonzero(signs[n, a] != signs[n, b])
+            i = data.draw(st.sampled_from(differ.tolist() or [0]))
+            signs[n, [a, b], i] = signs[n, [b, a], i]
+            raw[start:end] = np.packbits(signs > 0).tobytes()
+        elif damage == "seed":  # the header's u64 seed, after magic and five u32
+            check_seed = seed ^ 1
+            raw[24:32] = struct.pack("<Q", check_seed)
+        built = np.packbits(sign_oracle(check_seed, budget.budgets, dim) > 0).tobytes()
+        path = file_slots()
+        path.write_bytes(bytes(raw))
+        if raw[start:end] == built:
+            assert load_model(str(path)).table == build_level_table(check_seed, budget)
+        else:
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: stored level "
+                                                  "table does not match its seed and budget$"):
+                load_model(str(path))
+
+    def test_many_levels_round_trip_agrees_with_sign_oracle(self, sign_oracle, tmp_path):
+        # At M=300 the flip levels need 16 bits: in uint8, levels 256..300
+        # would wrap to 0..44, and the table would still save and load.
+        dim, levels, seed = 1024, 300, 3
+        rng = np.random.default_rng(300)
+        x = rng.uniform(0.0, 1.0, size=(60, 2))
+        train = Dataset(features=x, labels=1 + (x[:, 0] > x[:, 1]), label_names=["a", "b"])
+        quantizer = calibrate_quantizer(train, levels)
+        budget = uniform_flip_budget(dim, levels, features=2)  # one flip per transition
+        model = train_model(train, quantizer, budget, seed)
+        assert model.table.flips.max() == levels and model.table.flips.min() >= 1
+        signs = sign_oracle(seed, budget.budgets, dim).astype(np.int64)  # (N, M, D)
+
+        def encode(values):
+            return signs[np.arange(2), quantizer.quantize_matrix(values) - 1].sum(axis=1)
+
+        samples = encode(x)
+        assert np.array_equal(encode_quantized(quantizer.quantize_matrix(x), model.table), samples)
+        encoders = np.array([samples[train.labels == k].sum(axis=0) for k in (1, 2)])
+        path = tmp_path / "m.hdcm"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        assert loaded == model and np.array_equal(loaded.encoders, encoders)
+        queries = rng.uniform(-0.1, 1.1, size=(40, 2))
+        sq_norms = (encoders * encoders).sum(axis=1).tolist()
+        expected = [
+            1 + max(range(2), key=lambda k: (Fraction(dots[k] * abs(dots[k]), sq_norms[k]), -k))
+            for dots in (encode(queries) @ encoders.T).tolist()
+        ]
+        assert predict_batch(queries, loaded).tolist() == expected
+
+    @pytest.fixture(scope="class")
+    def file_slots(self, tmp_path_factory):
+        """A new file path on every call, for tests that write many files."""
+        directory, serial = tmp_path_factory.mktemp("slots"), itertools.count()
+        return lambda: directory / f"m-{next(serial)}.hdcm"
 
     @pytest.fixture(scope="class")
     def small_model_files(self, tmp_path_factory):

@@ -9,6 +9,7 @@ from hvdesign import (
     ConstraintError,
     DimensionError,
     FlipBudget,
+    LevelTable,
     Quantizer,
     build_level_table,
     encode_quantized,
@@ -16,7 +17,6 @@ from hvdesign import (
     repair_budget,
     uniform_flip_budget,
 )
-from hvdesign.hypervector import LevelTable, level_table_matches
 
 
 def dot(a, b):
@@ -86,6 +86,10 @@ class TestBuildLevelTable:
         for m in range(2, 6):
             assert np.array_equal(level_vector(table, 0, m), level_vector(table, 0, 1))
 
+    def test_zero_features_build(self):
+        table = build_level_table(9, FlipBudget(budgets=np.zeros((0, 2), dtype=int), dim=16))
+        assert table.bases.shape == table.flips.shape == (0, 16)
+
     def test_infeasible_rejected(self):
         budget = FlipBudget(budgets=np.array([[9, 9]]), dim=16)
         with pytest.raises(ConstraintError):
@@ -121,7 +125,7 @@ class TestBuildLevelTable:
         st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_level_flip_loop(self, seed, dim, n_feat, levels, data):
+    def test_matches_per_level_flip_loop(self, sign_oracle, seed, dim, n_feat, levels, data):
         # Sorted cut points in 0..D/2: a feasible row, any prefix shape.
         rows = [
             np.diff([0, *sorted(data.draw(st.lists(
@@ -144,60 +148,17 @@ class TestBuildLevelTable:
                 flipped += rows[n][m - 1]
                 expected[n, m, perm[:flipped]] *= -1
         table = build_level_table(seed, budget)
-        assert np.array_equal(table.signs, expected)
+        signs = np.array([[level_vector(table, n, m) for m in range(1, levels + 1)]
+                          for n in range(n_feat)])
+        assert np.array_equal(signs, expected)
+        assert np.array_equal(sign_oracle(seed, budget.budgets, dim), expected)
         # An index keeps its base sign from level 1 up to its flip level.
         assert np.array_equal(table.bases, expected[:, 0])
+        assert table.flips.dtype == np.min_scalar_type(levels)
         assert table.flips.tolist() == (expected == expected[:, :1]).sum(axis=1).tolist()
         # No re-flips: level m is (b_1 + ... + b_{m-1}) bits away from level 1.
-        distances = np.count_nonzero(table.signs != table.signs[:, :1], axis=2)
+        distances = np.count_nonzero(signs != signs[:, :1], axis=2)
         assert distances.tolist() == [[0, *np.cumsum(r).tolist()] for r in rows]
-
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([2, 10, 64]),
-        st.integers(1, 3),
-        st.integers(2, 6),
-        st.sampled_from(["none", "bit", "padding", "columns", "levels", "seed"]),
-        st.data(),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_level_table_matches_exactly_the_built_table(
-        self, seed, dim, n_feat, levels, damage, data
-    ):
-        rows = [
-            np.diff([0, *sorted(data.draw(st.lists(
-                st.integers(0, dim // 2), min_size=levels - 1, max_size=levels - 1
-            )))]).tolist()
-            for _ in range(n_feat)
-        ]
-        budget = FlipBudget(budgets=np.array(rows), dim=dim)
-        table = build_level_table(seed, budget)
-        candidate, check_seed = table.packed.copy(), seed
-        signs = table.signs.copy()
-        n = data.draw(st.integers(0, n_feat - 1))
-        if damage == "bit":
-            bit = data.draw(st.integers(0, 8 * candidate.size - 1))
-            candidate.reshape(-1)[bit // 8] ^= 1 << (bit % 8)
-        elif damage == "padding":  # a bit past D in the last byte of one level
-            m = data.draw(st.integers(0, levels - 1))
-            candidate[n, m, -1] ^= 0xFF >> dim % 8 if dim % 8 else 0
-        elif damage == "columns":  # two indices trade columns at every level
-            i, j = data.draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
-            signs[n][:, [i, j]] = signs[n][:, [j, i]]
-            candidate = np.packbits(signs > 0, axis=-1)
-        elif damage == "levels":  # one index trades its signs at two levels
-            a, b = data.draw(st.lists(st.integers(0, levels - 1), min_size=2, max_size=2, unique=True))
-            # Above level 1 this keeps the index's flip count; only the
-            # nesting of the flip sets can tell.
-            differ = np.flatnonzero(signs[n, a] != signs[n, b])
-            i = data.draw(st.sampled_from(differ.tolist() or [0]))
-            signs[n, [a, b], i] = signs[n, [b, a], i]
-            candidate = np.packbits(signs > 0, axis=-1)
-        elif damage == "seed":
-            check_seed = seed ^ 1
-        expected = np.array_equal(candidate, build_level_table(check_seed, budget).packed)
-        stored = LevelTable(packed=candidate, dim=dim, budgets=budget)
-        assert level_table_matches(check_seed, stored) == expected
 
 
 class TestLevelVector:
@@ -249,6 +210,27 @@ class TestEncodeSample:
         table = build_level_table(3, uniform_flip_budget(32, 4))
         encoded = encode_quantized(quantizer.quantize_matrix(np.array([[0.6]])), table)[0]
         assert np.array_equal(encoded, level_vector(table, 0, 3))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sum_of_many_equal_signs_is_exact(self, sign):
+        # 300 features with the same sign at every index: the sums reach
+        # +-300, past the int8 range the bundling sums partial chunks in.
+        n, dim = 300, 8
+        table = LevelTable(
+            bases=np.full((n, dim), sign, dtype=np.int8),
+            flips=np.full((n, dim), 2, dtype=np.uint8),
+            budgets=FlipBudget(budgets=np.zeros((n, 1), dtype=int), dim=dim),
+        )
+        levels = np.ones((2, n), dtype=np.int64)
+        levels[1] = 2
+        assert encode_quantized(levels, table).tolist() == [[sign * n] * dim] * 2
+
+    @pytest.mark.parametrize("level", [0, 5, 256])
+    def test_level_out_of_range_rejected(self, level):
+        # 256 would wrap to 0 in the table's uint8 flip levels.
+        table = build_level_table(3, uniform_flip_budget(32, 4, features=2))
+        with pytest.raises(IndexError, match=r"levels out of range \[1, 4\]"):
+            encode_quantized(np.array([[1, level]]), table)
 
     @given(st.integers(0, 1000), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)

@@ -24,7 +24,7 @@ from hvdesign import (
     train_model,
     uniform_flip_budget,
 )
-from hvdesign.hypervector import _flip_levels, _prefix_flips, _schedule
+from hvdesign.hypervector import _flip_levels, _schedule
 from hvdesign.model import (
     _class_encoders,
     _encoder_weights,
@@ -216,14 +216,6 @@ def level_signs(bases, flips, n_levels):
     return np.where(above, -bases[:, None], bases[:, None]).astype(np.int8)
 
 
-def schedule_signs(bases, ranks, prefix):
-    """(P, N, M, D) int8 signs straight from the flip schedule: level m
-    negates the indices whose rank is below its prefix sum. The sign path
-    built its levels this way."""
-    flipped = (ranks[:, None] < prefix[..., None]).astype(np.int8)
-    return bases[:, None] * (1 - 2 * flipped)
-
-
 def sign_path_encoders(signs, histogram):
     """(P, K, D) int64 encoders E = H @ L, one float64 product a feature,
     from (P, N, M, D) level signs: the kernel the flip-level form replaced."""
@@ -325,15 +317,15 @@ def reference_winners(signs, encoders, levels):
 class TestLevelSpaceKernel:
     @given(kernel_problems())
     @settings(max_examples=200, deadline=None)
-    def test_flip_level_kernel_matches_sign_path(self, problem):
+    def test_flip_level_kernel_matches_sign_path(self, sign_oracle, problem):
         # The same bytes as the per-feature sign products it replaced, for
         # one candidate and many, zero budgets and rows at D/2.
         seed, dim, budgets, histogram = problem
         n_levels = budgets.shape[2] + 1
-        bases, ranks = _schedule(seed, budgets.shape[1], dim)
-        prefix = _prefix_flips(budgets)
-        signs = schedule_signs(bases, ranks, prefix)
-        flips = _flip_levels(ranks, prefix)
+        signs = sign_oracle(seed, budgets, dim)  # (P, N, M, D)
+        bases, perms = _schedule(seed, budgets.shape[1], dim)
+        flips = _flip_levels(perms, budgets)
+        assert flips.dtype == np.min_scalar_type(n_levels)
         assert np.array_equal(level_signs(bases, flips, n_levels), signs)
         encoders = _class_encoders(bases, flips, _encoder_weights(histogram, n_levels))
         want = sign_path_encoders(signs, histogram)
@@ -411,7 +403,7 @@ class TestLevelSpaceKernel:
     def test_exact_and_near_ties(self, multiples, offsets, label):
         # D=2, one feature, zero budget: every query encodes to the base b.
         table = build_level_table(5, FlipBudget(budgets=np.array([[0]]), dim=2))
-        base = table.signs[0, 0].astype(np.int64)
+        base = table.bases[0].astype(np.int64)
         model = TrainedModel(
             quantizer=Quantizer(mins=np.zeros(1), maxs=np.ones(1), levels=2),
             table=table,

@@ -283,8 +283,8 @@ class TestExactCosines:
             assert repr(avg_similarity(reordered)) == repr(avg_similarity(encoders))
 
     def test_evaluator_invariant_under_permuting_dimensions(self, motivational):
-        # Permuting the D axis of the kernel's inputs, the base signs and the
-        # ranks that give the flip levels, permutes every level
+        # Permuting the D axis of the kernel's inputs (the base signs, and
+        # the indices the flip permutations name) permutes every level
         # hypervector's D axis and the encoders' D axis, and leaves every
         # dot product, so every label, as it was.
         quantizer = calibrate_quantizer(motivational, 20)
@@ -292,8 +292,9 @@ class TestExactCosines:
         genes = np.random.default_rng(3).integers(0, 4, size=(50, 2, 19))
         order = np.random.default_rng(4).permutation(64)
         want = evaluator._scores(genes, 64)
-        bases, ranks = _schedule(5, 2, 64)
-        evaluator._schedules[64] = (bases[:, order], ranks[:, order])
+        bases, perms = _schedule(5, 2, 64)
+        # New index i is old index order[i], so old index d is argsort(order)[d].
+        evaluator._schedules[64] = (bases[:, order], np.argsort(order)[perms])
         got = evaluator._scores(genes, 64)
         assert got.tobytes() == want.tobytes()
 
