@@ -6,6 +6,8 @@ line's own, which override it; it may give required flags too. Every run
 logs its fully resolved configuration so results can be reproduced. Exit
 codes: 0 success, 2 for bad input (a flag, a config file, a CSV or a model
 file), reported as one `error:` line on stderr.
+`main` builds a parser with only the subcommand it runs, and with all six
+for help, `--version`, no command or an unknown one.
 """
 
 from __future__ import annotations
@@ -70,15 +72,7 @@ def _add_common(parser):
     parser.add_argument("--config", help="JSON file with defaults; flags override")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hvdesign",
-        description="HDC classification with evolutionary flip-budget design",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train a baseline (uniform budget) model")
+def _train_flags(p):
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--test", help="optional test CSV")
     p.add_argument("--label-col", type=_label_column, default="label")
@@ -86,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=20)
     p.add_argument("--out", help="model file to write")
     p.add_argument("--metrics-out", help="write metrics as JSON here")
-    _add_common(p)
 
-    p = sub.add_parser("optimize", help="search flip budgets, export the Pareto front")
+
+def _optimize_flags(p):
     p.add_argument("--data", required=True)
     p.add_argument("--label-col", type=_label_column, default="label")
     p.add_argument("--dim", type=int, default=64)
@@ -102,35 +96,59 @@ def build_parser() -> argparse.ArgumentParser:
         "--best-models-out",
         help="prefix; writes <prefix>-accuracy.hdcm and <prefix>-robustness.hdcm",
     )
-    _add_common(p)
 
-    p = sub.add_parser("sweep", help="baseline metrics across dimensions")
+
+def _sweep_flags(p):
     p.add_argument("--data", required=True)
     p.add_argument("--label-col", type=_label_column, default="label")
     p.add_argument("--dims", required=True, help="comma-separated even dimensions")
     p.add_argument("--levels", type=int, default=20)
     p.add_argument("--out", required=True, help="metrics CSV")
-    _add_common(p)
 
-    p = sub.add_parser("eval", help="evaluate a saved model on a CSV")
+
+def _eval_flags(p):
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--label-col", type=_label_column, default="label")
     p.add_argument("--metrics-out", help="write metrics as JSON here")
-    _add_common(p)
 
-    p = sub.add_parser("synth", help="generate the synthetic four-class dataset")
+
+def _synth_flags(p):
     p.add_argument("--grid", type=int, default=40, help="grid points per axis")
     p.add_argument("--out", required=True)
-    _add_common(p)
 
-    p = sub.add_parser("export-embeddings", help="dump sample hypervectors as CSV")
+
+def _export_embeddings_flags(p):
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--label-col", type=_label_column, default="label")
     p.add_argument("--out", required=True)
-    _add_common(p)
 
+
+# Subcommand name -> (help line, flag adder), in the order help lists them.
+_SUBCOMMANDS = {
+    "train": ("train a baseline (uniform budget) model", _train_flags),
+    "optimize": ("search flip budgets, export the Pareto front", _optimize_flags),
+    "sweep": ("baseline metrics across dimensions", _sweep_flags),
+    "eval": ("evaluate a saved model on a CSV", _eval_flags),
+    "synth": ("generate the synthetic four-class dataset", _synth_flags),
+    "export-embeddings": ("dump sample hypervectors as CSV", _export_embeddings_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given a subcommand name, it registers only that one."""
+    parser = _Parser(
+        prog="hvdesign",
+        description="HDC classification with evolutionary flip-budget design",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            add_flags(p)
+            _add_common(p)
     return parser
 
 
@@ -305,10 +323,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    # Only -h and --version may precede the subcommand, and both exit.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = build_parser(command)
     try:
-        # Only -h and --version may precede the subcommand, and both exit.
-        config = _config_path(argv[1:]) if argv and argv[0] in COMMANDS else None
+        config = _config_path(argv[1:]) if command else None
         if config is not None:
             argv = [argv[0], *_config_flags(config), *argv[1:]]
         args = parser.parse_args(argv)

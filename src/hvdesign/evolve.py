@@ -252,7 +252,8 @@ def _block_draws(rng: np.random.Generator, config: GAConfig, size: int, shape: t
     """
     n_words, picks, swap, mutate, fresh = _draw_layout(size, math.prod(shape))
     raw = rng.bit_generator.random_raw(n_words)
-    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+    # Each word's low 32-bit half first, as numpy hands out the halves.
+    halves = raw.astype("<u8", copy=False).view("<u4")
 
     def bounded(index, r):
         product = halves[index] * np.uint64(r)  # below 2**64: both factors are at most 2**32

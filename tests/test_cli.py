@@ -1,10 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from hvdesign.cli import main
+from hvdesign.cli import COMMANDS, build_parser, main
+from hvdesign.errors import ConfigError
 
 
 @pytest.fixture
@@ -320,3 +322,51 @@ class TestBadInput:
         err = capsys.readouterr().err.splitlines()
         lines = [line for line in err if not line.startswith("INFO ")]
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: 1 classes")
+
+
+class TestOneCommandParser:
+    """`main` registers only the subcommand it runs; what a user sees must
+    be what the parser with every subcommand gives."""
+
+    # Each subcommand's options, in the order its help lists them.
+    FLAGS = {
+        "train": "--data --test --label-col --dim --levels --out --metrics-out",
+        "optimize": "--data --label-col --dim --levels --pop --gens --crossover "
+                    "--mutation --out --best-models-out",
+        "sweep": "--data --label-col --dims --levels --out",
+        "eval": "--model --data --label-col --metrics-out",
+        "synth": "--grid --out",
+        "export-embeddings": "--model --data --label-col --out",
+    }
+
+    def test_flags_cover_every_command(self):
+        assert list(self.FLAGS) == list(COMMANDS)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_matches_the_full_parser(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as done:
+            main([command, "-h"])
+        assert done.value.code == 0
+        one = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "-h"])
+        assert one == capsys.readouterr().out
+        assert one.startswith(f"usage: hvdesign {command} [-h]")
+        options = re.findall(r"^  (-[-\w]+)", one.split("\noptions:\n")[1], re.M)
+        assert options == ["-h", *self.FLAGS[command].split(), "--seed", "--config"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bogus"], ["tra"], ["train", "--dimm", "64"], ["train"],
+         ["train", "--data", "d.csv", "--dimm", "64"], ["train", "--dim", "abc"],
+         ["train", "--d", "8"], ["eval", "--model", "m.hdcm", "--data", "d.csv", "--dim", "8"]],
+        ids=["no-command", "bogus", "prefix", "dimm-no-data", "no-data", "unknown-flag",
+             "dim-abc", "ambiguous", "flag-of-another-command"],
+    )
+    def test_error_line_matches_the_full_parser(self, argv, capsys):
+        with pytest.raises(ConfigError) as raised:
+            build_parser().parse_args(argv)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {raised.value}"]
