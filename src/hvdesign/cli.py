@@ -125,17 +125,6 @@ def _export_embeddings_flags(p):
     p.add_argument("--out", required=True)
 
 
-# Subcommand name -> (help line, flag adder), in the order help lists them.
-_SUBCOMMANDS = {
-    "train": ("train a baseline (uniform budget) model", _train_flags),
-    "optimize": ("search flip budgets, export the Pareto front", _optimize_flags),
-    "sweep": ("baseline metrics across dimensions", _sweep_flags),
-    "eval": ("evaluate a saved model on a CSV", _eval_flags),
-    "synth": ("generate the synthetic four-class dataset", _synth_flags),
-    "export-embeddings": ("dump sample hypervectors as CSV", _export_embeddings_flags),
-}
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser; given a subcommand name, it registers only that one."""
     parser = _Parser(
@@ -144,7 +133,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_flags) in _SUBCOMMANDS.items():
+    for name, (help_line, add_flags, _) in _SUBCOMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_line)
             add_flags(p)
@@ -309,14 +298,24 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
-COMMANDS = {
-    "train": cmd_train,
-    "optimize": cmd_optimize,
-    "sweep": cmd_sweep,
-    "eval": cmd_eval,
-    "synth": cmd_synth,
-    "export-embeddings": cmd_export_embeddings,
+# Subcommand name -> (help line, flag adder, handler), in the order help
+# lists them.
+_SUBCOMMANDS = {
+    "train": ("train a baseline (uniform budget) model", _train_flags, cmd_train),
+    "optimize": (
+        "search flip budgets, export the Pareto front", _optimize_flags, cmd_optimize
+    ),
+    "sweep": ("baseline metrics across dimensions", _sweep_flags, cmd_sweep),
+    "eval": ("evaluate a saved model on a CSV", _eval_flags, cmd_eval),
+    "synth": ("generate the synthetic four-class dataset", _synth_flags, cmd_synth),
+    "export-embeddings": (
+        "dump sample hypervectors as CSV", _export_embeddings_flags, cmd_export_embeddings
+    ),
 }
+
+# The handler of each subcommand; `main` dispatches through this dict, so
+# wrapping one of its values wraps what `main` runs.
+COMMANDS = {name: cmd for name, (_, _, cmd) in _SUBCOMMANDS.items()}
 
 
 def main(argv=None) -> int:

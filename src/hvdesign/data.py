@@ -395,16 +395,9 @@ def _table_bits(table) -> bytes:
     # A positive base sign, but at the levels above the flip level; the
     # levels take the flip levels' dtype, so numpy casts neither side.
     levels = np.arange(1, table.levels + 1, dtype=table.flips.dtype)
-    # Features are packed in chunks of a multiple of 4, about 512 KB of
-    # (n, M, D) bools each: D is even, so a chunk's bits are whole bytes
-    # and the chunks join to one flat packbits.
-    step = 4 * max(1, 2**19 // (4 * table.levels * table.dim))
-    chunks = []
-    for start in range(0, table.features, step):
-        bits = levels[:, None] > table.flips[start : start + step, None]
-        bits ^= table.bases[start : start + step, None] > 0
-        chunks.append(np.packbits(bits).tobytes())
-    return b"".join(chunks)
+    bits = levels[:, None] > table.flips[:, None]  # (N, M, D)
+    bits ^= table.bases[:, None] > 0
+    return np.packbits(bits).tobytes()
 
 
 def _strings(value) -> bool:

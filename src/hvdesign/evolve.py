@@ -256,7 +256,9 @@ def _block_draws(rng: np.random.Generator, config: GAConfig, size: int, shape: t
     halves = raw.astype("<u8", copy=False).view("<u4")
 
     def bounded(index, r):
-        product = halves[index] * np.uint64(r)  # below 2**64: both factors are at most 2**32
+        # In uint64 under either scalar promotion rule: both factors are at
+        # most 2**32, so the product is below 2**64.
+        product = np.multiply(halves[index], r, dtype=np.uint64)
         return (product >> 32).astype(np.int64), (product & 0xFFFFFFFF) < (2**32 - r) % r
 
     picks, rejected_picks = bounded(picks, size)
