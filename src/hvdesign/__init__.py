@@ -7,6 +7,7 @@ from .data import (
     Quantizer,
     calibrate_quantizer,
     export_sample_hypervectors,
+    generate_linear,
     generate_motivational,
     load_dataset_csv,
     load_model,

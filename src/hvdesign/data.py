@@ -339,6 +339,22 @@ def generate_motivational(grid_per_axis: int, seed=0) -> Dataset:
     )
 
 
+def generate_linear(n_samples: int, n_features: int, seed=0) -> Dataset:
+    """The wide two-class problem: features uniform on [0, 1] from
+    default_rng([seed, n_features]), drawn row by row, and class 2 ("pos")
+    exactly where the first half of the features sums to more than the
+    second half (a middle feature of an odd count is noise).
+
+    A longer draw starts with the rows of a shorter one, so the rows past
+    the first n of `generate_linear(n + t, ...)` are a test set for
+    `generate_linear(n, ...)`."""
+    rng = np.random.default_rng([int(seed), int(n_features)])
+    features = rng.uniform(0.0, 1.0, size=(n_samples, n_features))
+    half = n_features // 2
+    labels = 1 + (features[:, :half].sum(axis=1) > features[:, half : 2 * half].sum(axis=1))
+    return Dataset(features=features, labels=labels, label_names=["neg", "pos"])
+
+
 @contextlib.contextmanager
 def atomic_open(path, mode="w"):
     """Write to a temp file in the target directory, renamed to `path` on

@@ -150,7 +150,11 @@ class CandidateEvaluator:
     are quantized into the (K, N*M) encoder weights of their class x level
     histogram, their distinct rows are kept with a (K, U) class-count matrix
     and an (N*M, U) incidence matrix, and the flip schedule is drawn once
-    per dimension. A population of budgets is repaired in one array
+    per dimension. The distinct rows come from one 1-D `np.unique` over a
+    byte key per row (its levels in big-endian `np.min_scalar_type(M)`, so
+    keys sort bytewise as rows sort by value), in the order and with the
+    inverse of `np.unique(axis=0)`; the class counts are one `bincount` of
+    (class, row) pairs. A population of budgets is repaired in one array
     operation; then, one block of candidates at a time, the flip level of
     every index is laid out from the budgets and scored in level space with
     the model's kernel: encoders from the weights, the winner mask of the U
@@ -173,10 +177,15 @@ class CandidateEvaluator:
         levels = quantizer.quantize_matrix(train.features)
         histogram = _level_histogram(levels, train.labels, self.n_classes, quantizer.levels)
         self.weights = _encoder_weights(histogram, quantizer.levels)
-        # (U, N) distinct quantized rows; counts[k-1, u] = samples of class k at row u.
-        self.rows, row_of = np.unique(levels, axis=0, return_inverse=True)
-        self.counts = np.zeros((self.n_classes, len(self.rows)), dtype=np.int64)
-        np.add.at(self.counts, (train.labels - 1, row_of.reshape(-1)), 1)
+        # (U, N) distinct quantized rows, found through one void key per row.
+        key = np.dtype(np.min_scalar_type(quantizer.levels)).newbyteorder(">")
+        keys = levels.astype(key).view(np.dtype((np.void, key.itemsize * levels.shape[1])))
+        distinct, row_of = np.unique(keys.ravel(), return_inverse=True)
+        self.rows = distinct.view(key).reshape(len(distinct), -1).astype(np.int64)
+        # counts[k-1, u] = samples of class k at row u.
+        n_rows = len(self.rows)
+        pairs = (train.labels - 1) * n_rows + row_of
+        self.counts = np.bincount(pairs, minlength=self.n_classes * n_rows).reshape(-1, n_rows)
         self.class_sizes = self.counts.sum(axis=1)
         self.incidence = _row_incidence(self.rows, quantizer.levels)  # (N*M, U)
         self._schedules = {}  # dim -> (bases, perms)

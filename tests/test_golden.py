@@ -12,6 +12,7 @@ within the bench file's relative tolerance; budgets and wAcc must match
 exactly.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -23,7 +24,10 @@ from hvdesign import (
     Dataset,
     GAConfig,
     calibrate_quantizer,
+    fit_baseline,
+    generate_linear,
     generate_motivational,
+    predict_batch,
     run_optimization,
 )
 from hvdesign.cli import main
@@ -113,22 +117,11 @@ def test_grid_hypervolumes_150_generations(grid150_front):
     assert_hypervolumes(grid150_front, spec)
 
 
-def wide_problem(seed, n_features, n_samples):
-    """The wide problem: n_features uniform features on [0, 1] drawn from
-    default_rng([seed, n_features]), and class 2 exactly where the first
-    half of the features sums to more than the second half."""
-    rng = np.random.default_rng([seed, n_features])
-    features = rng.uniform(0.0, 1.0, size=(n_samples, n_features))
-    half = n_features // 2
-    labels = 1 + (features[:, :half].sum(axis=1) > features[:, half : 2 * half].sum(axis=1))
-    return Dataset(features=features, labels=labels, label_names=["neg", "pos"])
-
-
 def test_wide_search():
     # Every scoring kernel runs here at N=57, the shape where a block of
     # candidates is smallest and every per-feature loop is longest.
     spec = WIDE
-    data = wide_problem(spec["seed"], spec["n_features"], spec["samples"])
+    data = generate_linear(spec["samples"], spec["n_features"], seed=spec["seed"])
     config = GAConfig(
         population_size=spec["population"],
         generations=spec["generations"],
@@ -139,6 +132,29 @@ def test_wide_search():
     front = run_optimization(data, calibrate_quantizer(data, spec["levels"]), config)
     assert_front(front, spec)
     assert_hypervolumes(front, spec)
+
+
+def test_linear_problem_is_the_bench_and_ci_draws():
+    # serve_wide and CI's wide page-fault step draw 400 training rows from
+    # default_rng([seed, 57]) and label them by the rule written out here;
+    # serve_wide then draws its 20 x 100 query pool from the same generator,
+    # and its golden digest holds the predictions of the uniform model
+    # trained on those rows.
+    spec = GOLDEN["serve_wide"]
+    seed, n_features = GOLDEN["seed"], spec["n_features"]
+    train = generate_linear(400, n_features, seed=seed)
+    rng = np.random.default_rng([seed, n_features])
+    x = rng.uniform(0.0, 1.0, size=(400, n_features))
+    labels = 1 + (x[:, :28].sum(axis=1) > x[:, 28:56].sum(axis=1))
+    assert np.array_equal(train.features, x)
+    assert np.array_equal(train.labels, labels)
+    pool = rng.uniform(-0.1, 1.1, size=(20, 100, n_features))
+    model = fit_baseline(train, spec["dim"], spec["levels"], seed)
+    predictions = np.concatenate([predict_batch(batch, model) for batch in pool])
+    digest = hashlib.sha256(predictions.astype("<i8").tobytes()).hexdigest()
+    assert digest == spec["predictions_sha256"]
+    # A longer draw starts with the same rows, so its later rows are a test set.
+    assert np.array_equal(generate_linear(2400, n_features, seed=seed).features[:400], x)
 
 
 def test_baseline_d8192_train_wacc(tmp_path, capsys):

@@ -17,6 +17,7 @@ from hvdesign import (
     repair_budget,
     uniform_flip_budget,
 )
+from hvdesign.hypervector import _flip_levels, _schedule
 
 
 def dot(a, b):
@@ -159,6 +160,57 @@ class TestBuildLevelTable:
         # No re-flips: level m is (b_1 + ... + b_{m-1}) bits away from level 1.
         distances = np.count_nonzero(signs != signs[:, :1], axis=2)
         assert distances.tolist() == [[0, *np.cumsum(r).tolist()] for r in rows]
+
+
+def bincount_flip_levels(perms, budgets):
+    """The reference layout of `_flip_levels`: position j of a row in
+    permutation order has the number of prefix sums 0, b_1, b_1 + b_2, ...
+    at or below j, from a `bincount` of the prefix sums and its running
+    sum, scattered to the permutation's indices."""
+    n_features, dim = perms.shape
+    n_levels = budgets.shape[-1] + 1
+    rows = budgets.reshape(-1, n_levels - 1)
+    prefix = np.zeros((len(rows), n_levels), dtype=np.int64)
+    np.cumsum(rows, axis=1, out=prefix[:, 1:])
+    prefix += dim * np.arange(len(rows))[:, None]
+    in_order = np.bincount(prefix.ravel(), minlength=len(rows) * dim).reshape(len(rows), dim)
+    np.cumsum(in_order, axis=1, out=in_order)
+    flips = np.empty(budgets.shape[:-1] + (dim,), dtype=np.min_scalar_type(n_levels))
+    flips[..., np.arange(n_features)[:, None], perms] = in_order.reshape(flips.shape)
+    return flips
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("dim", [2, 64, 2048, 8192])
+    def test_matches_integers_then_permutation(self, seed, dim):
+        bases, perms = _schedule(seed, 3, dim)
+        assert bases.dtype == np.int8 and perms.dtype == np.int64
+        for n in range(3):
+            rng = np.random.default_rng([seed, n])
+            assert bases[n].tolist() == (2 * rng.integers(0, 2, size=dim) - 1).tolist()
+            assert perms[n].tolist() == rng.permutation(dim).tolist()
+
+    @pytest.mark.parametrize("candidates", [None, 1, 31])
+    @pytest.mark.parametrize("n_features", [0, 1, 57])
+    @pytest.mark.parametrize("levels", [2, 20, 300])
+    @pytest.mark.parametrize("dim", [2, 64, 2048])
+    def test_flip_levels_match_bincount_form(self, candidates, n_features, levels, dim):
+        # Sorted cut points in 0..D/2 give feasible rows of any prefix
+        # shape; a block of 31 also holds a zero budget and a budget whose
+        # every row is D/2 flips at one transition.
+        rng = np.random.default_rng([n_features, levels, dim])
+        cuts = np.sort(rng.integers(0, dim // 2 + 1, size=(31, n_features, levels - 1)), axis=-1)
+        budgets = np.diff(cuts, axis=-1, prepend=0)
+        budgets[:2] = 0
+        budgets[1, :, rng.integers(levels - 1)] = dim // 2
+        budgets = {None: budgets[2], 1: budgets[2:3], 31: budgets}[candidates]
+        _, perms = _schedule(7, n_features, dim)
+        got = _flip_levels(perms, budgets)
+        want = bincount_flip_levels(perms, budgets)
+        assert got.shape == want.shape == budgets.shape[:-1] + (dim,)
+        assert got.dtype == want.dtype == np.min_scalar_type(levels)
+        assert np.array_equal(got, want)
 
 
 class TestLevelVector:

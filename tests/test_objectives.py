@@ -529,6 +529,28 @@ class TestEvaluateCandidate:
         ]
         assert_population_matches_pipeline(motivational, quantizer, 5, population)
 
+    @pytest.mark.parametrize("n_features", [1, 2, 57])
+    @pytest.mark.parametrize("levels", [2, 20, 255, 256, 300])
+    def test_distinct_rows_and_counts_match_unique_rows(self, n_features, levels):
+        # 300 samples drawn from 40 level rows, so rows repeat; from 256
+        # levels on the row keys take two bytes per level.
+        rng = np.random.default_rng([n_features, levels])
+        prototypes = rng.integers(0, levels, size=(40, n_features))
+        train = Dataset(
+            features=prototypes[rng.integers(0, 40, size=300)].astype(np.float64),
+            labels=rng.integers(1, 4, size=300),
+            label_names=["a", "b", "c"],
+        )
+        span = np.full(n_features, float(levels))
+        quantizer = Quantizer(mins=np.zeros(n_features), maxs=span, levels=levels)
+        evaluator = CandidateEvaluator(train, quantizer, 0)
+        levels_of = quantizer.quantize_matrix(train.features)
+        rows, row_of = np.unique(levels_of, axis=0, return_inverse=True)
+        counts = np.zeros((3, len(rows)), dtype=np.int64)
+        np.add.at(counts, (train.labels - 1, row_of.reshape(-1)), 1)
+        assert evaluator.rows.dtype == rows.dtype and np.array_equal(evaluator.rows, rows)
+        assert evaluator.counts.dtype == counts.dtype and np.array_equal(evaluator.counts, counts)
+
     @pytest.mark.parametrize("label", [0, 3])
     def test_labels_outside_classes_rejected(self, label):
         train = Dataset(
