@@ -6,6 +6,16 @@ ranking, front extraction and the hypervolume (both the rows of rank 0)
 share; `dominates` is the reference predicate on a single pair of
 ObjectiveScores, which also orders feasible budgets before infeasible ones.
 
+A search ranks its initial population once, then one population per
+generation: the 2P parents and children merged for survival. The P
+survivors carry their merged ranks into the next generation, where they
+drive the tournaments (with `_crowding` on those ranks), mark the front
+whose hypervolume is recorded, and in the end give the returned front.
+Carried ranks are exact. Survival keeps whole fronts below the cut and
+part of the cut front, so every point that dominates a survivor is itself
+a survivor; a point's rank is the length of the longest chain of points
+that dominate it, so no survivor's rank changes when the rest are dropped.
+
 Inside the search a population is two arrays: (P, N, M-1) int64 genes, one
 flip-budget matrix per member, and (P, 2) float64 scores whose columns are
 (wAcc, avgSim), the rows `CandidateEvaluator` scores. FlipBudget and
@@ -136,18 +146,26 @@ def rank_population(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first front whose smallest avgSim so far is above its own, found by
     binary search (Jensen 2003): O(P log P) for P rows, not the O(P^2)
     dominance matrix of Deb et al. (2002). Exact duplicates share a rank.
+    Crowding is `_crowding` on those ranks. A NaN anywhere in the array
+    raises ValueError: a sort cannot order it.
+    """
+    ranks = _ranks(scores)
+    return ranks, _crowding(scores, ranks)
+
+
+def _crowding(scores: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Crowding distance of each row of a (P, 2) score array within its
+    front, given the rows' non-dominated ranks.
 
     Crowding is the per-front sum of the normalized wAcc gap, then the
     avgSim gap, between each point's neighbours in that objective. The
     boundary points of each front, and every member of a front of at most
     2, get infinite crowding; an objective that spans 0 on a front adds no
-    gaps there. A NaN anywhere in the array raises ValueError: a sort
-    cannot order it.
+    gaps there.
     """
-    ranks = _ranks(scores)
     crowding = np.zeros(len(scores), dtype=np.float64)
     if not len(scores):
-        return ranks, crowding
+        return crowding
     for col in (0, 1):  # wAcc, avgSim
         # Fronts in rank order, each sorted by the objective, ties by index.
         order = np.lexsort((scores[:, col], ranks))
@@ -159,7 +177,7 @@ def rank_population(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         span = np.repeat(vals[ends] - vals[starts], ends - starts + 1)
         inner = np.flatnonzero(~(first | last) & (span != 0))
         crowding[order[inner]] += (vals[inner + 1] - vals[inner - 1]) / span[inner]
-    return ranks, crowding
+    return crowding
 
 
 def initialize_population(config: GAConfig, n_features: int) -> np.ndarray:
@@ -292,13 +310,16 @@ def _selection_order(ranks: np.ndarray, crowding: np.ndarray) -> np.ndarray:
 def evolve_generation(
     genes: np.ndarray,
     scores: np.ndarray,
+    ranks: np.ndarray,
     evaluator: CandidateEvaluator,
     config: GAConfig,
     generation: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One (mu + lambda) NSGA-II step on (P, N, M-1) genes and their (P, 2)
-    scores; returns the surviving genes and scores."""
-    ranks, crowding = rank_population(scores)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (mu + lambda) NSGA-II step on (P, N, M-1) genes, their (P, 2)
+    scores and the scores' non-dominated ranks; returns the surviving
+    genes, scores and ranks. The merged population of parents and children
+    is the only one ranked: the survivors keep their merged ranks."""
+    crowding = _crowding(scores, ranks)
     size = len(genes)
     picks, swap, mutate, fresh = _variation_draws(config, size, genes.shape[1:], generation)
 
@@ -315,8 +336,9 @@ def evolve_generation(
 
     genes = np.concatenate([genes, children])
     scores = np.concatenate([scores, evaluator._scores(children, config.dim)])
-    survivors = _selection_order(*rank_population(scores))[:size]
-    return genes[survivors], scores[survivors]
+    merged_ranks, merged_crowding = rank_population(scores)
+    survivors = _selection_order(merged_ranks, merged_crowding)[:size]
+    return genes[survivors], scores[survivors], merged_ranks[survivors]
 
 
 def hypervolume(scores: np.ndarray) -> float:
@@ -342,12 +364,13 @@ def run_optimization(
     evaluator = CandidateEvaluator(train, quantizer, config.seed)
     genes = initialize_population(config, train.n_features)
     scores = evaluator._scores(genes, config.dim)
-    hypervolumes = [hypervolume(scores)]
+    ranks = _ranks(scores)
+    hypervolumes = [hypervolume(scores[ranks == 0])]
     for gen in range(config.generations):
-        genes, scores = evolve_generation(genes, scores, evaluator, config, gen)
-        hypervolumes.append(hypervolume(scores))
+        genes, scores, ranks = evolve_generation(genes, scores, ranks, evaluator, config, gen)
+        hypervolumes.append(hypervolume(scores[ranks == 0]))
 
-    front = _ranks(scores) == 0
+    front = ranks == 0
     genes, scores = genes[front], scores[front]
     _, first = np.unique(genes.reshape(len(genes), -1), axis=0, return_index=True)
     order = sorted(

@@ -27,7 +27,10 @@ O(N*D*K) per candidate:
   sum of base[n, d] * E_k[d] over the indices with t(n, d) >= j, less the
   sum over the rest (`_projection`);
 - the winner of a row is the argmax of (x_s . e_k) / |e_k|: |x_s| is the
-  same for every class of a row, so it cannot move the argmax.
+  same for every class of a row, so it cannot move the argmax. The
+  squared norms |e_k|**2 are the diagonal of the encoders' exact Gram
+  matrix (`_gram`), the same matrix avgSim takes its cosines from, so
+  candidate scoring computes them once.
 
 `_winners` settles the winners of a whole population at once as a
 (P, K, S) bool mask with one True per candidate and row: candidate
@@ -44,10 +47,12 @@ neither on the batch it is scored in nor on the BLAS and its summation
 order.
 
 Every reported cosine (avgSim, `classify`'s similarities and the appendix
-experiment's decision) comes from `pairwise_similarities`, an exact int64
-Gram matrix of integer-valued vectors, so it too is the same in any
-summation order; `log` and `exp` in avgSim are the only platform math
-functions left.
+experiment's decision) comes from an exact int64 Gram matrix of
+integer-valued vectors (`_gram`) through one elementwise routine
+(`_cosines`), so it too is the same in any summation order and in any
+batch: `pairwise_similarities` is the two in a row, and candidate scoring
+keeps each block's Grams and takes the cosines of a whole population at
+once. `log` and `exp` in avgSim are the only platform math functions left.
 """
 
 from __future__ import annotations
@@ -122,10 +127,10 @@ def _class_encoders(bases: np.ndarray, flips: np.ndarray, weights: np.ndarray) -
 
 
 def _projection(bases: np.ndarray, flips: np.ndarray, encoders: np.ndarray,
-                n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+                n_levels: int) -> np.ndarray:
     """(P, N, M, K) int64 P[p, n, m-1, k-1] = L[n, m] . e_k of each of the
-    P candidates, and their (P, K) squared encoder norms, from the (N, D)
-    base signs, the (P, N, D) flip levels and the (P, K, D) encoders.
+    P candidates, from the (N, D) base signs, the (P, N, D) flip levels and
+    the (P, K, D) encoders.
 
     With a_k[n, d] = base[n, d] * E_k[d], level j adds a_k at the indices
     whose flip level is at least j and subtracts it at the rest:
@@ -137,7 +142,7 @@ def _projection(bases: np.ndarray, flips: np.ndarray, encoders: np.ndarray,
     n_candidates, n_features, dim = flips.shape
     n_classes = encoders.shape[1]
     top = int(np.abs(encoders).max(initial=0))
-    if n_features * dim * top >= 2**53 or dim * top * top >= 2**63:
+    if n_features * dim * top >= 2**53:
         raise DataError(f"encoder entries up to {top} are too large for exact scoring")
     columns = encoders.astype(np.float64)[:, :, None, :]  # exact: |E| < 2**53
     sums = np.empty((n_classes, n_candidates, n_features, n_levels))
@@ -155,10 +160,7 @@ def _projection(bases: np.ndarray, flips: np.ndarray, encoders: np.ndarray,
             ).reshape(n_candidates, width, n_levels)
     signs = np.where(np.arange(n_levels)[:, None] >= np.arange(n_levels), 1.0, -1.0)
     projection = (sums.reshape(-1, n_levels) @ signs).reshape(sums.shape)
-    return (
-        projection.transpose(1, 2, 3, 0).astype(np.int64, order="C"),
-        np.einsum("pkd,pkd->pk", encoders, encoders),
-    )
+    return projection.transpose(1, 2, 3, 0).astype(np.int64, order="C")
 
 
 def _exact_score(dot: int, sq_norm: int) -> Fraction:
@@ -175,11 +177,12 @@ def _row_incidence(levels: np.ndarray, n_levels: int) -> np.ndarray:
     return incidence
 
 
-def _winners(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray,
+def _winners(projection: np.ndarray, gram: np.ndarray, levels: np.ndarray,
              incidence: np.ndarray | None = None) -> np.ndarray:
     """(P, K, S) bool mask of the class each of the P candidates gives each
     of the (S, N) rows of levels (values 1..M): one True per (p, s), at the
-    argmax of x_s . e_k / |e_k|, ties to the lowest k.
+    argmax of x_s . e_k / |e_k|, ties to the lowest k. The squared norms
+    |e_k|**2 are the diagonal of the encoders' (P, K, K) `_gram` matrices.
 
     The level scores of a row are summed in float64, exact under
     `_projection`'s bound: gathered, or, given the rows' `_row_incidence`,
@@ -200,6 +203,7 @@ def _winners(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray,
         scores = (columns.reshape(n_candidates * n_classes, -1) @ incidence).reshape(
             n_candidates, n_classes, -1
         )
+    sq_norms = np.diagonal(gram, axis1=1, axis2=2)
     norms = np.sqrt(sq_norms)
     norms[sq_norms == 0] = np.inf  # zero encoder: score 0
     scores /= norms[:, :, None]
@@ -221,10 +225,10 @@ def _winners(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray,
     return won
 
 
-def _nearest(projection: np.ndarray, sq_norms: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def _nearest(projection: np.ndarray, gram: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """(P, S) labels (1..K) of the `_winners` mask: the one True of each
     (p, s) picks its k from 1..K in a product, not a strided argmax."""
-    won = _winners(projection, sq_norms, levels)
+    won = _winners(projection, gram, levels)
     return np.arange(1, won.shape[1] + 1) @ won
 
 
@@ -254,10 +258,12 @@ class TrainedModel:
 
     @cached_property
     def _scoring(self) -> tuple[np.ndarray, np.ndarray]:
-        """The level projection and squared encoder norms `_nearest` takes,
+        """The level projection and encoder Gram matrix `_nearest` takes,
         for this model as a population of one."""
         table = self.table
-        return _projection(table.bases, table.flips[None], self.encoders[None], table.levels)
+        encoders = self.encoders[None]
+        projection = _projection(table.bases, table.flips[None], encoders, table.levels)
+        return projection, _gram(encoders)
 
     def __eq__(self, other) -> bool:
         return (
@@ -299,26 +305,38 @@ def _integer_valued(values, message: str) -> np.ndarray:
     return values
 
 
-def pairwise_similarities(vectors) -> np.ndarray:
-    """(..., K, K) cosine similarities between the rows of a (..., K, D)
-    stack of integer-valued vectors, such as class encoders; a zero row has
-    similarity 0 to every row.
-
-    The Gram matrix G is exact in int64 under the checked bound
-    D*max|v|**2 < 2**63, and each cosine is G_kl / (sqrt(G_kk)*sqrt(G_ll)),
-    correctly rounded operations in a fixed order, so it depends neither on
-    the summation order nor on the BLAS. A non-integer dtype is scanned
-    first: a value that is not finite or not a whole number raises, where a
-    cast would truncate it."""
+def _gram(vectors) -> np.ndarray:
+    """(..., K, K) int64 Gram matrix of the rows of a (..., K, D) stack of
+    integer-valued vectors, exact under the checked bound
+    D*max|v|**2 < 2**63. A non-integer dtype is scanned first: a value that
+    is not finite or not a whole number raises, where a cast would
+    truncate it."""
     vectors = _integer_valued(vectors, "cosines need finite, integer-valued vectors")
     top = int(np.abs(vectors).max(initial=0))
     if vectors.shape[-1] * top * top >= 2**63:
         raise DataError(f"vector entries up to {top} are too large for exact cosines")
     vectors = vectors.astype(np.int64, copy=False)
-    gram = np.einsum("...kd,...ld->...kl", vectors, vectors)
+    return np.einsum("...kd,...ld->...kl", vectors, vectors)
+
+
+def _cosines(gram: np.ndarray) -> np.ndarray:
+    """(..., K, K) cosines G_kl / (sqrt(G_kk)*sqrt(G_ll)) of a stack of
+    Gram matrices, correctly rounded operations in a fixed order; a zero
+    row has similarity 0 to every row."""
     norms = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
     norms[norms == 0.0] = np.inf  # zero-norm convention: similarity 0
     return gram / (norms[..., :, None] * norms[..., None, :])
+
+
+def pairwise_similarities(vectors) -> np.ndarray:
+    """(..., K, K) cosine similarities between the rows of a (..., K, D)
+    stack of integer-valued vectors, such as class encoders; a zero row has
+    similarity 0 to every row.
+
+    The cosines come from the exact int64 Gram matrix (`_gram`), so they
+    depend neither on the summation order nor on the BLAS; fractions, NaN
+    and infinity raise DataError."""
+    return _cosines(_gram(vectors))
 
 
 def predict_batch(features: np.ndarray, model: TrainedModel) -> np.ndarray:

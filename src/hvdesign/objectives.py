@@ -12,15 +12,20 @@ budget matrices in, (P, 2) float64 rows of (wAcc, avgSim) out. The stack is
 repaired in one array operation and the model's level-space kernel runs
 over a leading candidate axis, in blocks of candidates sized from the
 problem's shapes (see `_BLOCK_ELEMENTS`). A block's confusion diagonal
-comes straight from the kernel's winner mask, with no labels in between.
+comes straight from the kernel's winner mask, with no labels in between,
+and the squared encoder norms the winners are judged by are the diagonal
+of the block's exact encoder Gram matrices. A block keeps only its hits and
+those (B, K, K) Grams; avgSim is finished once per population, after the
+last block: cosines, logs, sums and `exp` over all the Grams at once.
 The GA keeps its population in that form, and only ever holds repaired,
 so feasible, budgets; `evaluate` scores one FlipBudget as a population of
 one. Scores do not depend on the population a budget is scored in: wAcc
 and avgSim keep the bytes of `weighted_accuracy` and `avg_similarity` on
 that budget's own confusion matrix and encoders.
 
-avgSim depends on no summation order: its cosines come from the exact
-integer Gram matrix of `pairwise_similarities`, and each set's logs are
+avgSim depends on no summation order and on no block size: its cosines
+are elementwise functions of the exact integer Gram matrix (`model._gram`,
+`model._cosines`, as in `pairwise_similarities`), and each set's logs are
 summed with `math.fsum`. `log` and `exp` are the only platform math
 functions left.
 """
@@ -39,13 +44,14 @@ from .hypervector import FlipBudget, _flip_levels, _repair, _schedule
 from .model import (
     _check_labels,
     _class_encoders,
+    _cosines,
     _encoder_weights,
+    _gram,
     _integer_valued,
     _level_histogram,
     _projection,
     _row_incidence,
     _winners,
-    pairwise_similarities,
 )
 
 SIMILARITY_CLAMP = 1e-12
@@ -124,10 +130,10 @@ def total_accuracy(confusion: np.ndarray) -> float:
     return float(np.trace(confusion) / total)
 
 
-def _avg_similarities(encoders: np.ndarray) -> list:
-    """avgSim of each of a (P, K, D) stack of encoder sets."""
-    k = encoders.shape[1]
-    sims = pairwise_similarities(encoders)[:, ~np.eye(k, dtype=bool)]
+def _avg_similarities(grams: np.ndarray) -> list:
+    """avgSim of each of a (P, K, K) stack of encoder Gram matrices."""
+    k = grams.shape[1]
+    sims = _cosines(grams)[:, ~np.eye(k, dtype=bool)]
     logs = np.log(np.maximum(sims, SIMILARITY_CLAMP))
     # fsum rounds each row's exact sum once, whatever the order of its terms.
     return [math.exp(math.fsum(row) / k) for row in logs.tolist()]
@@ -140,7 +146,7 @@ def avg_similarity(encoders: np.ndarray) -> float:
     k = encoders.shape[0]
     if k < 2:
         raise ValueError(f"need at least 2 class encoders, got {k}")
-    return _avg_similarities(encoders[None])[0]
+    return _avg_similarities(_gram(encoders[None]))[0]
 
 
 class CandidateEvaluator:
@@ -210,14 +216,15 @@ class CandidateEvaluator:
         bases, perms = self._schedules[dim]
         genes = _repair(genes, dim)
         block = max(1, _BLOCK_ELEMENTS // (n_features * dim * self.n_classes + self.counts.size))
-        hits, avg_sims = [], []
+        hits, grams = [], []
         for start in range(0, len(genes), block):
             flips = _flip_levels(perms, genes[start : start + block])
             encoders = _class_encoders(bases, flips, self.weights)
             projection = _projection(bases, flips, encoders, n_levels)
-            won = _winners(*projection, self.rows, self.incidence)  # (B, K, U)
+            gram = _gram(encoders)  # (B, K, K)
+            won = _winners(projection, gram, self.rows, self.incidence)  # (B, K, U)
             # hits[p, k-1] = training samples of class k that candidate p gives class k
             hits.append(np.einsum("pku,ku->pk", won, self.counts))
-            avg_sims += _avg_similarities(encoders)
+            grams.append(gram)
         waccs = _macro_recalls(np.concatenate(hits), self.class_sizes)
-        return np.column_stack([waccs, avg_sims])
+        return np.column_stack([waccs, _avg_similarities(np.concatenate(grams))])

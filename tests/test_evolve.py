@@ -25,6 +25,7 @@ from hvdesign.evolve import (
     _generation_rng,
     _loop_draws,
     _ranks,
+    _selection_order,
     _variation_draws,
 )
 
@@ -216,8 +217,8 @@ class TestRankPopulation:
         assert np.flatnonzero(_ranks(scores) == 0).tolist() == kept
 
     def test_grid_generation_matches_reference(self, motivational, monkeypatch):
-        # The 400 rows ranked at the end of the seed-0 grid search's first
-        # generation: float scores, many of them near-ties.
+        # The 400 rows ranked in the seed-0 grid search's first generation,
+        # its only ranking: float scores, many of them near-ties.
         config = GAConfig(seed=0)
         evaluator = CandidateEvaluator(
             motivational, calibrate_quantizer(motivational, config.levels), config.seed
@@ -230,13 +231,27 @@ class TestRankPopulation:
             return rank_population(scores)
 
         monkeypatch.setattr(evolve, "rank_population", recorded)
-        evolve_generation(genes, evaluator._scores(genes, config.dim), evaluator, config, 0)
-        scores = ranked[1]
+        scores = evaluator._scores(genes, config.dim)
+        evolve_generation(genes, scores, _ranks(scores), evaluator, config, 0)
+        assert len(ranked) == 1
+        scores = ranked[0]
         assert scores.shape == (400, 2)
         ranks, crowding = rank_population(scores)
         assert np.array_equal(ranks, reference_ranks(as_scored(scores)))
         assert np.array_equal(crowding, reference_crowding(scores, ranks))
         assert ranks.max() > 1 and np.isfinite(crowding).sum() > 100
+
+    @given(st.integers(2, 40).flatmap(
+        lambda size: st.tuples(st.just(size), st.lists(st.tuples(grid, grid),
+                                                       min_size=2 * size, max_size=2 * size))))
+    @settings(max_examples=300, deadline=None)
+    def test_survivors_keep_their_merged_ranks(self, drawn):
+        # Survival keeps whole fronts and part of the cut front, so ranking
+        # the P survivors alone gives them the ranks they had among all 2P.
+        size, points = drawn
+        merged = np.array(points, dtype=np.float64)
+        kept = _selection_order(*rank_population(merged))[:size]
+        assert np.array_equal(_ranks(merged)[kept], _ranks(merged[kept]))
 
     def test_nan_rejected(self):
         scores = np.array([[np.nan, 0.5], [0.5, 0.5], [0.4, 0.6]])
@@ -293,8 +308,11 @@ class TestEvolveGeneration:
         config = GAConfig(seed=3, **MICRO_CONFIG)
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, config.seed)
         genes, scores = scored_population(config, evaluator)
-        survivors, survivor_scores = evolve_generation(genes, scores, evaluator, config, 0)
+        survivors, survivor_scores, ranks = evolve_generation(
+            genes, scores, _ranks(scores), evaluator, config, 0
+        )
         assert survivors.shape == genes.shape and survivor_scores.shape == scores.shape
+        assert ranks.shape == (len(genes),) and ranks.dtype == np.int64
         assert np.all(survivors.sum(axis=2) <= config.dim // 2)
         for g, want in zip(survivors, as_scored(survivor_scores)):
             assert evaluator.evaluate(FlipBudget(budgets=g, dim=config.dim)) == want
@@ -304,18 +322,22 @@ class TestEvolveGeneration:
         config = GAConfig(seed=seed, **MICRO_CONFIG)
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, config.seed)
         genes, scores = scored_population(config, evaluator)
+        ranks = _ranks(scores)
         for gen in range(5):
             want = reference_generation(genes, scores, evaluator, config, gen)
-            genes, scores = evolve_generation(genes, scores, evaluator, config, gen)
+            genes, scores, ranks = evolve_generation(genes, scores, ranks, evaluator, config, gen)
             assert np.array_equal(genes, want[0]) and scores.tobytes() == want[1].tobytes()
+            # The carried ranks are the ones the survivors have among themselves.
+            assert np.array_equal(ranks, _ranks(scores))
 
     def test_elitism_keeps_nondominated_parents(self, micro_dataset, micro_quantizer):
         config = GAConfig(seed=3, **MICRO_CONFIG)
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, config.seed)
         genes, scores = scored_population(config, evaluator)
-        ranks, _ = rank_population(scores)
+        ranks = _ranks(scores)
         elite = member_keys(genes[ranks == 0], scores[ranks == 0])
-        assert elite <= member_keys(*evolve_generation(genes, scores, evaluator, config, 0))
+        survivors, survivor_scores, _ = evolve_generation(genes, scores, ranks, evaluator, config, 0)
+        assert elite <= member_keys(survivors, survivor_scores)
 
 
 def assert_same_draws(got, want):

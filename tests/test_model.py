@@ -28,6 +28,7 @@ from hvdesign.hypervector import _flip_levels, _schedule
 from hvdesign.model import (
     _class_encoders,
     _encoder_weights,
+    _gram,
     _projection,
     _row_incidence,
     _winners,
@@ -228,14 +229,14 @@ def sign_path_encoders(signs, histogram):
 
 
 def sign_path_projection(signs, encoders):
-    """(P, N, M, K) int64 projection L[n, m] . e_k and (P, K) squared norms,
-    one float64 product a feature, from (P, N, M, D) level signs."""
+    """(P, N, M, K) int64 projection L[n, m] . e_k, one float64 product a
+    feature, from (P, N, M, D) level signs."""
     n_candidates, n_features, n_levels, dim = signs.shape
     columns = encoders.transpose(0, 2, 1).astype(np.float64)
     projection = np.empty((n_candidates, n_features, n_levels, encoders.shape[1]))
     for n in range(n_features):
         np.matmul(signs[:, n], columns, out=projection[:, n])
-    return projection.astype(np.int64), np.einsum("pkd,pkd->pk", encoders, encoders)
+    return projection.astype(np.int64)
 
 
 @st.composite
@@ -330,22 +331,23 @@ class TestLevelSpaceKernel:
         encoders = _class_encoders(bases, flips, _encoder_weights(histogram, n_levels))
         want = sign_path_encoders(signs, histogram)
         assert encoders.dtype == want.dtype and encoders.tobytes() == want.tobytes()
-        for got, want in zip(_projection(bases, flips, encoders, n_levels),
-                             sign_path_projection(signs, want)):
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        got = _projection(bases, flips, encoders, n_levels)
+        want = sign_path_projection(signs, encoders)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     @given(winner_problems())
     @settings(max_examples=300, deadline=None)
     def test_winners_match_exact_reference(self, problem):
         bases, flips, encoders, levels, n_levels = problem
         projection = _projection(bases, flips, encoders, n_levels)
-        won = _winners(*projection, levels)
+        gram = _gram(encoders)
+        won = _winners(projection, gram, levels)
         assert won.shape == (len(flips), encoders.shape[1], len(levels))
         assert won.dtype == bool and np.all(won.sum(axis=1) == 1)
         signs = level_signs(bases, flips, n_levels)
         assert (won.argmax(axis=1) + 1).tolist() == reference_winners(signs, encoders, levels)
-        summed = _winners(*projection, levels, _row_incidence(levels, n_levels))
+        summed = _winners(projection, gram, levels, _row_incidence(levels, n_levels))
         assert np.array_equal(summed, won)
 
     @given(training_problems(), st.integers(0, 2**32 - 1))

@@ -26,6 +26,7 @@ from hvdesign import (
     confusion_matrix,
     encode_quantized,
     fit_baseline,
+    generate_linear,
     pairwise_similarities,
     predict_batch,
     repair_budget,
@@ -519,15 +520,26 @@ class TestEvaluateCandidate:
         assert class_sizes.tolist() == np.bincount(train.labels - 1, minlength=train.n_classes).tolist()
 
     def test_population_across_blocks_matches_public_pipeline(self, motivational):
-        # The acceptance grid: at D=64, M=20 a scoring block holds 22
+        # The acceptance grid: at D=64, M=20 a scoring block holds 31
         # candidates, so these 50 distinct budgets, some of them infeasible,
-        # span three blocks.
+        # span two blocks.
         quantizer = calibrate_quantizer(motivational, 20)
         rng = np.random.default_rng(3)
         population = [
             FlipBudget(budgets=rng.integers(0, 4, size=(2, 19)), dim=64) for _ in range(50)
         ]
         assert_population_matches_pipeline(motivational, quantizer, 5, population)
+        # The wide problem (N=57, K=2), in blocks of one candidate and in one
+        # block: avgSim, finished once over the Grams of every block, keeps
+        # each candidate's own bytes.
+        wide = generate_linear(400, 57)
+        quantizer = calibrate_quantizer(wide, 20)
+        population = [
+            FlipBudget(budgets=rng.integers(0, 4, size=(57, 19)), dim=64) for _ in range(12)
+        ]
+        for block_elements in (1, 2**24):
+            with mock.patch.object(objectives, "_BLOCK_ELEMENTS", block_elements):
+                assert_population_matches_pipeline(wide, quantizer, 5, population)
 
     @pytest.mark.parametrize("n_features", [1, 2, 57])
     @pytest.mark.parametrize("levels", [2, 20, 255, 256, 300])
