@@ -5,7 +5,7 @@ standard uniform-budget pipeline even at D=8192, because quantization
 levels on both sides of a boundary stay too similar. Searching per-gap
 flip budgets at D=64 finds encodings that separate the classes perfectly.
 
-Runtime: one to two minutes for the full-size search.
+Runtime: about two seconds for the full-size search.
 """
 
 import numpy as np

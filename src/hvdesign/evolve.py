@@ -3,8 +3,8 @@
 The two objectives are (maximize wAcc, minimize avgSim). Dominance is
 decided in one place, `_ranks`, a sort-based non-dominated sort that
 ranking, front extraction and the hypervolume (both the rows of rank 0)
-share; `dominates` is the reference predicate on a single pair of
-ObjectiveScores, which also orders feasible budgets before infeasible ones.
+share; `dominates` is the reference predicate, plain Pareto dominance on
+a single pair of ObjectiveScores.
 
 A search ranks its initial population once, then one population per
 generation: the 2P parents and children merged for survival. The P
@@ -18,7 +18,7 @@ that dominate it, so no survivor's rank changes when the rest are dropped.
 
 Inside the search a population is two arrays: (P, N, M-1) int64 genes, one
 flip-budget matrix per member, and (P, 2) float64 scores whose columns are
-(wAcc, avgSim), the rows `CandidateEvaluator` scores. FlipBudget and
+(wAcc, avgSim), the rows `CandidateEvaluator.score` returns. FlipBudget and
 ObjectiveScores objects are built only for the returned front.
 
 Variation is binary tournament selection, per-gene uniform crossover and
@@ -31,9 +31,10 @@ in the block is one numpy would reject and redraw, the generation runs the
 loop itself, which also stays as the reference. Winners and children are
 then formed with array operations on the draws. The children are repaired in
 one array operation, the same floor-rescale `repair_budget` applies, which
-keeps every row sum within D/2, so only feasible individuals are ever
-scored, and the scores need no feasibility column; all of a generation's
-children are scored in one call, as is the initial population.
+keeps every row sum within D/2: scoring refuses an infeasible budget, so
+the GA repairs every budget before it scores it, and ranking is plain
+Pareto dominance. All of a generation's children are scored in one call,
+as is the initial population.
 
 Randomness comes from explicitly indexed substreams of the master seed
 (one for initialization, one per generation for variation), so results are
@@ -105,10 +106,7 @@ class ParetoFront:
 
 
 def dominates(a: ObjectiveScores, b: ObjectiveScores) -> bool:
-    """Pareto dominance on (max wAcc, min avgSim); a feasible budget
-    dominates every infeasible one."""
-    if a.feasible != b.feasible:
-        return a.feasible
+    """Pareto dominance on (max wAcc, min avgSim)."""
     if a.wacc < b.wacc or a.avg_sim > b.avg_sim:
         return False
     return a.wacc > b.wacc or a.avg_sim < b.avg_sim
@@ -335,7 +333,7 @@ def evolve_generation(
     children = _repair(np.where(mutate, fresh, pairs.reshape(genes.shape)), config.dim)
 
     genes = np.concatenate([genes, children])
-    scores = np.concatenate([scores, evaluator._scores(children, config.dim)])
+    scores = np.concatenate([scores, evaluator.score(children, config.dim)])
     merged_ranks, merged_crowding = rank_population(scores)
     survivors = _selection_order(merged_ranks, merged_crowding)[:size]
     return genes[survivors], scores[survivors], merged_ranks[survivors]
@@ -363,7 +361,7 @@ def run_optimization(
         raise ShapeError("config levels do not match the calibrated quantizer")
     evaluator = CandidateEvaluator(train, quantizer, config.seed)
     genes = initialize_population(config, train.n_features)
-    scores = evaluator._scores(genes, config.dim)
+    scores = evaluator.score(genes, config.dim)
     ranks = _ranks(scores)
     hypervolumes = [hypervolume(scores[ranks == 0])]
     for gen in range(config.generations):
@@ -378,7 +376,7 @@ def run_optimization(
         key=lambda i: (-scores[i, 0], scores[i, 1], genes[i].tobytes()),
     )
     members = [
-        (FlipBudget(budgets=genes[i], dim=config.dim), ObjectiveScores(wacc, sim, feasible=True))
+        (FlipBudget(budgets=genes[i], dim=config.dim), ObjectiveScores(wacc, sim))
         for i, (wacc, sim) in zip(order, scores[order].tolist())
     ]
 

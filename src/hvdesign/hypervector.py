@@ -210,12 +210,21 @@ class LevelTable:
     __hash__ = None
 
 
-def build_level_table(base_seed, budget: FlipBudget) -> LevelTable:
-    """The level table a flip budget gives from the schedule of `base_seed`."""
-    if not budget.feasible:
+def _check_feasible(budgets: np.ndarray, dim: int) -> None:
+    """Raise ConstraintError when a row of (..., N, M-1) budgets sums past
+    D/2, naming the row sums of the first budget that holds one."""
+    sums = budgets.sum(axis=-1).reshape(math.prod(budgets.shape[:-2]), budgets.shape[-2])
+    over = (sums > dim // 2).any(axis=1)
+    if over.any():
         raise ConstraintError(
-            f"budget row sums {budget.row_sums.tolist()} exceed D/2 = {budget.dim // 2}"
+            f"budget row sums {sums[over.argmax()].tolist()} exceed D/2 = {dim // 2}"
         )
+
+
+def build_level_table(base_seed, budget: FlipBudget) -> LevelTable:
+    """The level table a flip budget gives from the schedule of `base_seed`;
+    a budget with a row over D/2 raises ConstraintError."""
+    _check_feasible(budget.budgets, budget.dim)
     bases, perms = _schedule(base_seed, budget.features, budget.dim)
     return LevelTable(bases=bases, flips=_flip_levels(perms, budget.budgets), budgets=budget)
 

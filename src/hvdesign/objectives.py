@@ -4,21 +4,22 @@ Two objectives drive the flip-budget search: maximize the macro-averaged
 recall on the training split (wAcc) and minimize the geometric mean of
 pairwise class-encoder cosine similarities (avgSim). Robustness is
 1 - avgSim. Feasibility is the per-feature row-sum constraint on the
-budget, `FlipBudget.feasible`; `evaluate` scores an infeasible budget on
-its repaired form and carries feasible=False from the budget.
+budget, `FlipBudget.feasible`; scoring refuses a budget with a row over
+D/2 with the ConstraintError `build_level_table` raises, so every score is
+of a feasible budget.
 
-`CandidateEvaluator` scores a population as arrays: a (P, N, M-1) stack of
-budget matrices in, (P, 2) float64 rows of (wAcc, avgSim) out. The stack is
-repaired in one array operation and the model's level-space kernel runs
-over a leading candidate axis, in blocks of candidates sized from the
-problem's shapes (see `_BLOCK_ELEMENTS`). A block's confusion diagonal
-comes straight from the kernel's winner mask, with no labels in between,
-and the squared encoder norms the winners are judged by are the diagonal
-of the block's exact encoder Gram matrices. A block keeps only its hits and
-those (B, K, K) Grams; avgSim is finished once per population, after the
-last block: cosines, logs, sums and `exp` over all the Grams at once.
-The GA keeps its population in that form, and only ever holds repaired,
-so feasible, budgets; `evaluate` scores one FlipBudget as a population of
+`CandidateEvaluator.score` scores a population as arrays: a (P, N, M-1)
+stack of budget matrices in, (P, 2) float64 rows of (wAcc, avgSim) out. The
+model's level-space kernel runs over a leading candidate axis, in blocks of
+candidates sized from the problem's shapes (see `_BLOCK_ELEMENTS`). A
+block's confusion diagonal comes straight from the kernel's winner mask,
+with no labels in between, and the squared encoder norms the winners are
+judged by are the diagonal of the block's exact encoder Gram matrices. A
+block keeps only its hits and those (B, K, K) Grams; avgSim is finished
+once per population, after the last block: cosines, logs, sums and `exp`
+over all the Grams at once.
+The GA keeps its population in that form, and repairs every budget
+before it scores it; `evaluate` scores one FlipBudget as a population of
 one. Scores do not depend on the population a budget is scored in: wAcc
 and avgSim keep the bytes of `weighted_accuracy` and `avg_similarity` on
 that budget's own confusion matrix and encoders.
@@ -35,12 +36,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .data import Dataset, Quantizer
 from .errors import DataError, ShapeError
-from .hypervector import FlipBudget, _flip_levels, _repair, _schedule
+from .hypervector import FlipBudget, _check_feasible, _flip_levels, _schedule
 from .model import (
     _check_labels,
     _class_encoders,
@@ -78,7 +80,8 @@ _BLOCK_ELEMENTS = 2**16
 class ObjectiveScores:
     wacc: float
     avg_sim: float
-    feasible: bool
+    # True by construction, as scoring refuses infeasible budgets; bench/ reads it.
+    feasible: ClassVar[bool] = True
 
     @property
     def robustness(self) -> float:
@@ -160,14 +163,13 @@ class CandidateEvaluator:
     byte key per row (its levels in big-endian `np.min_scalar_type(M)`, so
     keys sort bytewise as rows sort by value), in the order and with the
     inverse of `np.unique(axis=0)`; the class counts are one `bincount` of
-    (class, row) pairs. A population of budgets is repaired in one array
-    operation; then, one block of candidates at a time, the flip level of
-    every index is laid out from the budgets and scored in level space with
-    the model's kernel: encoders from the weights, the winner mask of the U
-    distinct rows from the level projection and the incidence matrix, and
-    the confusion diagonal as the mask's integer product with the class
-    counts. Pure: identical budgets give identical scores, alone or in any
-    population.
+    (class, row) pairs. Then, one block of candidates at a time, the flip
+    level of every index is laid out from the budgets and scored in level
+    space with the model's kernel: encoders from the weights, the winner
+    mask of the U distinct rows from the level projection and the incidence
+    matrix, and the confusion diagonal as the mask's integer product with
+    the class counts. Pure: identical budgets give identical scores, alone
+    or in any population.
     """
 
     def __init__(self, train: Dataset, quantizer: Quantizer, base_seed):
@@ -198,23 +200,25 @@ class CandidateEvaluator:
 
     def evaluate(self, budget: FlipBudget) -> ObjectiveScores:
         """The scores of one budget: a population of one."""
+        return ObjectiveScores(*self.score(budget.budgets[None], budget.dim)[0].tolist())
+
+    def score(self, genes: np.ndarray, dim: int) -> np.ndarray:
+        """(P, 2) float64 rows (wAcc, avgSim) of a (P, N, M-1) stack of
+        budgets of dimension `dim`. Budgets of another (N, M-1) than the
+        training split's raise ShapeError, and a budget with a row over D/2
+        raises ConstraintError."""
         n_features, n_levels = self.train.n_features, self.quantizer.levels
-        if budget.features != n_features or budget.levels != n_levels:
+        if genes.shape[1:] != (n_features, n_levels - 1):
             raise ShapeError(
-                f"budget shape ({budget.features}, {budget.levels - 1}) does not match "
+                f"budget shape {genes.shape[1:]} does not match "
                 f"dataset N={n_features}, M={n_levels}"
             )
-        wacc, avg_sim = self._scores(budget.budgets[None], budget.dim)[0].tolist()
-        return ObjectiveScores(wacc, avg_sim, feasible=budget.feasible)
-
-    def _scores(self, genes: np.ndarray, dim: int) -> np.ndarray:
-        """(P, 2) float64 rows (wAcc, avgSim) of a non-empty (P, N, M-1)
-        stack of budgets of dimension `dim`, each scored on its repaired form."""
-        n_features, n_levels = genes.shape[1], genes.shape[2] + 1
+        _check_feasible(genes, dim)
+        if not len(genes):
+            return np.empty((0, 2))
         if dim not in self._schedules:
             self._schedules[dim] = _schedule(self.base_seed, n_features, dim)
         bases, perms = self._schedules[dim]
-        genes = _repair(genes, dim)
         block = max(1, _BLOCK_ELEMENTS // (n_features * dim * self.n_classes + self.counts.size))
         hits, grams = [], []
         for start in range(0, len(genes), block):

@@ -33,12 +33,14 @@ MICRO_CONFIG = dict(population_size=40, generations=50, dim=16, levels=3, mutati
 
 
 def exhaustive_front(dataset, quantizer, base_seed):
-    """Brute-force Pareto oracle over all 81 micro-problem budgets."""
+    """Brute-force Pareto oracle over the 45 feasible micro-problem budgets:
+    the (b1, b2) pairs in 0..8 with b1 + b2 <= D/2 = 8."""
     evaluator = CandidateEvaluator(dataset, quantizer, base_seed)
     scored = {
         (b1, b2): evaluator.evaluate(FlipBudget(budgets=np.array([[b1, b2]]), dim=16))
         for b1 in range(9)
         for b2 in range(9)
+        if b1 + b2 <= 8
     }
     return {
         key
@@ -101,10 +103,9 @@ def union_area(points, ref=(0.0, 1.0)):
 
 
 # Objective values on a 1/8 grid: many ties, and every sum and product in
-# the hypervolume is exact in float64, so areas compare with ==. The search
-# scores only repaired budgets, so every member is feasible.
+# the hypervolume is exact in float64, so areas compare with ==.
 grid = st.integers(0, 8).map(lambda k: k / 8)
-scores = st.builds(ObjectiveScores, wacc=grid, avg_sim=grid, feasible=st.just(True))
+scores = st.builds(ObjectiveScores, wacc=grid, avg_sim=grid)
 # Members drawn from a small pool repeat the same ObjectiveScores object.
 populations = st.lists(scores, min_size=1, max_size=10).flatmap(
     lambda pool: st.lists(st.sampled_from(pool), max_size=40)
@@ -117,8 +118,8 @@ def as_array(scored):
 
 
 def as_scored(scores):
-    """One feasible ObjectiveScores per row of a (P, 2) score array."""
-    return [ObjectiveScores(wacc, sim, feasible=True) for wacc, sim in scores.tolist()]
+    """One ObjectiveScores per row of a (P, 2) score array."""
+    return [ObjectiveScores(wacc, sim) for wacc, sim in scores.tolist()]
 
 
 def front_budgets(front):
@@ -172,22 +173,22 @@ class TestRepair:
 class TestRankPopulation:
     def test_strict_dominance(self):
         scored = [
-            ObjectiveScores(wacc=0.9, avg_sim=0.1, feasible=True),
-            ObjectiveScores(wacc=0.8, avg_sim=0.2, feasible=True),
+            ObjectiveScores(wacc=0.9, avg_sim=0.1),
+            ObjectiveScores(wacc=0.8, avg_sim=0.2),
         ]
         ranks, _ = rank_population(as_array(scored))
         assert ranks.tolist() == [0, 1]
 
     def test_identical_objectives_share_rank(self):
-        scored = [ObjectiveScores(wacc=0.5, avg_sim=0.5, feasible=True)] * 3
+        scored = [ObjectiveScores(wacc=0.5, avg_sim=0.5)] * 3
         ranks, _ = rank_population(as_array(scored))
         assert ranks.tolist() == [0, 0, 0]
 
     def test_boundary_points_infinite_crowding(self):
         scored = [
-            ObjectiveScores(wacc=0.9, avg_sim=0.9, feasible=True),
-            ObjectiveScores(wacc=0.5, avg_sim=0.5, feasible=True),
-            ObjectiveScores(wacc=0.1, avg_sim=0.1, feasible=True),
+            ObjectiveScores(wacc=0.9, avg_sim=0.9),
+            ObjectiveScores(wacc=0.5, avg_sim=0.5),
+            ObjectiveScores(wacc=0.1, avg_sim=0.1),
         ]
         ranks, crowding = rank_population(as_array(scored))
         assert ranks.tolist() == [0, 0, 0]
@@ -231,7 +232,7 @@ class TestRankPopulation:
             return rank_population(scores)
 
         monkeypatch.setattr(evolve, "rank_population", recorded)
-        scores = evaluator._scores(genes, config.dim)
+        scores = evaluator.score(genes, config.dim)
         evolve_generation(genes, scores, _ranks(scores), evaluator, config, 0)
         assert len(ranked) == 1
         scores = ranked[0]
@@ -429,8 +430,7 @@ class TestRunOptimization:
         config = GAConfig(seed=2, **MICRO_CONFIG)
         front = run_optimization(micro_dataset, micro_quantizer, config)
         half = config.dim // 2
-        for budget, scores in front.members:
-            assert scores.feasible
+        for budget, _ in front.members:
             assert np.all(budget.row_sums <= half)
         for i, (_, si) in enumerate(front.members):
             for j, (_, sj) in enumerate(front.members):
@@ -438,17 +438,18 @@ class TestRunOptimization:
                     assert not dominates(si, sj)
 
     def test_scores_only_feasible_budgets(self, motivational, monkeypatch):
-        # Score rows carry no feasibility column: every budget the grid
-        # search scores has each row summing to at most D/2.
+        # Scoring refuses a row over D/2, so the GA repairs every budget
+        # before it scores it: each row of every budget the grid search
+        # scores sums to at most D/2.
         config = GAConfig(generations=3, seed=0)
         scored = []
-        score = CandidateEvaluator._scores
+        score = CandidateEvaluator.score
 
         def recorded(evaluator, genes, dim):
             scored.append(genes.copy())
             return score(evaluator, genes, dim)
 
-        monkeypatch.setattr(CandidateEvaluator, "_scores", recorded)
+        monkeypatch.setattr(CandidateEvaluator, "score", recorded)
         run_optimization(motivational, calibrate_quantizer(motivational, config.levels), config)
         genes = np.concatenate(scored)
         assert len(genes) == config.population_size * (config.generations + 1)

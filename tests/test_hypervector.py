@@ -93,7 +93,7 @@ class TestBuildLevelTable:
 
     def test_infeasible_rejected(self):
         budget = FlipBudget(budgets=np.array([[9, 9]]), dim=16)
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError, match=r"^budget row sums \[18\] exceed D/2 = 8$"):
             build_level_table(0, budget)
 
     def test_uniform_budget_even_spacing(self):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hvdesign import objectives
 from hvdesign import (
     CandidateEvaluator,
+    ConstraintError,
     DataError,
     Dataset,
     FlipBudget,
@@ -33,7 +34,7 @@ from hvdesign import (
     uniform_flip_budget,
     weighted_accuracy,
 )
-from hvdesign.hypervector import _schedule
+from hvdesign.hypervector import _repair, _schedule
 
 CLAMP = 1e-12
 
@@ -68,7 +69,7 @@ def reference_avg_sim(encoders):
 def reference_confusion(train, quantizer, seed, budget):
     """The model of the public single-pass pipeline (level table, encoding
     of every training row, encoders) and its training confusion matrix."""
-    table = build_level_table(seed, repair_budget(budget))
+    table = build_level_table(seed, budget)
     samples = encode_quantized(quantizer.quantize_matrix(train.features), table)
     encoders = np.array([samples[train.labels == k].sum(axis=0)
                          for k in range(1, train.n_classes + 1)])
@@ -88,9 +89,7 @@ def reference_scores(train, quantizer, seed, budget):
     """The candidate scores composed from the public single-pass pipeline."""
     model, confusion = reference_confusion(train, quantizer, seed, budget)
     return ObjectiveScores(
-        wacc=weighted_accuracy(confusion),
-        avg_sim=avg_similarity(model.encoders),
-        feasible=budget.feasible,
+        wacc=weighted_accuracy(confusion), avg_sim=avg_similarity(model.encoders)
     )
 
 
@@ -290,13 +289,13 @@ class TestExactCosines:
         # dot product, so every label, as it was.
         quantizer = calibrate_quantizer(motivational, 20)
         evaluator = CandidateEvaluator(motivational, quantizer, 5)
-        genes = np.random.default_rng(3).integers(0, 4, size=(50, 2, 19))
+        genes = _repair(np.random.default_rng(3).integers(0, 4, size=(50, 2, 19)), 64)
         order = np.random.default_rng(4).permutation(64)
-        want = evaluator._scores(genes, 64)
+        want = evaluator.score(genes, 64)
         bases, perms = _schedule(5, 2, 64)
         # New index i is old index order[i], so old index d is argsort(order)[d].
         evaluator._schedules[64] = (bases[:, order], np.argsort(order)[perms])
-        got = evaluator._scores(genes, 64)
+        got = evaluator.score(genes, 64)
         assert got.tobytes() == want.tobytes()
 
     @given(integer_vectors(), st.booleans())
@@ -396,12 +395,32 @@ def scoring_populations(draw):
     return train, quantizer, population, block_elements
 
 
+def assert_refused_like_pipeline(evaluator, budget):
+    """`evaluate` refuses a budget with a row over D/2 with the error
+    `build_level_table` raises on it."""
+    with pytest.raises(ConstraintError) as refused:
+        evaluator.evaluate(budget)
+    with pytest.raises(ConstraintError) as built:
+        build_level_table(evaluator.base_seed, budget)
+    assert str(refused.value) == str(built.value)
+
+
 def assert_population_matches_pipeline(train, quantizer, seed, population):
-    """The (P, 2) array routine the GA calls gives each budget the bytes of
-    the public pipeline, and `evaluate` on that budget alone gives them
-    with the budget's own feasibility."""
+    """`score`, the (P, 2) array routine the GA calls, refuses a population
+    that holds an infeasible budget, as `evaluate` refuses that budget
+    alone. Repaired, as the GA holds it, the population is scored: each
+    budget gets the bytes of the public pipeline, as `evaluate` gives them
+    on that budget alone."""
     evaluator = CandidateEvaluator(train, quantizer, seed)
-    rows = evaluator._scores(np.array([b.budgets for b in population]), population[0].dim)
+    dim = population[0].dim
+    if not all(b.feasible for b in population):
+        with pytest.raises(ConstraintError):
+            evaluator.score(np.array([b.budgets for b in population]), dim)
+    for budget in population:
+        if not budget.feasible:
+            assert_refused_like_pipeline(evaluator, budget)
+    population = [repair_budget(b) for b in population]
+    rows = evaluator.score(np.array([b.budgets for b in population]), dim)
     assert rows.shape == (len(population), 2)
     for budget, row in zip(population, rows.tolist()):
         expected = reference_scores(train, quantizer, seed, budget)
@@ -420,15 +439,26 @@ class TestEvaluateCandidate:
         confusion = confusion_matrix(toy_dataset.labels, predicted, 3)
         assert scores.wacc == pytest.approx(weighted_accuracy(confusion))
         assert scores.avg_sim == pytest.approx(avg_similarity(model.encoders))
-        assert scores.feasible
 
-    def test_infeasible_flagged_but_scored(self, toy_dataset):
+    def test_infeasible_refused(self, toy_dataset):
+        # A budget with a row over D/2 is refused, not scored on its repaired
+        # form: alone, and in a population, where the message names the row
+        # sums of the first infeasible budget.
         quantizer = calibrate_quantizer(toy_dataset, 5)
-        budget = FlipBudget(budgets=np.full((2, 4), 30), dim=64)
-        scores = CandidateEvaluator(toy_dataset, quantizer, 7).evaluate(budget)
-        assert not scores.feasible
-        assert 0.0 <= scores.wacc <= 1.0
-        assert 0.0 < scores.avg_sim <= 1.0
+        evaluator = CandidateEvaluator(toy_dataset, quantizer, 7)
+        budget = FlipBudget(budgets=np.array([[8, 8, 8, 8], [9, 9, 9, 9]]), dim=64)
+        assert_refused_like_pipeline(evaluator, budget)
+        uniform = uniform_flip_budget(64, 5, features=2).budgets
+        genes = np.stack([uniform, budget.budgets, budget.budgets[::-1]])
+        message = r"^budget row sums \[32, 36\] exceed D/2 = 32$"
+        with pytest.raises(ConstraintError, match=message):
+            evaluator.score(genes, 64)
+        assert evaluator.score(_repair(genes, 64), 64).shape == (3, 2)
+
+    def test_empty_population_scores_nothing(self, toy_dataset):
+        evaluator = CandidateEvaluator(toy_dataset, calibrate_quantizer(toy_dataset, 5), 7)
+        scores = evaluator.score(np.zeros((0, 2, 4), dtype=np.int64), 64)
+        assert scores.shape == (0, 2) and scores.dtype == np.float64
 
     def test_pure_bit_identical(self, micro_dataset, micro_quantizer):
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, 42)
@@ -440,6 +470,10 @@ class TestEvaluateCandidate:
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, 0)
         with pytest.raises(ShapeError):
             evaluator.evaluate(FlipBudget(budgets=np.array([[3, 5], [1, 1]]), dim=16))
+        for shape in [(3, 2, 2), (3, 1, 3), (0, 1, 1), (1, 2)]:
+            genes = np.zeros(shape, dtype=np.int64)
+            with pytest.raises(ShapeError, match="does not match dataset N=1, M=3"):
+                evaluator.score(genes, 16)
 
     def test_robustness_complements_avg_sim(self, micro_dataset, micro_quantizer):
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, 0)
@@ -487,10 +521,14 @@ class TestEvaluateCandidate:
     )
     def test_matches_public_pipeline(self, problem, seed):
         train, quantizer, budget = problem
+        evaluator = CandidateEvaluator(train, quantizer, seed)
+        if not budget.feasible:
+            assert_refused_like_pipeline(evaluator, budget)
+            budget = repair_budget(budget)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty classes warn
             expected = reference_scores(train, quantizer, seed, budget)
-            assert CandidateEvaluator(train, quantizer, seed).evaluate(budget) == expected
+            assert evaluator.evaluate(budget) == expected
 
     @given(scoring_populations(), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -506,13 +544,14 @@ class TestEvaluateCandidate:
     def test_hits_are_the_pipelines_confusion_diagonals(self, problem, seed):
         train, quantizer, population, block_elements = problem
         evaluator = CandidateEvaluator(train, quantizer, seed)
+        population = [repair_budget(b) for b in population]
         genes = np.array([b.budgets for b in population])
         with warnings.catch_warnings(), \
                 mock.patch.object(objectives, "_BLOCK_ELEMENTS", block_elements), \
                 mock.patch.object(objectives, "_macro_recalls",
                                   wraps=objectives._macro_recalls) as macro_recalls:
             warnings.simplefilter("ignore")  # empty classes warn
-            evaluator._scores(genes, population[0].dim)
+            evaluator.score(genes, population[0].dim)
             expected = [np.diag(reference_confusion(train, quantizer, seed, b)[1]).tolist()
                         for b in population]
         hits, class_sizes = macro_recalls.call_args.args
@@ -521,8 +560,8 @@ class TestEvaluateCandidate:
 
     def test_population_across_blocks_matches_public_pipeline(self, motivational):
         # The acceptance grid: at D=64, M=20 a scoring block holds 31
-        # candidates, so these 50 distinct budgets, some of them infeasible,
-        # span two blocks.
+        # candidates, so these 50 distinct budgets, some of them infeasible
+        # until repaired, span two blocks.
         quantizer = calibrate_quantizer(motivational, 20)
         rng = np.random.default_rng(3)
         population = [
@@ -578,6 +617,10 @@ class TestEvaluateCandidate:
     @settings(max_examples=30, deadline=None)
     def test_score_ranges(self, micro_dataset, micro_quantizer, b1, b2):
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, 1)
-        scores = evaluator.evaluate(FlipBudget(budgets=np.array([[b1, b2]]), dim=16))
+        budget = FlipBudget(budgets=np.array([[b1, b2]]), dim=16)
+        if b1 + b2 > 8:
+            assert_refused_like_pipeline(evaluator, budget)
+            budget = repair_budget(budget)
+        scores = evaluator.evaluate(budget)
         assert 0.0 <= scores.wacc <= 1.0
         assert 0.0 < scores.avg_sim <= 1.0
