@@ -8,6 +8,9 @@ weighted accuracy (maximize) and average inter-encoder similarity
 (minimize; its complement is reported as robustness).
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from hvdesign import (
@@ -43,7 +46,7 @@ oracle = sorted(
     for key, s in scored.items()
     if not any(dominates(o, s) for k, o in scored.items() if k != key)
 )
-print(f"brute-force Pareto-optimal budgets over all {len(candidates)} candidates:")
+print(f"brute-force Pareto-optimal budgets over the {len(scored)} feasible candidates:")
 for key in oracle:
     s = scored[key]
     print(f"  budget {key}: wAcc={s.wacc:.4f}  avgSim={s.avg_sim:.4f}  "
@@ -61,5 +64,6 @@ hv = front.generation_hypervolumes
 print(f"\nhypervolume trace ({len(hv)} checkpoints, never decreases):")
 print("  " + " ".join(f"{v:.3f}" for v in hv[:: max(1, len(hv) // 10)]))
 
-front.write_csv("/tmp/toy_front.csv")
-print("\nfront CSV written to /tmp/toy_front.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    front.write_csv(os.path.join(tmp, "toy_front.csv"))
+    print("\nfront CSV written to a temporary directory")

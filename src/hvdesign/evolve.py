@@ -24,17 +24,18 @@ ObjectiveScores objects are built only for the returned front.
 Variation is binary tournament selection, per-gene uniform crossover and
 uniform-reset mutation on the integer genes. A generation's draws are the
 stream of a loop over pairs of children (`_loop_draws`): two tournaments'
-picks, the swap mask, then each child's mutation mask and fresh genes. They
-are taken from one block of raw PCG64 words, with numpy's own formulas, at
-positions that depend only on the shapes (`_block_draws`). If a bounded draw
-in the block is one numpy would reject and redraw, the generation runs the
-loop itself, which also stays as the reference. Winners and children are
-then formed with array operations on the draws. The children are repaired in
-one array operation, the same floor-rescale `repair_budget` applies, which
-keeps every row sum within D/2: scoring refuses an infeasible budget, so
-the GA repairs every budget before it scores it, and ranking is plain
-Pareto dominance. All of a generation's children are scored in one call,
-as is the initial population.
+picks, the swap mask, then each child's mutation mask and fresh genes. With
+K genes a child, every pair takes the same 2 + 4K raw PCG64 words, so
+`_variation_draws` reads the generation as a (P/2, 2 + 4K) word matrix and
+each kind of draw as fixed column slices of it, computed with numpy's own
+formulas. If a bounded draw in it is one numpy would reject and redraw, the
+generation runs the loop itself, which also stays as the reference.
+Winners and children are then formed with array operations on the draws.
+The children are repaired in one array operation, the same floor-rescale
+`repair_budget` applies, which keeps every row sum within D/2: scoring
+refuses an infeasible budget, so the GA repairs every budget before it
+scores it, and ranking is plain Pareto dominance. All of a generation's
+children are scored in one call, as is the initial population.
 
 Randomness comes from explicitly indexed substreams of the master seed
 (one for initialization, one per generation for variation), so results are
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -212,92 +212,50 @@ def _loop_draws(rng: np.random.Generator, config: GAConfig, size: int, shape: tu
     return np.array(picks), np.array(swap), np.array(mutate), np.array(fresh)
 
 
-@functools.lru_cache(maxsize=16)
-def _draw_layout(size: int, n_genes: int):
-    """Where `_loop_draws` takes each value from the generator's raw 64-bit
-    words: (words, picks, swap, mutate, fresh).
+def _variation_draws(config: GAConfig, size: int, shape: tuple, generation: int):
+    """`_loop_draws` of one generation from one block of raw PCG64 words, or
+    from `_loop_draws` itself when numpy would reject a bounded draw in it.
 
-    A double takes a whole word. A bounded int64 draw below 2**32 takes a
-    32-bit half: a half carried over from an earlier call first, else the
-    low half of a new word, whose high half is then carried; doubles leave
-    the carried half alone. Picks and fresh genes index the halves (2w is
-    the low half of word w, 2w + 1 its high half), swap and mutation masks
-    index the words.
+    A double takes a whole word, (word >> 11) * 2**-53. A bounded draw below
+    r takes a 32-bit half x, low half of a word first, and is (x * r) >> 32,
+    rejected when the low 32 bits of x * r are below (2**32 - r) % r; an odd
+    count leaves its last word's high half to the next bounded call, past
+    any doubles. So with K genes a child, row p of the (P/2, 2 + 4K) word
+    matrix is pair p: picks 2 | swap K | mutate K | fresh ceil(K/2) |
+    mutate K | fresh floor(K/2), where the second child's fresh genes start
+    with the half the first child left over when K is odd.
     """
-    word, carried = 0, None
+    k = math.prod(shape)
+    rng = _generation_rng(config, generation)
+    words = rng.bit_generator.random_raw(size // 2 * (2 + 4 * k)).reshape(size // 2, -1)
+    halves = words.astype("<u8", copy=False).view("<u4")
+    a = 2 + 2 * k
+    b = a + (k + 1) // 2
 
-    def doubles(n):
-        nonlocal word
-        word += n
-        return np.arange(word - n, word)
-
-    def bounded(n):
-        nonlocal word, carried
-        head = [] if carried is None else [carried]
-        n -= len(head)
-        out = np.concatenate([head, 2 * word + np.arange(n)]).astype(np.int64)
-        word += (n + 1) // 2
-        carried = 2 * word - 1 if n % 2 else None
-        return out
-
-    picks = np.concatenate([bounded(2), bounded(2)])
-    swap = doubles(n_genes)
-    mutate, fresh = [], []
-    for _ in range(2):
-        mutate.append(doubles(n_genes))
-        fresh.append(bounded(n_genes))
-    # A pair takes 4 + 2K halves, an even count, so it carries no half into
-    # the next pair, and pair p's layout is the first one's shifted by p * word.
-    shift = word * np.arange(size // 2)[:, None]
-    return (
-        word * (size // 2),
-        (2 * shift + picks).reshape(size, 2),
-        shift + swap,
-        (shift[:, None] + np.stack(mutate)).reshape(size, n_genes),
-        (2 * shift[:, None] + np.stack(fresh)).reshape(size, n_genes),
-    )
-
-
-def _block_draws(rng: np.random.Generator, config: GAConfig, size: int, shape: tuple):
-    """`_loop_draws` from one block of raw words, or None when one of its
-    bounded draws is rejected by numpy's Lemire method and redrawn.
-
-    Doubles are (word >> 11) * 2**-53. A bounded draw below r is
-    (x * r) >> 32 of a 32-bit half x, rejected when the low 32 bits of
-    x * r are below (2**32 - r) % r. These are numpy's formulas for PCG64.
-    """
-    n_words, picks, swap, mutate, fresh = _draw_layout(size, math.prod(shape))
-    raw = rng.bit_generator.random_raw(n_words)
-    # Each word's low 32-bit half first, as numpy hands out the halves.
-    halves = raw.astype("<u8", copy=False).view("<u4")
-
-    def bounded(index, r):
+    def bounded(x, r):
         # In uint64 under either scalar promotion rule: both factors are at
         # most 2**32, so the product is below 2**64.
-        product = np.multiply(halves[index], r, dtype=np.uint64)
-        return (product >> 32).astype(np.int64), (product & 0xFFFFFFFF) < (2**32 - r) % r
+        product = np.multiply(x, r, dtype=np.uint64)
+        if (product.astype(np.uint32) < (2**32 - r) % r).any():
+            return None
+        product >>= 32
+        return product.view(np.int64)
 
-    picks, rejected_picks = bounded(picks, size)
-    fresh, rejected_fresh = bounded(fresh, config.dim // 2 + 1)
-    if rejected_picks.any() or rejected_fresh.any():
-        return None
-    swap = (raw[swap] >> 11) * 2.0**-53 < config.crossover_rate
-    mutate = (raw[mutate] >> 11) * 2.0**-53 < config.mutation_rate
+    def below(x, rate):
+        return (x >> 11) * 2.0**-53 < rate
+
+    picks = bounded(halves[:, :4], size)
+    fresh = np.concatenate([halves[:, 2 * a:2 * b], halves[:, 2 * (b + k):]], axis=1)
+    fresh = bounded(fresh, config.dim // 2 + 1)
+    if picks is None or fresh is None:
+        return _loop_draws(_generation_rng(config, generation), config, size, shape)
+    mutate = np.concatenate([words[:, 2 + k:a], words[:, b:b + k]], axis=1)
     return (
-        picks,
-        swap.reshape(-1, *shape),
-        mutate.reshape(-1, *shape),
+        picks.reshape(size, 2),
+        below(words[:, 2:2 + k], config.crossover_rate).reshape(-1, *shape),
+        below(mutate, config.mutation_rate).reshape(-1, *shape),
         fresh.reshape(-1, *shape),
     )
-
-
-def _variation_draws(config: GAConfig, size: int, shape: tuple, generation: int):
-    """The draws of one generation: from a raw block, or from the loop
-    itself when the block holds a rejected bounded draw."""
-    drawn = _block_draws(_generation_rng(config, generation), config, size, shape)
-    if drawn is None:
-        drawn = _loop_draws(_generation_rng(config, generation), config, size, shape)
-    return drawn
 
 
 def _selection_order(ranks: np.ndarray, crowding: np.ndarray) -> np.ndarray:

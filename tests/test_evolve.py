@@ -20,8 +20,6 @@ from hvdesign import (
 )
 from hvdesign import evolve
 from hvdesign.evolve import (
-    _block_draws,
-    _draw_layout,
     _generation_rng,
     _loop_draws,
     _ranks,
@@ -364,42 +362,30 @@ def advanced_state(config, generation, words):
     return position(rng)
 
 
-class TestBlockDraws:
-    # (P, (N, M-1), D, seeds): the grid, odd N*(M-1) (57*19 and 3*3, whose
-    # fresh genes carry a half-word from one child to the next) and P=6;
-    # 220 (seed, generation) pairs in all.
+def pair_words(size, shape):
+    """Raw words a generation takes: 2 for a pair's picks, then K each for
+    its swap mask and two mutation masks, and K for its two children's
+    fresh genes (two 32-bit halves a word), with K genes a child."""
+    return size // 2 * (2 + 4 * shape[0] * shape[1])
+
+
+class TestVariationDraws:
+    # (P, (N, M-1), D, seeds): the grid, odd N*(M-1) (57*19, 3*3 and 1*1,
+    # where the first child's fresh genes leave a half-word that starts the
+    # second child's), even K=10, and P=4 to 8; 260 (seed, generation)
+    # pairs in all.
     SHAPES = [
         (200, (2, 19), 64, range(12)),
         (200, (57, 19), 64, range(4)),
         (20, (3, 3), 32, range(12)),
         (6, (3, 3), 16, range(12)),
         (6, (57, 19), 64, range(4)),
+        (4, (1, 1), 2, range(4)),
+        (8, (5, 2), 8, range(4)),
     ]
 
-    @pytest.mark.parametrize("size, shape, dim, seeds", SHAPES)
-    def test_equals_pairwise_loop(self, size, shape, dim, seeds):
-        for seed in seeds:
-            config = GAConfig(population_size=size, seed=seed, dim=dim, levels=shape[1] + 1)
-            for generation in range(5):
-                want, state = loop_state(config, size, shape, generation)
-                got = _block_draws(_generation_rng(config, generation), config, size, shape)
-                assert got is not None
-                assert_same_draws(got, want)
-                # The loop took exactly the block's words and carries no half.
-                words = _draw_layout(size, shape[0] * shape[1])[0]
-                assert state == advanced_state(config, generation, words)
-
-    def test_rejected_draw_falls_back_to_the_loop(self, monkeypatch):
-        # At D=2048 a bounded draw of seed 10's first generation is below
-        # Lemire's threshold, so numpy redraws it and the loop takes more
-        # halves than the block holds.
-        size, shape = 200, (57, 19)
-        config = GAConfig(population_size=size, seed=10, dim=2048, levels=20)
-        assert _block_draws(_generation_rng(config, 0), config, size, shape) is None
-        want, state = loop_state(config, size, shape, 0)
-        words = _draw_layout(size, shape[0] * shape[1])[0]
-        assert state != advanced_state(config, 0, words)
-
+    @staticmethod
+    def counted_loop(monkeypatch):
         calls = []
 
         def recorded(*args):
@@ -407,6 +393,31 @@ class TestBlockDraws:
             return _loop_draws(*args)
 
         monkeypatch.setattr(evolve, "_loop_draws", recorded)
+        return calls
+
+    @pytest.mark.parametrize("size, shape, dim, seeds", SHAPES)
+    def test_equals_pairwise_loop(self, monkeypatch, size, shape, dim, seeds):
+        calls = self.counted_loop(monkeypatch)
+        for seed in seeds:
+            config = GAConfig(population_size=size, seed=seed, dim=dim, levels=shape[1] + 1)
+            for generation in range(5):
+                want, state = loop_state(config, size, shape, generation)
+                assert_same_draws(_variation_draws(config, size, shape, generation), want)
+                # Nothing was rejected, so the fallback never ran ...
+                assert calls == []
+                # ... and the loop takes exactly the block's words and carries no half.
+                assert state == advanced_state(config, generation, pair_words(size, shape))
+
+    def test_rejected_draw_falls_back_to_the_loop(self, monkeypatch):
+        # At D=2048 a bounded draw of seed 10's first generation is below
+        # Lemire's threshold, so numpy redraws it and the loop takes more
+        # halves than the block holds.
+        size, shape = 200, (57, 19)
+        config = GAConfig(population_size=size, seed=10, dim=2048, levels=20)
+        want, state = loop_state(config, size, shape, 0)
+        assert state != advanced_state(config, 0, pair_words(size, shape))
+
+        calls = self.counted_loop(monkeypatch)
         assert_same_draws(_variation_draws(config, size, shape, 0), want)
         assert len(calls) == 1
 
