@@ -74,6 +74,13 @@ class GAConfig:
             raise ConfigError("need at least 1 generation")
         if not (0.0 <= self.crossover_rate <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
             raise ConfigError("crossover and mutation rates must be in [0, 1]")
+        # Below D = 2 a fresh gene has one value, which numpy draws without
+        # taking random words, so `_variation_draws` would part from
+        # `_loop_draws`; an odd D makes no FlipBudget.
+        if self.dim < 2 or self.dim % 2 != 0:
+            raise ConfigError(f"dimension must be even and >= 2, got {self.dim}")
+        if self.levels < 2:
+            raise ConfigError(f"need at least 2 quantization levels, got {self.levels}")
 
 
 @dataclass(frozen=True)

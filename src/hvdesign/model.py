@@ -274,7 +274,11 @@ class TrainedModel:
             and self.table == other.table
             and np.array_equal(self.encoders, other.encoders)
             and self.labels == other.labels
+            and self.feature_names == other.feature_names
             and self.metadata.get("seed") == other.metadata.get("seed")
+            and np.array_equal(
+                self.metadata.get("class_counts"), other.metadata.get("class_counts")
+            )
         )
 
     __hash__ = None

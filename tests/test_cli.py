@@ -1,10 +1,14 @@
+import csv
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hvdesign
 from hvdesign.cli import COMMANDS, build_parser, main
 from hvdesign.errors import ConfigError
 
@@ -62,6 +66,38 @@ class TestTrain:
     def test_missing_file_exits_2(self, capsys):
         assert main(["train", "--data", "/does/not/exist.csv"]) == 2
         assert "/does/not/exist.csv" in capsys.readouterr().err
+
+    def test_test_split_matches_eval(self, synth_csv, tmp_path):
+        test_csv, model_path = str(tmp_path / "test.csv"), str(tmp_path / "m.hdcm")
+        train_metrics, eval_metrics = str(tmp_path / "train.json"), str(tmp_path / "eval.json")
+        assert main(["synth", "--grid", "20", "--seed", "2", "--out", test_csv]) == 0
+        assert main(
+            ["train", "--data", synth_csv, "--test", test_csv, "--dim", "64",
+             "--out", model_path, "--metrics-out", train_metrics]
+        ) == 0
+        assert main(
+            ["eval", "--model", model_path, "--data", test_csv, "--metrics-out", eval_metrics]
+        ) == 0
+        tested = json.load(open(train_metrics))["test"]
+        evaluated = json.load(open(eval_metrics))
+        assert tested["samples"] == 400
+        assert tested["wAcc"] == evaluated["wAcc"]
+        assert tested["confusion"] == evaluated["confusion"]
+
+    def test_quoted_crlf_csv_gives_the_same_metrics(self, synth_csv, tmp_path):
+        # numpy reads the plain file and the per-cell reference loop the quoted one.
+        quoted = str(tmp_path / "quoted.csv")
+        with open(synth_csv, newline="") as src, open(quoted, "w", newline="") as dst:
+            writer = csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r\n")
+            writer.writerows(csv.reader(src))
+        reports = []
+        for path in (synth_csv, quoted):
+            out = str(tmp_path / "metrics.json")
+            assert main(["train", "--data", path, "--dim", "64", "--metrics-out", out]) == 0
+            report = json.load(open(out))["train"]
+            del report["inferenceMsPerSample"]  # a timing, not a result
+            reports.append(report)
+        assert reports[0] == reports[1]
 
 
 class TestEval:
@@ -129,26 +165,34 @@ class TestSweep:
 
 class TestOptimize:
     def test_front_csv_deterministic(self, tmp_path):
-        # Tiny 1-feature dataset keeps this fast.
-        data = tmp_path / "d.csv"
+        # Tiny datasets keep this fast. One feature at M=3 gives N(M-1) = 2
+        # genes. Three features at M=4 give 9, an odd count, so each pair's
+        # second child takes its first fresh gene from the 32-bit half-word
+        # its first child left over.
+        one = tmp_path / "one.csv"
         values = np.linspace(0, 1, 12)
         rows = ["f1,label"] + [
             f"{v},{'a' if i in (0, 1, 4, 5, 6, 7, 8) else 'b'}"
             for i, v in enumerate(values)
         ]
-        data.write_text("\n".join(rows) + "\n")
-        outs = []
-        for name in ("f1.csv", "f2.csv"):
-            out = str(tmp_path / name)
-            code = main(
-                [
-                    "optimize", "--data", str(data), "--dim", "16", "--levels", "3",
-                    "--pop", "20", "--gens", "10", "--seed", "4", "--out", out,
-                ]
-            )
-            assert code == 0
-            outs.append(open(out, "rb").read())
-        assert outs[0] == outs[1]
+        one.write_text("\n".join(rows) + "\n")
+        three = tmp_path / "three.csv"
+        rows = ["f1,f2,f3,label"]
+        for i in range(60):
+            x = [(i * k % 17) / 16 for k in (3, 5, 7)]
+            rows.append(",".join(map(repr, x)) + "," + "abc"[int(3 * x[0]) % 3])
+        three.write_text("\n".join(rows) + "\n")
+        runs = [
+            [one, "--dim", "16", "--levels", "3", "--pop", "20", "--gens", "10", "--seed", "4"],
+            [three, "--levels", "4", "--pop", "20", "--gens", "5", "--seed", "3"],
+        ]
+        for data, *flags in runs:
+            outs = []
+            for name in ("f1.csv", "f2.csv"):
+                out = str(tmp_path / name)
+                assert main(["optimize", "--data", str(data), *flags, "--out", out]) == 0
+                outs.append(open(out, "rb").read())
+            assert outs[0] == outs[1]
 
     def test_best_models_written(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -287,11 +331,12 @@ class TestBadInput:
             ["train", "--data", "{data}", "--seed", "-1"],
             ["train", "--data", "{data}", "--config", "{tmp}/seed.json"],
             ["train", "--data", "{data}", "--seed", str(2**64), "--out", "{tmp}/m.hdcm"],
+            ["optimize", "--data", "{data}", "--dim", "1", "--out", "{tmp}/front.csv"],
         ],
         ids=["pop-3", "levels-1", "missing-config", "malformed-config", "dims-abc", "grid-5",
              "config-pop-list", "data-is-directory", "one-class", "not-utf8", "long-cell",
              "config-unknown-key", "dim-abc", "no-data", "unknown-flag", "seed-negative",
-             "config-seed-negative", "seed-2-64"],
+             "config-seed-negative", "seed-2-64", "optimize-dim-1"],
     )
     def test_exits_2_with_one_error_line(self, argv, synth_csv, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{bad")
@@ -322,6 +367,48 @@ class TestBadInput:
         err = capsys.readouterr().err.splitlines()
         lines = [line for line in err if not line.startswith("INFO ")]
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: 1 classes")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--model", "{tmp}/two.hdcm", "--data", "{tmp}/three.csv"],
+            ["export-embeddings", "--model", "{tmp}/two.hdcm", "--data", "{tmp}/three.csv",
+             "--out", "{tmp}/e.csv"],
+            ["train", "--data", "{tmp}/two.csv", "--test", "{tmp}/three.csv", "--dim", "64"],
+        ],
+        ids=["eval", "export-embeddings", "train-test"],
+    )
+    def test_feature_count_mismatch_is_named(self, argv, hand_built_model, tmp_path, capsys):
+        # Every path that reads a CSV against a model's labels checks its width.
+        (tmp_path / "two.hdcm").write_bytes(hand_built_model(2, n_features=2))
+        (tmp_path / "two.csv").write_text("f1,f2,label\n0.1,0.2,a\n0.9,0.8,b\n")
+        (tmp_path / "three.csv").write_text("f1,f2,f3,label\n0.1,0.2,0.3,a\n")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        lines = [line for line in err if not line.startswith("INFO ")]
+        assert lines == ["error: model expects 2 features, data has 3"]
+
+
+class TestEntryPoint:
+    """`python -m hvdesign.cli` runs `main` and exits with its code."""
+
+    def test_help_version_and_bad_input(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(hvdesign.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "hvdesign.cli", *argv],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            )
+
+        done = run("-h")
+        assert done.returncode == 0 and done.stdout.startswith("usage: hvdesign")
+        done = run("--version")
+        assert done.returncode == 0 and done.stdout == f"{hvdesign.__version__}\n"
+        done = run("train", "--data", str(tmp_path / "missing.csv"))
+        lines = [line for line in done.stderr.splitlines() if not line.startswith("INFO ")]
+        assert done.returncode == 2 and len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestOneCommandParser:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -352,6 +353,13 @@ class TestModelFile:
         path = str(tmp_path / "m.hdcm")
         save_model(model, path)
         assert load_model(path) == model
+
+    def test_equality_compares_every_stored_field(self, model):
+        counts = [c + 1 for c in model.metadata["class_counts"]]
+        recounted = {**model.metadata, "class_counts": counts}
+        assert dataclasses.replace(model) == model
+        assert dataclasses.replace(model, feature_names=["x", "y"]) != model
+        assert dataclasses.replace(model, metadata=recounted) != model
 
     @pytest.mark.parametrize("dim, levels", [(2, 2), (6, 3), (10, 5)])
     def test_round_trip_dim_not_a_multiple_of_8(self, toy_dataset, tmp_path, dim, levels):

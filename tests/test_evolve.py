@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hvdesign import (
     CandidateEvaluator,
+    ConfigError,
     FlipBudget,
     GAConfig,
     ObjectiveScores,
@@ -157,6 +158,9 @@ class TestInitializePopulation:
             GAConfig(generations=0)
         with pytest.raises(ValueError):
             GAConfig(mutation_rate=1.5)
+        for fields in ({"dim": 0}, {"dim": 1}, {"dim": 63}, {"levels": 1}):
+            with pytest.raises(ConfigError):
+                GAConfig(**fields)
 
 
 class TestRepair:
