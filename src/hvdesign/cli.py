@@ -67,11 +67,6 @@ def _label_column(value: str):
         return value
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=u64, default=0, help="master RNG seed")
-    parser.add_argument("--config", help="JSON file with defaults; flags override")
-
-
 def _train_flags(p):
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--test", help="optional test CSV")
@@ -80,6 +75,7 @@ def _train_flags(p):
     p.add_argument("--levels", type=int, default=20)
     p.add_argument("--out", help="model file to write")
     p.add_argument("--metrics-out", help="write metrics as JSON here")
+    p.add_argument("--seed", type=u64, default=0, help="master RNG seed")
 
 
 def _optimize_flags(p):
@@ -96,6 +92,7 @@ def _optimize_flags(p):
         "--best-models-out",
         help="prefix; writes <prefix>-accuracy.hdcm and <prefix>-robustness.hdcm",
     )
+    p.add_argument("--seed", type=u64, default=0, help="master RNG seed")
 
 
 def _sweep_flags(p):
@@ -104,6 +101,7 @@ def _sweep_flags(p):
     p.add_argument("--dims", required=True, help="comma-separated even dimensions")
     p.add_argument("--levels", type=int, default=20)
     p.add_argument("--out", required=True, help="metrics CSV")
+    p.add_argument("--seed", type=u64, default=0, help="master RNG seed")
 
 
 def _eval_flags(p):
@@ -116,6 +114,7 @@ def _eval_flags(p):
 def _synth_flags(p):
     p.add_argument("--grid", type=int, default=40, help="grid points per axis")
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=u64, default=0, help="master RNG seed")
 
 
 def _export_embeddings_flags(p):
@@ -137,7 +136,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command in (None, name):
             p = sub.add_parser(name, help=help_line)
             add_flags(p)
-            _add_common(p)
+            p.add_argument("--config", help="JSON file with defaults; flags override")
     return parser
 
 

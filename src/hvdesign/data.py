@@ -84,7 +84,8 @@ class Quantizer:
 
     Values below the calibrated minimum clamp to level 1, values at or above
     the maximum clamp to level M (the last interval is closed). Degenerate
-    features (min == max) map everything to level 1.
+    features (min == max) map everything to level 1. A range whose
+    (max - min) * M overflows is refused.
     """
 
     mins: np.ndarray
@@ -99,9 +100,13 @@ class Quantizer:
         if self.levels < 2:
             raise ConfigError(f"need at least 2 quantization levels, got {self.levels}")
         if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
-            raise DataError("calibration minima and maxima must be finite")
+            raise DataError("non-finite calibration minima or maxima")
         if np.any(mins > maxs):
             raise ValueError("feature minimum exceeds maximum")
+        with np.errstate(over="ignore"):
+            wide = np.flatnonzero(~np.isfinite((maxs - mins) * self.levels)).tolist()
+        if wide:
+            raise DataError(f"features {wide} have ranges too wide to quantize")
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
@@ -124,7 +129,9 @@ class Quantizer:
         out = np.ones(x.shape, dtype=np.int64)
         ok = span > 0
         if np.any(ok):
-            raw = 1 + np.floor((x[:, ok] - self.mins[ok]) * self.levels / span[ok])
+            # A query far outside the range may overflow to +-inf: it clamps.
+            with np.errstate(over="ignore"):
+                raw = 1 + np.floor((x[:, ok] - self.mins[ok]) * self.levels / span[ok])
             out[:, ok] = np.clip(raw, 1, self.levels).astype(np.int64)
         return out
 
@@ -421,10 +428,11 @@ def _strings(value) -> bool:
 
 
 def load_model(path):
-    """Inverse of save_model. The stored level table must be exactly the one
-    its seed and flip budget build: the load builds that table and rejects
-    the file unless the stored table bytes are the table's `_table_bits`.
-    Labels must be K distinct strings, and feature names N strings or none."""
+    """Inverse of save_model. The load checks the header, which sizes the
+    reads; the Quantizer, FlipBudget and level table it builds check the
+    rest, and their errors raise as FormatError. The stored table bytes must
+    be the `_table_bits` of the table its seed and flip budget build. Labels
+    must be K distinct strings, and feature names N strings or none."""
     from .model import TrainedModel  # here, not at the top: model imports data
 
     with open(path, "rb") as fh:
@@ -463,16 +471,8 @@ def load_model(path):
     (seed,) = struct.unpack("<Q", take(8))
     mins = np.frombuffer(take(8 * n_feat), dtype="<f8").copy()
     maxs = np.frombuffer(take(8 * n_feat), dtype="<f8").copy()
-    if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
-        raise FormatError(f"{path}: non-finite calibration range")
-    if np.any(mins > maxs):
-        raise FormatError(f"{path}: a calibration minimum exceeds its maximum")
     budgets = np.frombuffer(take(4 * n_feat * (n_lvl - 1)), dtype="<i4")
     budgets = budgets.reshape(n_feat, n_lvl - 1).astype(np.int64)
-    if np.any(budgets < 0):
-        raise FormatError(f"{path}: negative entries in the flip budget")
-    if np.any(budgets.sum(axis=1) > dim // 2):
-        raise FormatError(f"{path}: flip budget rows exceed D/2 = {dim // 2}")
     n_table_bytes = -(-n_feat * n_lvl * dim // 8)
     table_bits = take(n_table_bytes)
     encoders = np.frombuffer(take(4 * n_cls * dim), dtype="<i4")
@@ -487,12 +487,16 @@ def load_model(path):
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    table = build_level_table(seed, FlipBudget(budgets=budgets, dim=dim))
+    try:
+        quantizer = Quantizer(mins=mins, maxs=maxs, levels=n_lvl)
+        table = build_level_table(seed, FlipBudget(budgets=budgets, dim=dim))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if table_bits != _table_bits(table):
         raise FormatError(f"{path}: stored level table does not match its seed and budget")
 
     return TrainedModel(
-        quantizer=Quantizer(mins=mins, maxs=maxs, levels=n_lvl),
+        quantizer=quantizer,
         table=table,
         encoders=encoders,
         labels=labels,

@@ -52,7 +52,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, Quantizer, atomic_open
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .hypervector import FlipBudget, _repair, uniform_flip_budget
 from .objectives import CandidateEvaluator, ObjectiveScores
 
@@ -322,8 +322,6 @@ def run_optimization(
     train: Dataset, quantizer: Quantizer, config: GAConfig
 ) -> ParetoFront:
     """Run the full search and return the deduplicated feasible front."""
-    if quantizer.levels != config.levels:
-        raise ShapeError("config levels do not match the calibrated quantizer")
     evaluator = CandidateEvaluator(train, quantizer, config.seed)
     genes = initialize_population(config, train.n_features)
     scores = evaluator.score(genes, config.dim)

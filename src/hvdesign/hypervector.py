@@ -42,10 +42,10 @@ class FlipBudget:
         b = np.asarray(self.budgets, dtype=np.int64)
         if b.ndim != 2 or b.shape[1] < 1:
             raise ShapeError(f"budget matrix must be (N, M-1), got shape {b.shape}")
-        if np.any(b < 0):
-            raise ValueError("flip budgets must be non-negative")
         if self.dim < 2 or self.dim % 2 != 0:
             raise DimensionError(f"dimension must be even and >= 2, got {self.dim}")
+        if np.any(b < 0):
+            raise ValueError("flip budgets must be non-negative")
         b.flags.writeable = False
         object.__setattr__(self, "budgets", b)
 
@@ -84,17 +84,15 @@ def uniform_flip_budget(dim: int, levels: int, features: int = 1) -> FlipBudget:
     """
     if levels < 2:
         raise ConfigError(f"need at least 2 quantization levels, got {levels}")
-    if dim < 2 or dim % 2 != 0:
-        raise DimensionError(f"dimension must be even and >= 2, got {dim}")
     per_transition = dim // (2 * (levels - 1))
+    budget = FlipBudget(budgets=np.full((features, levels - 1), per_transition), dim=dim)
     if per_transition == 0:
         warnings.warn(
             f"D={dim} is below 2(M-1)={2 * (levels - 1)}: the uniform budget flips no "
             f"bits, so all {levels} levels are the same hypervector",
             stacklevel=2,
         )
-    budgets = np.full((features, levels - 1), per_transition, dtype=np.int64)
-    return FlipBudget(budgets=budgets, dim=dim)
+    return budget
 
 
 def _repair(budgets: np.ndarray, dim: int) -> np.ndarray:

@@ -173,8 +173,6 @@ class CandidateEvaluator:
     """
 
     def __init__(self, train: Dataset, quantizer: Quantizer, base_seed):
-        if quantizer.features != train.n_features:
-            raise ShapeError("quantizer and dataset disagree on feature count")
         if train.n_classes < 2:
             raise DataError("need at least 2 classes")
         _check_labels(train.labels, train.n_classes)

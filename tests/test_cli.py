@@ -332,14 +332,24 @@ class TestBadInput:
             ["train", "--data", "{data}", "--config", "{tmp}/seed.json"],
             ["train", "--data", "{data}", "--seed", str(2**64), "--out", "{tmp}/m.hdcm"],
             ["optimize", "--data", "{data}", "--dim", "1", "--out", "{tmp}/front.csv"],
+            ["train", "--data", "{tmp}/empty.csv"],
+            ["train", "--data", "{data}", "--label-col", "9"],
+            ["train", "--data", "{data}", "--label-col", "nosuch"],
+            ["train", "--data", "{data}", "--config", "{tmp}/array.json"],
+            ["train", "--data", "{tmp}/huge.csv"],
         ],
         ids=["pop-3", "levels-1", "missing-config", "malformed-config", "dims-abc", "grid-5",
              "config-pop-list", "data-is-directory", "one-class", "not-utf8", "long-cell",
              "config-unknown-key", "dim-abc", "no-data", "unknown-flag", "seed-negative",
-             "config-seed-negative", "seed-2-64", "optimize-dim-1"],
+             "config-seed-negative", "seed-2-64", "optimize-dim-1", "empty-csv",
+             "label-col-9", "label-col-nosuch", "config-not-an-object", "range-overflows"],
     )
     def test_exits_2_with_one_error_line(self, argv, synth_csv, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{bad")
+        (tmp_path / "array.json").write_text("[1]")
+        (tmp_path / "empty.csv").write_text("")
+        # (max - min) * M overflows: no level width exists for this range.
+        (tmp_path / "huge.csv").write_text("f1,label\n-1e308,a\n1e308,b\n")
         (tmp_path / "list.json").write_text('{"pop": [1]}')
         (tmp_path / "dimm.json").write_text('{"dimm": 64}')
         (tmp_path / "seed.json").write_text('{"seed": -1}')
@@ -416,13 +426,14 @@ class TestOneCommandParser:
     be what the parser with every subcommand gives."""
 
     # Each subcommand's options, in the order its help lists them.
+    # A model file carries its own seed, so eval and export-embeddings take none.
     FLAGS = {
-        "train": "--data --test --label-col --dim --levels --out --metrics-out",
+        "train": "--data --test --label-col --dim --levels --out --metrics-out --seed",
         "optimize": "--data --label-col --dim --levels --pop --gens --crossover "
-                    "--mutation --out --best-models-out",
-        "sweep": "--data --label-col --dims --levels --out",
+                    "--mutation --out --best-models-out --seed",
+        "sweep": "--data --label-col --dims --levels --out --seed",
         "eval": "--model --data --label-col --metrics-out",
-        "synth": "--grid --out",
+        "synth": "--grid --out --seed",
         "export-embeddings": "--model --data --label-col --out",
     }
 
@@ -441,7 +452,7 @@ class TestOneCommandParser:
         assert one == capsys.readouterr().out
         assert one.startswith(f"usage: hvdesign {command} [-h]")
         options = re.findall(r"^  (-[-\w]+)", one.split("\noptions:\n")[1], re.M)
-        assert options == ["-h", *self.FLAGS[command].split(), "--seed", "--config"]
+        assert options == ["-h", *self.FLAGS[command].split(), "--config"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,6 +5,7 @@ import os
 import re
 import string
 import struct
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -22,6 +23,7 @@ from hvdesign import (
     HvError,
     ParseError,
     Quantizer,
+    ShapeError,
     TrainedModel,
     build_level_table,
     calibrate_quantizer,
@@ -239,6 +241,18 @@ class TestCsvReaders:
             assert "\n\n" not in body and not body.startswith("\n")
 
 
+class TestDataset:
+    def test_label_count_must_match_samples(self):
+        with pytest.raises(ShapeError, match="label count does not match sample count"):
+            Dataset(features=np.zeros((3, 1)), labels=np.array([1, 2]), label_names=["a", "b"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite feature values"):
+            Dataset(features=np.array([[0.5], [bad]]), labels=np.array([1, 2]),
+                    label_names=["a", "b"])
+
+
 def levels_of(quantizer, values):
     """The levels of one sample's feature values."""
     return quantizer.quantize_matrix(np.array([values], dtype=np.float64))[0]
@@ -296,6 +310,38 @@ class TestQuantizer:
             Quantizer(mins=np.array([bad, 0.0]), maxs=np.array([1.0, 1.0]), levels=4)
         with pytest.raises(DataError, match="finite"):
             Quantizer(mins=np.array([0.0, 0.0]), maxs=np.array([1.0, bad]), levels=4)
+
+    @pytest.mark.parametrize("mins, maxs", [([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]])],
+                             ids=["unequal", "two-d"])
+    def test_range_arrays_must_be_equal_length_1d(self, mins, maxs):
+        with pytest.raises(ShapeError, match="equal-length 1-D"):
+            Quantizer(mins=np.array(mins), maxs=np.array(maxs), levels=4)
+
+    def test_wrong_width_rejected(self):
+        q = Quantizer(mins=np.array([0.0, 0.0]), maxs=np.array([1.0, 1.0]), levels=4)
+        with pytest.raises(ShapeError, match=r"expected \(S, 2\) values, got \(1, 3\)"):
+            levels_of(q, [0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize("low, high", [(-1e308, 1e308), (0.0, 1e308), (0.0, 1e307)])
+    def test_range_too_wide_to_quantize_refused(self, low, high):
+        # (max - min) * 20 overflows, so no level width exists: at [0, 1e308]
+        # the value 5e307 would take level 20 instead of 11.
+        ds = Dataset(features=np.array([[low], [high]]), labels=np.array([1, 2]),
+                     label_names=["a", "b"])
+        with pytest.raises(DataError, match=r"features \[0\] have ranges too wide"):
+            calibrate_quantizer(ds, 20)
+
+    def test_widest_range_that_fits_quantizes_exactly(self):
+        q = Quantizer(mins=np.array([0.0]), maxs=np.array([8e306]), levels=20)
+        assert levels_of(q, [4e306]).tolist() == [11]
+        assert levels_of(q, [8e306]).tolist() == [20]
+
+    def test_far_query_clamps_without_warning(self):
+        q = Quantizer(mins=np.array([0.0, -1.0]), maxs=np.array([1.0, 0.0]), levels=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert levels_of(q, [1e308, -1e308]).tolist() == [20, 1]
+            assert levels_of(q, [-1e308, 1e308]).tolist() == [1, 20]
 
     @given(st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=100)
@@ -410,6 +456,19 @@ class TestModelFile:
         with pytest.raises(FormatError, match="truncated|trailing"):
             load_model(str(path))
 
+    def test_trailing_bytes_rejected(self, model, tmp_path):
+        path = tmp_path / "m.hdcm"
+        save_model(model, str(path))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match=r"m\.hdcm: 1 trailing bytes$"):
+            load_model(str(path))
+
+    def test_encoders_beyond_int32_rejected(self, model):
+        encoders = model.encoders.copy()
+        encoders[0, 0] = 2**31
+        with pytest.raises(FormatError, match="int32 range"):
+            model_bytes(dataclasses.replace(model, encoders=encoders))
+
     # Header: magic, then u32 version, D, N, M, K, then the u64 seed; with
     # N=2 the calibration minima start at byte 32 and the maxima at byte 48,
     # and the budget block starts at byte 64. The toy features lie in [0, 1)
@@ -423,6 +482,7 @@ class TestModelFile:
             (32, struct.pack("<d", -math.inf), "non-finite"),
             (32, struct.pack("<d", math.nan), "non-finite"),
             (48, struct.pack("<d", math.inf), "non-finite"),
+            (48, struct.pack("<d", 1e308), "too wide to quantize"),
             (16, struct.pack("<I", 1), "levels"),
             (16, struct.pack("<I", 0), "levels"),
             (8, struct.pack("<I", 63), "dimension"),
@@ -440,8 +500,8 @@ class TestModelFile:
             (None, None, "1 classes, need at least 2"),
         ],
         ids=["negative-budget", "budget-above-half", "min-above-max", "min-minus-inf",
-             "min-nan", "max-inf", "one-level", "zero-levels", "odd-dim", "zero-dim",
-             "two-labels-for-three-classes", "labels-not-a-list", "labels-not-utf8",
+             "min-nan", "max-inf", "max-too-wide", "one-level", "zero-levels", "odd-dim",
+             "zero-dim", "two-labels-for-three-classes", "labels-not-a-list", "labels-not-utf8",
              "labels-not-json", "repeated-label", "labels-not-strings", "features-a-number",
              "features-not-a-list", "one-name-for-two-features", "features-not-strings",
              "one-class"],

@@ -9,6 +9,7 @@ from hvdesign import (
     FlipBudget,
     GAConfig,
     ObjectiveScores,
+    ShapeError,
     calibrate_quantizer,
     dominates,
     evolve_generation,
@@ -469,6 +470,12 @@ class TestRunOptimization:
         genes = np.concatenate(scored)
         assert len(genes) == config.population_size * (config.generations + 1)
         assert genes.sum(axis=2).max() <= config.dim // 2
+
+    def test_levels_other_than_the_quantizers_rejected(self, micro_dataset, micro_quantizer):
+        # The evaluator refuses the initial population's (N, M-1) budgets.
+        config = GAConfig(**{**MICRO_CONFIG, "levels": 4})
+        with pytest.raises(ShapeError, match="does not match dataset N=1, M=3"):
+            run_optimization(micro_dataset, micro_quantizer, config)
 
     def test_hypervolume_monotone(self, micro_dataset, micro_quantizer):
         config = GAConfig(seed=2, **MICRO_CONFIG)

@@ -11,6 +11,7 @@ from hvdesign import (
     FlipBudget,
     LevelTable,
     Quantizer,
+    ShapeError,
     build_level_table,
     encode_quantized,
     level_vector,
@@ -59,6 +60,30 @@ class TestUniformFlipBudget:
     def test_odd_dim_rejected(self):
         with pytest.raises(DimensionError):
             uniform_flip_budget(63, 4)
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_dimension_rejected_before_any_warning(self, dim):
+        # FlipBudget checks the dimension, before the -1 fill of D=-2 could
+        # reach its sign check.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError):
+                uniform_flip_budget(dim, 20)
+
+
+class TestFlipBudget:
+    @pytest.mark.parametrize(
+        "budgets, dim, error, match",
+        [
+            ([4, 4], 16, ShapeError, r"\(N, M-1\), got shape \(2,\)"),
+            ([[4, -1]], 16, ValueError, "non-negative"),
+            ([[4, -1]], 15, DimensionError, "even and >= 2, got 15"),
+        ],
+        ids=["one-d", "negative", "odd-dim-before-sign"],
+    )
+    def test_invalid_rejected(self, budgets, dim, error, match):
+        with pytest.raises(error, match=match):
+            FlipBudget(budgets=np.array(budgets), dim=dim)
 
 
 class TestBuildLevelTable:

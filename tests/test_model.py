@@ -150,6 +150,18 @@ class TestClassify:
         with pytest.raises(ShapeError):
             classify(np.array([0.5]), model)
 
+    @pytest.mark.parametrize(
+        "shape, error, match",
+        [((3, 129), ShapeError, r"encoders must be \(K, 128\), got \(3, 129\)"),
+         ((1, 128), DataError, "at least 2 classes")],
+        ids=["wide-encoders", "one-class"],
+    )
+    def test_invalid_encoders_rejected(self, model, shape, error, match):
+        with pytest.raises(error, match=match):
+            TrainedModel(quantizer=model.quantizer, table=model.table,
+                         encoders=np.zeros(shape, dtype=np.int64), labels=model.labels,
+                         feature_names=model.feature_names, metadata=model.metadata)
+
     def test_scaling_encoder_preserves_argmax(self, toy_dataset, model):
         scaled = TrainedModel(
             quantizer=model.quantizer,
@@ -416,6 +428,12 @@ class TestLevelSpaceKernel:
         )
         assert predict_batch(np.array([[0.2], [0.9]]), model).tolist() == [label, label]
         assert classify(np.array([0.2]), model).label == label
+
+    def test_encoder_sum_bound_checked(self):
+        # A class of S samples sums N*S level hypervectors; the bound is on S*N.
+        _encoder_weights(np.array([[2**52, 2**52 - 1]]), 2)
+        with pytest.raises(DataError, match="too large for exact encoder sums"):
+            _encoder_weights(np.array([[1, 0], [2**52, 2**52]]), 2)
 
     def test_exactness_bound_checked(self, toy_dataset):
         model = fit_baseline(toy_dataset, 64, 5, seed=7)

@@ -31,6 +31,7 @@ from hvdesign import (
     pairwise_similarities,
     predict_batch,
     repair_budget,
+    total_accuracy,
     uniform_flip_budget,
     weighted_accuracy,
 )
@@ -144,6 +145,18 @@ class TestConfusionMatrix:
 
     def test_whole_float_labels_counted(self):
         assert confusion_matrix([1.0, 2.0, 2.0], [2, 2, 1], 2).tolist() == [[0, 1], [1, 1]]
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ShapeError, match="differ in length"):
+            confusion_matrix([1, 2], [1], 2)
+
+    def test_empty_matrix_has_no_accuracy(self):
+        empty = np.zeros((2, 2), dtype=np.int64)
+        with pytest.raises(DataError, match="no samples at all"):
+            total_accuracy(empty)
+        with pytest.warns(UserWarning, match=r"\[1, 2\]"):
+            with pytest.raises(DataError, match="no samples at all"):
+                weighted_accuracy(empty)
 
 
 class TestWeightedAccuracy:
@@ -474,6 +487,10 @@ class TestEvaluateCandidate:
             genes = np.zeros(shape, dtype=np.int64)
             with pytest.raises(ShapeError, match="does not match dataset N=1, M=3"):
                 evaluator.score(genes, 16)
+
+    def test_quantizer_of_another_width_rejected(self, micro_dataset, toy_dataset):
+        with pytest.raises(ShapeError, match=r"expected \(S, 2\) values, got \(12, 1\)"):
+            CandidateEvaluator(micro_dataset, calibrate_quantizer(toy_dataset, 3), 0)
 
     def test_robustness_complements_avg_sim(self, micro_dataset, micro_quantizer):
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, 0)
