@@ -37,7 +37,7 @@ from .errors import ConfigError, HvError
 from .evolve import GAConfig, run_optimization
 from .model import fit_baseline, predict_batch, train_model
 from .objectives import (
-    avg_similarity,
+    _avg_similarities,
     confusion_matrix,
     total_accuracy,
     weighted_accuracy,
@@ -181,7 +181,7 @@ def _metrics(model, data: Dataset) -> dict:
     return {
         "wAcc": weighted_accuracy(confusion),
         "totalAcc": total_accuracy(confusion),
-        "avgSim": avg_similarity(model.encoders),
+        "avgSim": _avg_similarities(model._scoring[1])[0],  # the Gram predict_batch used
         "perClassRecall": recalls,
         "confusion": confusion.tolist(),
         "samples": int(data.n_samples),

@@ -78,6 +78,13 @@ class Dataset:
         return len(self.label_names)
 
 
+def _too_wide(mins: np.ndarray, maxs: np.ndarray, levels: int) -> list:
+    """Indices of the features whose (max - min) * M overflows: no level
+    width exists for their range."""
+    with np.errstate(over="ignore"):
+        return np.flatnonzero(~np.isfinite((maxs - mins) * levels)).tolist()
+
+
 @dataclass(frozen=True)
 class Quantizer:
     """Uniform per-feature quantizer into levels 1..M, calibrated on training data.
@@ -86,6 +93,12 @@ class Quantizer:
     the maximum clamp to level M (the last interval is closed). Degenerate
     features (min == max) map everything to level 1. A range whose
     (max - min) * M overflows is refused.
+
+    A value is clamped into [min, max] before any arithmetic, so its offset
+    from the minimum is at most max - min and that offset times M at most
+    (max - min) * M, which the refusal above keeps finite: no query, however
+    far outside the range, overflows. A degenerate feature divides its zero
+    offset by 1.
     """
 
     mins: np.ndarray
@@ -103,8 +116,7 @@ class Quantizer:
             raise DataError("non-finite calibration minima or maxima")
         if np.any(mins > maxs):
             raise ValueError("feature minimum exceeds maximum")
-        with np.errstate(over="ignore"):
-            wide = np.flatnonzero(~np.isfinite((maxs - mins) * self.levels)).tolist()
+        wide = _too_wide(mins, maxs, self.levels)
         if wide:
             raise DataError(f"features {wide} have ranges too wide to quantize")
         object.__setattr__(self, "mins", mins)
@@ -126,21 +138,30 @@ class Quantizer:
         if not np.all(np.isfinite(x)):
             raise DataError("cannot quantize non-finite values")
         span = self.maxs - self.mins
-        out = np.ones(x.shape, dtype=np.int64)
-        ok = span > 0
-        if np.any(ok):
-            # A query far outside the range may overflow to +-inf: it clamps.
-            with np.errstate(over="ignore"):
-                raw = 1 + np.floor((x[:, ok] - self.mins[ok]) * self.levels / span[ok])
-            out[:, ok] = np.clip(raw, 1, self.levels).astype(np.int64)
+        scaled = np.maximum(x, self.mins)
+        np.minimum(scaled, self.maxs, out=scaled)
+        scaled -= self.mins
+        scaled *= self.levels
+        scaled /= np.where(span > 0, span, 1.0)  # a degenerate offset is 0: level 1
+        out = scaled.astype(np.int64)  # truncation is floor: scaled >= 0
+        np.minimum(out, self.levels - 1, out=out)  # the maximum itself: level M
+        out += 1
         return out
 
 
 def calibrate_quantizer(train: Dataset, levels: int) -> Quantizer:
-    """Per-feature min/max from the training split only."""
+    """Per-feature min/max from the training split only. A range too wide
+    to quantize is named by its column where the split has feature names."""
     mins = train.features.min(axis=0)
     maxs = train.features.max(axis=0)
-    q = Quantizer(mins=mins, maxs=maxs, levels=levels)
+    try:
+        q = Quantizer(mins=mins, maxs=maxs, levels=levels)
+    except DataError:
+        # The split's values are finite, so `Quantizer` refused a range.
+        if not train.feature_names:
+            raise
+        wide = [train.feature_names[n] for n in _too_wide(mins, maxs, levels)]
+        raise DataError(f"features {wide} have ranges too wide to quantize") from None
     if np.any(q.degenerate):
         idx = np.flatnonzero(q.degenerate).tolist()
         warnings.warn(f"degenerate (constant) features {idx} map to level 1 only")

@@ -36,8 +36,10 @@ O(N*D*K) per candidate:
 (P, K, S) bool mask with one True per candidate and row: candidate
 scoring sums each row's level scores in one product with the rows'
 incidence matrix and counts its hits against the class counts straight
-from the mask, and `_nearest` reads labels off it for `predict_batch` and
-`classify`, which gather the level scores of their rows instead.
+from the mask, and `_nearest` reads labels off it for `predict_batch`,
+which gathers the level scores of its rows instead. `classify` sums its
+one row's level scores into integer dots and settles its label exactly
+with `_best_class`, the rule `_winners` settles near ties with.
 
 E, P, the squared norms and the dot products are exact integers (float64
 products and sums are used only under a checked bound that keeps every
@@ -52,7 +54,12 @@ integer-valued vectors (`_gram`) through one elementwise routine
 (`_cosines`), so it too is the same in any summation order and in any
 batch: `pairwise_similarities` is the two in a row, and candidate scoring
 keeps each block's Grams and takes the cosines of a whole population at
-once. `log` and `exp` in avgSim are the only platform math functions left.
+once. `classify` stacks no vectors: it assembles the (K+1, K+1) Gram of
+its query x and the encoders from exact pieces it already has, x . x from
+the encoded query, each x . e_k from the model's projection (the dots its
+label is settled on) and the encoders' Gram from the model's scoring
+cache, which the CLI's avgSim reads too. `log` and `exp` in avgSim are the
+only platform math functions left.
 """
 
 from __future__ import annotations
@@ -163,9 +170,15 @@ def _projection(bases: np.ndarray, flips: np.ndarray, encoders: np.ndarray,
     return projection.transpose(1, 2, 3, 0).astype(np.int64, order="C")
 
 
-def _exact_score(dot: int, sq_norm: int) -> Fraction:
-    """sign(dot) * dot**2 / |e|**2: increases with dot / |e|; 0 for a zero encoder."""
-    return Fraction(dot * abs(dot), sq_norm) if sq_norm else Fraction(0)
+def _best_class(dots: list, sq_norms: list, classes) -> int:
+    """The k among `classes` (0-based, ascending) with the largest
+    dot_k / |e_k|, of integer dots and squared norms: compared exactly as
+    sign(dot_k) * dot_k**2 / |e_k|**2, ties to the lowest k, and a zero
+    encoder scores 0."""
+    def score(k):
+        return Fraction(dots[k] * abs(dots[k]), sq_norms[k]) if sq_norms[k] else Fraction(0)
+
+    return max(classes, key=score)
 
 
 def _row_incidence(levels: np.ndarray, n_levels: int) -> np.ndarray:
@@ -216,10 +229,7 @@ def _winners(projection: np.ndarray, gram: np.ndarray, levels: np.ndarray,
         features = np.arange(n_features)
         for p, s in zip(*np.nonzero(won.sum(axis=1) > 1)):  # settle them exactly
             dots = projection[p, features, levels[s] - 1].sum(axis=0).tolist()
-            k = max(
-                np.flatnonzero(won[p, :, s]).tolist(),
-                key=lambda k: (_exact_score(dots[k], int(sq_norms[p, k])), -k),
-            )
+            k = _best_class(dots, sq_norms[p].tolist(), np.flatnonzero(won[p, :, s]).tolist())
             won[p, :, s] = False
             won[p, k, s] = True
     return won
@@ -259,7 +269,8 @@ class TrainedModel:
     @cached_property
     def _scoring(self) -> tuple[np.ndarray, np.ndarray]:
         """The level projection and encoder Gram matrix `_nearest` takes,
-        for this model as a population of one."""
+        for this model as a population of one; `classify` and the CLI's
+        avgSim read them too."""
         table = self.table
         encoders = self.encoders[None]
         projection = _projection(table.bases, table.flips[None], encoders, table.levels)
@@ -357,10 +368,19 @@ def classify(query, model: TrainedModel) -> Prediction:
         raise ShapeError(
             f"expected {model.table.features} features, got shape {query.shape}"
         )
-    levels = model.quantizer.quantize_matrix(query[None, :])
-    encoded = encode_quantized(levels, model.table)
-    sims = pairwise_similarities(np.concatenate([encoded, model.encoders]))
-    return Prediction(label=int(_nearest(*model._scoring, levels)[0, 0]), similarities=sims[0, 1:])
+    levels = model.quantizer.quantize_matrix(query[None, :])[0]
+    projection, gram = model._scoring
+    # The exact Gram of the stack (x, e_1..e_K): x . x from the encoded
+    # query, each x . e_k summed from the projection (exact under its
+    # bound), and the encoders' own Gram as scoring keeps it.
+    dots = projection[0, np.arange(len(levels)), levels - 1].sum(axis=0)
+    full = np.empty((len(dots) + 1,) * 2, dtype=np.int64)
+    full[0, 0] = _gram(encode_quantized(levels[None], model.table))[0, 0]
+    full[0, 1:] = full[1:, 0] = dots
+    full[1:, 1:] = gram[0]
+    sims = _cosines(full)[0, 1:]
+    label = _best_class(dots.tolist(), np.diagonal(gram[0]).tolist(), range(len(dots))) + 1
+    return Prediction(label=label, similarities=sims)
 
 
 def train_model(

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hvdesign import (
@@ -258,7 +258,68 @@ def levels_of(quantizer, values):
     return quantizer.quantize_matrix(np.array([values], dtype=np.float64))[0]
 
 
+def masked_levels(quantizer, values):
+    """The reference formula for `quantize_matrix`: arithmetic only on the
+    features with a nonzero span, on unclamped values whose scaled offset
+    may overflow to +-inf, clipped to 1..M afterwards."""
+    span = quantizer.maxs - quantizer.mins
+    out = np.ones(values.shape, dtype=np.int64)
+    ok = span > 0
+    if np.any(ok):
+        with np.errstate(over="ignore"):
+            raw = 1 + np.floor((values[:, ok] - quantizer.mins[ok]) * quantizer.levels / span[ok])
+        out[:, ok] = np.clip(raw, 1, quantizer.levels).astype(np.int64)
+    return out
+
+
+@st.composite
+def quantizer_cases(draw):
+    """A quantizer of up to 4 features, some degenerate, some near the
+    widest range M allows, and up to 6 rows of values: the range ends, one
+    ulp either side of them, level boundaries, +-1e308 and any finite float."""
+    levels = draw(st.sampled_from([2, 20, 300]))
+    mins, maxs, specials = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        low = draw(st.floats(-1e307, 1e307))
+        width = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0),
+                               st.floats(0.0, np.finfo(np.float64).max / levels)))
+        high = low + width
+        assume(math.isfinite((high - low) * levels))
+        boundaries = [low + (high - low) * j / levels for j in (1, levels // 2, levels - 1)]
+        mins.append(low)
+        maxs.append(high)
+        specials.append(st.sampled_from(
+            [low, high, np.nextafter(low, -np.inf), np.nextafter(low, np.inf),
+             np.nextafter(high, -np.inf), np.nextafter(high, np.inf), 1e308, -1e308,
+             *boundaries]
+        ))
+    values = [[draw(st.one_of(special, st.floats(allow_nan=False, allow_infinity=False)))
+               for special in specials] for _ in range(draw(st.integers(0, 6)))]
+    quantizer = Quantizer(mins=np.array(mins), maxs=np.array(maxs), levels=levels)
+    return quantizer, np.array(values, dtype=np.float64).reshape(-1, len(mins))
+
+
 class TestQuantizer:
+    @given(quantizer_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((  # the widest range that fits at M=20
+        Quantizer(mins=np.array([0.0]), maxs=np.array([8e306]), levels=20),
+        np.array([[0.0], [4e306], [8e306], [np.nextafter(8e306, np.inf)],
+                  [np.nextafter(0.0, -np.inf)], [1e308], [-1e308]]),
+    ))
+    @example((  # zero rows, one degenerate feature
+        Quantizer(mins=np.array([1.0, 0.0]), maxs=np.array([1.0, 2.0]), levels=300),
+        np.empty((0, 2)),
+    ))
+    def test_matches_masked_formula(self, case):
+        quantizer, values = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            levels = quantizer.quantize_matrix(values)
+        want = masked_levels(quantizer, values)
+        assert levels.dtype == np.int64 and levels.shape == values.shape
+        assert np.array_equal(levels, want)
+
     def test_calibration_min_max(self):
         ds = Dataset(
             features=np.array([[0.0], [0.5], [1.0]]),
@@ -330,6 +391,9 @@ class TestQuantizer:
                      label_names=["a", "b"])
         with pytest.raises(DataError, match=r"features \[0\] have ranges too wide"):
             calibrate_quantizer(ds, 20)
+        named = dataclasses.replace(ds, feature_names=["f1"])
+        with pytest.raises(DataError, match=r"features \['f1'\] have ranges too wide"):
+            calibrate_quantizer(named, 20)
 
     def test_widest_range_that_fits_quantizes_exactly(self):
         q = Quantizer(mins=np.array([0.0]), maxs=np.array([8e306]), levels=20)

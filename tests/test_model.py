@@ -10,6 +10,7 @@ from hvdesign import (
     DataError,
     Dataset,
     FlipBudget,
+    LevelTable,
     Quantizer,
     ShapeError,
     TrainedModel,
@@ -180,6 +181,118 @@ class TestClassify:
         for x in toy_dataset.features[:10]:
             sims = classify(x, model).similarities
             assert np.all(sims >= -1 - 1e-12) and np.all(sims <= 1 + 1e-12)
+
+
+def stacked_similarities(query, model):
+    """The reference for `classify`'s cosines: one Gram matrix of the
+    query's hypervector stacked on the encoders."""
+    levels = model.quantizer.quantize_matrix(np.asarray(query, dtype=np.float64)[None, :])
+    stack = np.concatenate([encode_quantized(levels, model.table), model.encoders])
+    return pairwise_similarities(stack)[0, 1:]
+
+
+def with_encoders(model, encoders):
+    return TrainedModel(quantizer=model.quantizer, table=model.table, encoders=encoders,
+                        labels=[f"c{k}" for k in range(len(encoders))],
+                        feature_names=model.feature_names, metadata=model.metadata)
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    """The served benchmark shape: N=57, M=20, D=2048, K=2."""
+    rng = np.random.default_rng([0, 57])
+    x = rng.uniform(0.0, 1.0, size=(400, 57))
+    labels = 1 + (x[:, :28].sum(axis=1) > x[:, 28:56].sum(axis=1))
+    model = fit_baseline(Dataset(features=x, labels=labels, label_names=["neg", "pos"]),
+                         2048, 20, seed=0)
+    # Queries reach 10% past the calibrated range, so some clamp.
+    return model, rng.uniform(-0.1, 1.1, size=(25, 57))
+
+
+@pytest.fixture(scope="module")
+def grid_model(motivational):
+    model = fit_baseline(motivational, 64, 20, seed=0)
+    return model, motivational.features[::80]
+
+
+class TestClassifyGram:
+    """`classify` builds the (K+1, K+1) Gram of the query and the encoders
+    from the projection and the encoders' Gram: the same cosine bytes as one
+    Gram of the stacked vectors, and `predict_batch`'s label."""
+
+    @staticmethod
+    def check(model, queries):
+        for query in queries:
+            prediction = classify(query, model)
+            want = stacked_similarities(query, model)
+            assert prediction.similarities.dtype == want.dtype
+            assert prediction.similarities.tobytes() == want.tobytes()
+            assert prediction.label == predict_batch(query[None, :], model)[0]
+
+    def test_wide_model(self, wide_model):
+        self.check(*wide_model)
+
+    def test_grid_model(self, grid_model):
+        self.check(*grid_model)
+
+    def test_zero_encoder(self, grid_model):
+        model, queries = grid_model
+        encoders = model.encoders.copy()
+        encoders[1] = 0
+        zeroed = with_encoders(model, encoders)
+        self.check(zeroed, queries)
+        assert all(classify(q, zeroed).similarities[1] == 0.0 for q in queries)
+
+    def test_zero_query_reads_zero(self):
+        # Feature 2's base is feature 1's negated and no level flips a bit,
+        # so every query encodes to the zero vector.
+        budget = FlipBudget(budgets=np.zeros((2, 3), dtype=np.int64), dim=8)
+        table = build_level_table(3, budget)
+        bases = np.stack([table.bases[0], -table.bases[0]])
+        table = LevelTable(bases=bases, flips=table.flips, budgets=budget)
+        model = TrainedModel(
+            quantizer=Quantizer(mins=np.zeros(2), maxs=np.ones(2), levels=4),
+            table=table,
+            encoders=np.array([[1, -2, 3, 0, 0, 1, 1, 1], [0, 0, 0, 0, 0, 0, 0, 0],
+                               [-1, -1, -1, -1, 2, 2, 2, 2]]),
+            labels=["a", "b", "c"],
+            feature_names=["f1", "f2"],
+            metadata={"seed": 3},
+        )
+        queries = np.array([[0.1, 0.9], [0.6, 0.3], [2.0, -1.0]])
+        assert not encode_quantized(model.quantizer.quantize_matrix(queries), table).any()
+        self.check(model, queries)
+        for query in queries:
+            assert classify(query, model).similarities.tolist() == [0.0, 0.0, 0.0]
+
+    @given(training_problems(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_stacked_gram(self, problem, seed):
+        train, quantizer, budget, queries = problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty classes warn
+            model = train_model(train, quantizer, budget, seed)
+        self.check(model, np.vstack([train.features, queries]))
+
+    def test_scoring_bound_checked(self, grid_model):
+        model, queries = grid_model
+        with pytest.raises(DataError, match="exact scoring"):
+            classify(queries[0], with_encoders(model, model.encoders * 2**46))
+
+    def test_cosine_bound_checked(self):
+        # D=2, N=1: the projection's N*D*|E| = 2**41 fits under 2**53, but
+        # the Gram's D*|E|**2 = 2**81 does not fit under 2**63.
+        table = build_level_table(5, FlipBudget(budgets=np.array([[0]]), dim=2))
+        model = TrainedModel(
+            quantizer=Quantizer(mins=np.zeros(1), maxs=np.ones(1), levels=2),
+            table=table,
+            encoders=np.array([[2**40, 1], [1, 2**40]]),
+            labels=["a", "b"],
+            feature_names=["f1"],
+            metadata={"seed": 5},
+        )
+        with pytest.raises(DataError, match="too large for exact cosines"):
+            classify(np.array([0.5]), model)
 
 
 class TestSinglePassTraining:
