@@ -195,24 +195,13 @@ def _print_metrics(tag: str, metrics: dict) -> None:
           f"infTime={metrics['inferenceMsPerSample']:.4f}ms/sample")
 
 
-def _read_against(model, path, label_col) -> Dataset:
-    """A CSV read against a model's labels; it must have the model's
-    feature count."""
-    data = load_dataset_csv(path, label_col, label_names=model.labels)
-    if data.n_features != model.table.features:
-        raise HvError(
-            f"model expects {model.table.features} features, data has {data.n_features}"
-        )
-    return data
-
-
 def cmd_train(args) -> int:
     train = load_dataset_csv(args.data, args.label_col)
     model = fit_baseline(train, args.dim, args.levels, args.seed)
     report = {"train": _metrics(model, train)}
     _print_metrics("train", report["train"])
     if args.test:
-        test = _read_against(model, args.test, args.label_col)
+        test = load_dataset_csv(args.test, args.label_col, label_names=model.labels)
         report["test"] = _metrics(model, test)
         _print_metrics("test", report["test"])
     if args.out:
@@ -277,7 +266,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    data = _read_against(model, args.data, args.label_col)
+    data = load_dataset_csv(args.data, args.label_col, label_names=model.labels)
     metrics = _metrics(model, data)
     _print_metrics("eval", metrics)
     for name, recall in metrics["perClassRecall"].items():
@@ -298,7 +287,7 @@ def cmd_synth(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     model = load_model(args.model)
-    data = _read_against(model, args.data, args.label_col)
+    data = load_dataset_csv(args.data, args.label_col, label_names=model.labels)
     export_sample_hypervectors(model, data, args.out)
     print(f"{data.n_samples} x {model.table.dim} hypervector matrix written to {args.out}")
     return 0

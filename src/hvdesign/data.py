@@ -44,9 +44,16 @@ MODEL_MAGIC = b"HDCM"
 MODEL_VERSION = 1
 
 
+def _check_labels(labels: np.ndarray, n_classes: int) -> None:
+    if np.any(labels < 1) or np.any(labels > n_classes):
+        bad = labels[(labels < 1) | (labels > n_classes)]
+        raise DataError(f"labels {np.unique(bad).tolist()} outside 1..{n_classes}")
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus dense integer labels (1..K)."""
+    """Feature matrix plus dense integer labels (1..K), one class for each
+    label name; feature names, if given, name the N features."""
 
     features: np.ndarray  # (S, N) float64
     labels: np.ndarray  # (S,) int64, values 1..K
@@ -62,6 +69,9 @@ class Dataset:
             raise ShapeError("label count does not match sample count")
         if not np.all(np.isfinite(f)):
             raise DataError("dataset contains non-finite feature values")
+        _check_labels(y, self.n_classes)
+        if self.feature_names is not None and len(self.feature_names) != f.shape[1]:
+            raise ShapeError(f"{len(self.feature_names)} feature names for {f.shape[1]} features")
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", y)
 
@@ -134,7 +144,7 @@ class Quantizer:
         """(S, N) values -> (S, N) levels in 1..M."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.features:
-            raise ShapeError(f"expected (S, {self.features}) values, got {x.shape}")
+            raise ShapeError(f"expected {self.features} features, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise DataError("cannot quantize non-finite values")
         span = self.maxs - self.mins
@@ -399,27 +409,29 @@ def atomic_open(path, mode="w"):
 
 
 def model_bytes(model) -> bytes:
-    """The `.hdcm` serialization of a trained model; see the module
-    docstring for the layout."""
+    """The `.hdcm` serialization of a trained model (layout in the module
+    docstring); a seed, count or encoder too wide for its field raises."""
     dim = model.table.dim
     n_feat, n_lvl = model.table.features, model.table.levels
     n_cls = model.n_classes
-    encoders = np.asarray(model.encoders, dtype=np.int64)
-    if np.any(np.abs(encoders) > np.iinfo(np.int32).max):
+    if np.any(np.abs(model.encoders) > np.iinfo(np.int32).max):
         raise FormatError("encoder entries exceed the int32 range of the model format")
-    counts = np.asarray(model.metadata["class_counts"], dtype=np.uint32)
+    if model.table.seed >= 2**64:
+        raise FormatError(f"seed {model.table.seed} exceeds the u64 range of the model format")
+    if max(model.class_counts) >= 2**32:
+        raise FormatError("class counts exceed the u32 range of the model format")
     labels_blob = json.dumps(model.labels).encode("utf-8")
     feats_blob = json.dumps(model.feature_names).encode("utf-8")
     return b"".join([
         MODEL_MAGIC,
         struct.pack("<IIIII", MODEL_VERSION, dim, n_feat, n_lvl, n_cls),
-        struct.pack("<Q", int(model.metadata["seed"])),
+        struct.pack("<Q", model.table.seed),
         model.quantizer.mins.astype("<f8").tobytes(),
         model.quantizer.maxs.astype("<f8").tobytes(),
         model.table.budgets.budgets.astype("<i4").tobytes(),
         _table_bits(model.table),
-        encoders.astype("<i4").tobytes(),
-        counts.astype("<u4").tobytes(),
+        model.encoders.astype("<i4").tobytes(),
+        np.array(model.class_counts, dtype="<u4").tobytes(),
         struct.pack("<I", len(labels_blob)),
         labels_blob,
         struct.pack("<I", len(feats_blob)),
@@ -444,16 +456,12 @@ def _table_bits(table) -> bytes:
     return np.packbits(bits).tobytes()
 
 
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def load_model(path):
     """Inverse of save_model. The load checks the header, which sizes the
-    reads; the Quantizer, FlipBudget and level table it builds check the
-    rest, and their errors raise as FormatError. The stored table bytes must
-    be the `_table_bits` of the table its seed and flip budget build. Labels
-    must be K distinct strings, and feature names N strings or none."""
+    reads, and that the stored table bytes are the `_table_bits` of the
+    table its seed and flip budget build. The model types own every other
+    rule (`Quantizer`, `FlipBudget`, `build_level_table`, `TrainedModel`),
+    and their errors raise as a FormatError naming the file."""
     from .model import TrainedModel  # here, not at the top: model imports data
 
     with open(path, "rb") as fh:
@@ -498,32 +506,26 @@ def load_model(path):
     table_bits = take(n_table_bytes)
     encoders = np.frombuffer(take(4 * n_cls * dim), dtype="<i4")
     encoders = encoders.reshape(n_cls, dim).astype(np.int64)
-    counts = np.frombuffer(take(4 * n_cls), dtype="<u4").astype(np.int64)
+    counts = np.frombuffer(take(4 * n_cls), dtype="<u4").tolist()
     labels = take_json()
-    if not (_strings(labels) and len(set(labels)) == len(labels) == n_cls):
-        raise FormatError(f"{path}: label list does not name {n_cls} classes")
     feature_names = take_json()
-    if not (_strings(feature_names) and len(feature_names) in (0, n_feat)):
-        raise FormatError(f"{path}: feature name list does not name {n_feat} features")
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
 
     try:
-        quantizer = Quantizer(mins=mins, maxs=maxs, levels=n_lvl)
-        table = build_level_table(seed, FlipBudget(budgets=budgets, dim=dim))
+        model = TrainedModel(
+            quantizer=Quantizer(mins=mins, maxs=maxs, levels=n_lvl),
+            table=build_level_table(seed, FlipBudget(budgets=budgets, dim=dim)),
+            encoders=encoders,
+            labels=labels,
+            feature_names=feature_names,
+            class_counts=counts,
+        )
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    if table_bits != _table_bits(table):
+    if table_bits != _table_bits(model.table):
         raise FormatError(f"{path}: stored level table does not match its seed and budget")
-
-    return TrainedModel(
-        quantizer=quantizer,
-        table=table,
-        encoders=encoders,
-        labels=labels,
-        feature_names=feature_names,
-        metadata={"seed": int(seed), "class_counts": counts.tolist()},
-    )
+    return model
 
 
 def export_sample_hypervectors(model, dataset: Dataset, path) -> None:

@@ -174,11 +174,13 @@ def _flip_levels(perms: np.ndarray, budgets: np.ndarray) -> np.ndarray:
 class LevelTable:
     """All N x M level hypervectors of a flip budget, held as what fixes
     them: level m of feature n is its base sign at the indices whose flip
-    level is at least m, and the opposite sign at the rest."""
+    level is at least m, and the opposite sign at the rest. It owns the seed
+    its schedule was drawn from, so a model's seed cannot contradict it."""
 
     bases: np.ndarray  # (N, D) int8 base signs: level 1 of every feature
     flips: np.ndarray  # (N, D) flip levels 1..M, dtype np.min_scalar_type(M)
     budgets: FlipBudget
+    seed: int
 
     def __post_init__(self):
         self.bases.flags.writeable = False
@@ -200,6 +202,7 @@ class LevelTable:
         # The flip levels fix the budget: b_m indices have flip level m.
         return (
             isinstance(other, LevelTable)
+            and self.seed == other.seed
             and self.levels == other.levels
             and np.array_equal(self.bases, other.bases)
             and np.array_equal(self.flips, other.flips)
@@ -224,7 +227,8 @@ def build_level_table(base_seed, budget: FlipBudget) -> LevelTable:
     a budget with a row over D/2 raises ConstraintError."""
     _check_feasible(budget.budgets, budget.dim)
     bases, perms = _schedule(base_seed, budget.features, budget.dim)
-    return LevelTable(bases=bases, flips=_flip_levels(perms, budget.budgets), budgets=budget)
+    return LevelTable(bases=bases, flips=_flip_levels(perms, budget.budgets), budgets=budget,
+                      seed=int(base_seed))
 
 
 def _signs(bases: np.ndarray, flips: np.ndarray, levels) -> np.ndarray:

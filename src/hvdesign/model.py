@@ -36,10 +36,10 @@ O(N*D*K) per candidate:
 (P, K, S) bool mask with one True per candidate and row: candidate
 scoring sums each row's level scores in one product with the rows'
 incidence matrix and counts its hits against the class counts straight
-from the mask, and `_nearest` reads labels off it for `predict_batch`,
-which gathers the level scores of its rows instead. `classify` sums its
-one row's level scores into integer dots and settles its label exactly
-with `_best_class`, the rule `_winners` settles near ties with.
+from the mask, and `predict_batch` reads labels off it, gathering the
+level scores of its rows instead. `classify` sums its one row's level
+scores into integer dots and settles its label exactly with
+`_best_class`, the rule `_winners` settles near ties with.
 
 E, P, the squared norms and the dot products are exact integers (float64
 products and sums are used only under a checked bound that keeps every
@@ -235,32 +235,52 @@ def _winners(projection: np.ndarray, gram: np.ndarray, levels: np.ndarray,
     return won
 
 
-def _nearest(projection: np.ndarray, gram: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """(P, S) labels (1..K) of the `_winners` mask: the one True of each
-    (p, s) picks its k from 1..K in a product, not a strided argmax."""
-    won = _winners(projection, gram, levels)
-    return np.arange(1, won.shape[1] + 1) @ won
+def _check_budget_shape(shape: tuple, quantizer: Quantizer) -> None:
+    """Raise ShapeError unless an (N, M-1) budget `shape` fits the N
+    features and M levels of the dataset `quantizer` was calibrated on."""
+    if tuple(shape) != (quantizer.features, quantizer.levels - 1):
+        raise ShapeError(f"budget shape {tuple(shape)} does not match "
+                         f"dataset N={quantizer.features}, M={quantizer.levels}")
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """The serializable artifact: quantizer + level table + class encoders."""
+    """The serializable artifact: quantizer + level table + class encoders,
+    valid by construction. It owns the rules that tie its parts together:
+    the quantizer and the table agree on N and M, K >= 2 encoders have the
+    table's D, the labels are K distinct strings, the feature names N
+    strings or none, and the class counts K non-negative ints."""
 
     quantizer: Quantizer
     table: LevelTable
     encoders: np.ndarray  # (K, D) int64
     labels: list  # class names, index k-1 -> class k
     feature_names: list
-    metadata: dict
+    class_counts: tuple  # training samples of class k at index k-1
 
     def __post_init__(self):
+        _check_budget_shape(self.table.budgets.budgets.shape, self.quantizer)
         e = np.asarray(self.encoders, dtype=np.int64)
         if e.ndim != 2 or e.shape[1] != self.table.dim:
             raise ShapeError(f"encoders must be (K, {self.table.dim}), got {e.shape}")
-        if e.shape[0] < 2:
+        n_classes = e.shape[0]
+        if n_classes < 2:
             raise DataError("need at least 2 classes")
+        if not (_strings(self.labels) and len(set(self.labels)) == len(self.labels) == n_classes):
+            raise DataError(f"label list does not name {n_classes} classes")
+        n_features = self.table.features
+        if not (_strings(self.feature_names) and len(self.feature_names) in (0, n_features)):
+            raise DataError(f"feature name list does not name {n_features} features")
+        counts = np.asarray(self.class_counts)
+        if counts.shape != (n_classes,) or counts.dtype.kind not in "iu" or np.any(counts < 0):
+            raise DataError(f"need {n_classes} non-negative integer class counts")
         e.flags.writeable = False
         object.__setattr__(self, "encoders", e)
+        object.__setattr__(self, "class_counts", tuple(counts.tolist()))
 
     @property
     def n_classes(self) -> int:
@@ -268,7 +288,7 @@ class TrainedModel:
 
     @cached_property
     def _scoring(self) -> tuple[np.ndarray, np.ndarray]:
-        """The level projection and encoder Gram matrix `_nearest` takes,
+        """The level projection and encoder Gram matrix `_winners` takes,
         for this model as a population of one; `classify` and the CLI's
         avgSim read them too."""
         table = self.table
@@ -286,10 +306,7 @@ class TrainedModel:
             and np.array_equal(self.encoders, other.encoders)
             and self.labels == other.labels
             and self.feature_names == other.feature_names
-            and self.metadata.get("seed") == other.metadata.get("seed")
-            and np.array_equal(
-                self.metadata.get("class_counts"), other.metadata.get("class_counts")
-            )
+            and self.class_counts == other.class_counts
         )
 
     __hash__ = None
@@ -299,12 +316,6 @@ class TrainedModel:
 class Prediction:
     label: int  # class index in 1..K
     similarities: np.ndarray  # (K,)
-
-
-def _check_labels(labels: np.ndarray, n_classes: int) -> None:
-    if np.any(labels < 1) or np.any(labels > n_classes):
-        bad = labels[(labels < 1) | (labels > n_classes)]
-        raise DataError(f"labels {np.unique(bad).tolist()} outside 1..{n_classes}")
 
 
 def _integer_valued(values, message: str) -> np.ndarray:
@@ -357,18 +368,15 @@ def pairwise_similarities(vectors) -> np.ndarray:
 def predict_batch(features: np.ndarray, model: TrainedModel) -> np.ndarray:
     """Labels (1..K) for an (S, N) feature matrix."""
     levels = model.quantizer.quantize_matrix(np.asarray(features, dtype=np.float64))
-    return _nearest(*model._scoring, levels)[0]
+    won = _winners(*model._scoring, levels)[0]  # (K, S), one True a row
+    # Each row's one True picks its k from 1..K in a product, not a strided argmax.
+    return np.arange(1, len(won) + 1) @ won
 
 
 def classify(query, model: TrainedModel) -> Prediction:
     """The most similar class of one query, with its cosine similarity to
     every encoder; the label is the one `predict_batch` gives."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (model.table.features,):
-        raise ShapeError(
-            f"expected {model.table.features} features, got shape {query.shape}"
-        )
-    levels = model.quantizer.quantize_matrix(query[None, :])[0]
+    levels = model.quantizer.quantize_matrix(np.asarray(query, dtype=np.float64)[None])[0]
     projection, gram = model._scoring
     # The exact Gram of the stack (x, e_1..e_K): x . x from the encoded
     # query, each x . e_k summed from the projection (exact under its
@@ -390,8 +398,8 @@ def train_model(
     seed,
 ) -> TrainedModel:
     """Full single-pass training: budget -> level table -> encoders."""
+    _check_budget_shape(budget.budgets.shape, quantizer)
     table = build_level_table(seed, budget)
-    _check_labels(train.labels, train.n_classes)
     counts = np.bincount(train.labels, minlength=train.n_classes + 1)[1:]
     if not np.all(counts):
         empty = (np.flatnonzero(counts == 0) + 1).tolist()
@@ -407,7 +415,7 @@ def train_model(
         encoders=encoders,
         labels=list(train.label_names),
         feature_names=list(train.feature_names or []),
-        metadata={"seed": int(seed), "class_counts": counts.tolist()},
+        class_counts=counts,
     )
 
 

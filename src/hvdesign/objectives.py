@@ -40,11 +40,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import Dataset, Quantizer
+from .data import Dataset, Quantizer, _check_labels
 from .errors import DataError, ShapeError
 from .hypervector import FlipBudget, _check_feasible, _flip_levels, _schedule
 from .model import (
-    _check_labels,
+    _check_budget_shape,
     _class_encoders,
     _cosines,
     _encoder_weights,
@@ -175,7 +175,6 @@ class CandidateEvaluator:
     def __init__(self, train: Dataset, quantizer: Quantizer, base_seed):
         if train.n_classes < 2:
             raise DataError("need at least 2 classes")
-        _check_labels(train.labels, train.n_classes)
         self.train = train
         self.quantizer = quantizer
         self.base_seed = int(base_seed)
@@ -206,11 +205,7 @@ class CandidateEvaluator:
         training split's raise ShapeError, and a budget with a row over D/2
         raises ConstraintError."""
         n_features, n_levels = self.train.n_features, self.quantizer.levels
-        if genes.shape[1:] != (n_features, n_levels - 1):
-            raise ShapeError(
-                f"budget shape {genes.shape[1:]} does not match "
-                f"dataset N={n_features}, M={n_levels}"
-            )
+        _check_budget_shape(genes.shape[1:], self.quantizer)
         _check_feasible(genes, dim)
         if not len(genes):
             return np.empty((0, 2))

@@ -391,14 +391,15 @@ class TestBadInput:
         ids=["eval", "export-embeddings", "train-test"],
     )
     def test_feature_count_mismatch_is_named(self, argv, hand_built_model, tmp_path, capsys):
-        # Every path that reads a CSV against a model's labels checks its width.
+        # Every path that reads a CSV against a model's labels meets the
+        # quantizer's width check before it writes anything.
         (tmp_path / "two.hdcm").write_bytes(hand_built_model(2, n_features=2))
         (tmp_path / "two.csv").write_text("f1,f2,label\n0.1,0.2,a\n0.9,0.8,b\n")
         (tmp_path / "three.csv").write_text("f1,f2,f3,label\n0.1,0.2,0.3,a\n")
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         err = capsys.readouterr().err.splitlines()
         lines = [line for line in err if not line.startswith("INFO ")]
-        assert lines == ["error: model expects 2 features, data has 3"]
+        assert lines == ["error: expected 2 features, got shape (1, 3)"]
 
 
 class TestEntryPoint:

@@ -34,6 +34,7 @@ from hvdesign import (
     load_dataset_csv,
     load_model,
     predict_batch,
+    repair_budget,
     save_dataset_csv,
     save_model,
     train_model,
@@ -380,7 +381,7 @@ class TestQuantizer:
 
     def test_wrong_width_rejected(self):
         q = Quantizer(mins=np.array([0.0, 0.0]), maxs=np.array([1.0, 1.0]), levels=4)
-        with pytest.raises(ShapeError, match=r"expected \(S, 2\) values, got \(1, 3\)"):
+        with pytest.raises(ShapeError, match=r"expected 2 features, got shape \(1, 3\)"):
             levels_of(q, [0.5, 0.5, 0.5])
 
     @pytest.mark.parametrize("low, high", [(-1e308, 1e308), (0.0, 1e308), (0.0, 1e307)])
@@ -454,6 +455,37 @@ class TestMotivational:
             generate_motivational(10)
 
 
+@st.composite
+def trained_models(draw):
+    """A model as `train_model` builds it: N, M, K, D and a seed below
+    2**64 drawn, some classes possibly empty, any distinct label strings,
+    feature names or none, and a repaired budget."""
+    n_feat = draw(st.integers(1, 3))
+    levels = draw(st.integers(2, 6))
+    n_classes = draw(st.integers(2, 4))
+    dim = draw(st.sampled_from([2, 6, 16, 64]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    values = st.floats(-10.0, 10.0, allow_nan=False)
+    rows = draw(st.lists(st.lists(values, min_size=n_feat, max_size=n_feat),
+                         min_size=1, max_size=20))
+    labels = draw(st.lists(st.integers(1, n_classes), min_size=len(rows), max_size=len(rows)))
+    names = st.text(max_size=4)
+    train = Dataset(
+        features=np.array(rows),
+        labels=np.array(labels),
+        label_names=draw(st.lists(names, min_size=n_classes, max_size=n_classes, unique=True)),
+        feature_names=draw(st.none() | st.lists(names, min_size=n_feat, max_size=n_feat)),
+    )
+    budget = draw(st.lists(
+        st.lists(st.integers(0, dim // 2), min_size=levels - 1, max_size=levels - 1),
+        min_size=n_feat, max_size=n_feat,
+    ))
+    budget = repair_budget(FlipBudget(budgets=np.array(budget), dim=dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant features and empty classes warn
+        return train_model(train, calibrate_quantizer(train, levels), budget, seed)
+
+
 class TestModelFile:
     @pytest.fixture
     def model(self, toy_dataset):
@@ -465,11 +497,49 @@ class TestModelFile:
         assert load_model(path) == model
 
     def test_equality_compares_every_stored_field(self, model):
-        counts = [c + 1 for c in model.metadata["class_counts"]]
-        recounted = {**model.metadata, "class_counts": counts}
+        counts = [c + 1 for c in model.class_counts]
         assert dataclasses.replace(model) == model
         assert dataclasses.replace(model, feature_names=["x", "y"]) != model
-        assert dataclasses.replace(model, metadata=recounted) != model
+        assert dataclasses.replace(model, class_counts=counts) != model
+
+    @given(trained_models())
+    @settings(max_examples=150, deadline=None)
+    def test_every_trained_model_round_trips(self, file_slots, model):
+        path = file_slots()
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        assert loaded == model
+        assert model_bytes(loaded) == path.read_bytes()
+
+    def test_stored_seed_is_the_tables(self, model, tmp_path):
+        # The header's seed is the one the table was drawn from, so another
+        # table is another model, and it round trips as itself.
+        other = dataclasses.replace(model, table=build_level_table(22, model.table.budgets))
+        assert other != model and other.table.seed == 22
+        path = tmp_path / "m.hdcm"
+        save_model(other, str(path))
+        assert struct.unpack("<Q", path.read_bytes()[24:32]) == (22,)
+        assert load_model(str(path)) == other
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"seed": 2**64}, "seed 18446744073709551616 exceeds the u64 range"),
+            ({"class_counts": [2**32, 0, 0]}, "class counts exceed the u32 range"),
+        ],
+        ids=["seed-past-u64", "count-past-u32"],
+    )
+    def test_field_too_wide_refused_before_writing(self, toy_dataset, model, tmp_path, change,
+                                                   match):
+        if "seed" in change:
+            model = train_model(toy_dataset, model.quantizer, model.table.budgets,
+                                change["seed"])
+        else:
+            model = dataclasses.replace(model, **change)
+        path = tmp_path / "m.hdcm"
+        with pytest.raises(FormatError, match=match):
+            save_model(model, str(path))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("dim, levels", [(2, 2), (6, 3), (10, 5)])
     def test_round_trip_dim_not_a_multiple_of_8(self, toy_dataset, tmp_path, dim, levels):
@@ -663,7 +733,7 @@ class TestModelFile:
             encoders=np.ones((2, dim), dtype=np.int64),
             labels=["a", "b"],
             feature_names=[],
-            metadata={"seed": seed, "class_counts": [1, 1]},
+            class_counts=[1, 1],
         )
         raw = bytearray(model_bytes(model))
         start, end = table_span(n_feat, levels, dim)
@@ -775,7 +845,7 @@ class TestModelFile:
         except FormatError:
             return
         # A file loads only with the level table its seed and budget build.
-        assert model.table == build_level_table(model.metadata["seed"], model.table.budgets)
+        assert model.table == build_level_table(model.table.seed, model.table.budgets)
 
 
 class TestExportHypervectors:

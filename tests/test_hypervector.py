@@ -297,6 +297,7 @@ class TestEncodeSample:
             bases=np.full((n, dim), sign, dtype=np.int8),
             flips=np.full((n, dim), 2, dtype=np.uint8),
             budgets=FlipBudget(budgets=np.zeros((n, 1), dtype=int), dim=dim),
+            seed=0,
         )
         levels = np.ones((2, n), dtype=np.int64)
         levels[1] = 2

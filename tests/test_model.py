@@ -1,5 +1,7 @@
+import dataclasses
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,7 +145,7 @@ class TestClassify:
             encoders=np.vstack([model.encoders[0], model.encoders[0]]),
             labels=["a", "b"],
             feature_names=model.feature_names,
-            metadata=model.metadata,
+            class_counts=model.class_counts[:2],
         )
         assert classify(np.array([0.5, 0.5]), tied).label == 1
 
@@ -161,7 +163,7 @@ class TestClassify:
         with pytest.raises(error, match=match):
             TrainedModel(quantizer=model.quantizer, table=model.table,
                          encoders=np.zeros(shape, dtype=np.int64), labels=model.labels,
-                         feature_names=model.feature_names, metadata=model.metadata)
+                         feature_names=model.feature_names, class_counts=model.class_counts)
 
     def test_scaling_encoder_preserves_argmax(self, toy_dataset, model):
         scaled = TrainedModel(
@@ -170,7 +172,7 @@ class TestClassify:
             encoders=model.encoders * 7,
             labels=model.labels,
             feature_names=model.feature_names,
-            metadata=model.metadata,
+            class_counts=model.class_counts,
         )
         assert np.array_equal(
             predict_batch(toy_dataset.features, model),
@@ -194,7 +196,7 @@ def stacked_similarities(query, model):
 def with_encoders(model, encoders):
     return TrainedModel(quantizer=model.quantizer, table=model.table, encoders=encoders,
                         labels=[f"c{k}" for k in range(len(encoders))],
-                        feature_names=model.feature_names, metadata=model.metadata)
+                        feature_names=model.feature_names, class_counts=[0] * len(encoders))
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +251,7 @@ class TestClassifyGram:
         budget = FlipBudget(budgets=np.zeros((2, 3), dtype=np.int64), dim=8)
         table = build_level_table(3, budget)
         bases = np.stack([table.bases[0], -table.bases[0]])
-        table = LevelTable(bases=bases, flips=table.flips, budgets=budget)
+        table = LevelTable(bases=bases, flips=table.flips, budgets=budget, seed=3)
         model = TrainedModel(
             quantizer=Quantizer(mins=np.zeros(2), maxs=np.ones(2), levels=4),
             table=table,
@@ -257,7 +259,7 @@ class TestClassifyGram:
                                [-1, -1, -1, -1, 2, 2, 2, 2]]),
             labels=["a", "b", "c"],
             feature_names=["f1", "f2"],
-            metadata={"seed": 3},
+            class_counts=[1, 0, 1],
         )
         queries = np.array([[0.1, 0.9], [0.6, 0.3], [2.0, -1.0]])
         assert not encode_quantized(model.quantizer.quantize_matrix(queries), table).any()
@@ -289,7 +291,7 @@ class TestClassifyGram:
             encoders=np.array([[2**40, 1], [1, 2**40]]),
             labels=["a", "b"],
             feature_names=["f1"],
-            metadata={"seed": 5},
+            class_counts=[1, 1],
         )
         with pytest.raises(DataError, match="too large for exact cosines"):
             classify(np.array([0.5]), model)
@@ -327,11 +329,84 @@ class TestSinglePassTraining:
         assert model.encoders[0].any()
         assert not model.encoders[1].any()
 
-    def test_out_of_range_label_rejected(self, one_feature):
-        train = Dataset(features=np.array([[0.0], [1.0]]), labels=np.array([1, 3]),
-                        label_names=["a", "b"])
+    def test_out_of_range_label_rejected(self):
         with pytest.raises(DataError, match=r"labels \[3\] outside 1..2"):
-            train_model(train, *one_feature)
+            Dataset(features=np.array([[0.0], [1.0]]), labels=np.array([1, 3]),
+                    label_names=["a", "b"])
+
+
+class TestModelRules:
+    """A model is valid by construction: each rule of a model is refused,
+    with one line, where the model (or its dataset) is built, so no model
+    `save_model` writes is refused by `load_model`."""
+
+    @pytest.fixture
+    def model(self, toy_dataset):
+        return fit_baseline(toy_dataset, 64, 5, seed=21)
+
+    @staticmethod
+    def refused(error, match, build):
+        with pytest.raises(error, match=match) as caught:
+            build()
+        assert "\n" not in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"labels": ["x", "x", "z"]}, "label list does not name 3 classes"),
+            ({"labels": [1, 2, 3]}, "label list does not name 3 classes"),
+            ({"labels": ["x", "y"]}, "label list does not name 3 classes"),
+            ({"feature_names": ["only"]}, "feature name list does not name 2 features"),
+            ({"feature_names": [1, 2]}, "feature name list does not name 2 features"),
+            ({"class_counts": [10, 10]}, "need 3 non-negative integer class counts"),
+            ({"class_counts": []}, "need 3 non-negative integer class counts"),
+            ({"class_counts": [1, -1, 1]}, "need 3 non-negative integer class counts"),
+            ({"class_counts": [1.0, 1.0, 1.0]}, "need 3 non-negative integer class counts"),
+        ],
+        ids=["repeated-label", "labels-not-strings", "two-labels", "one-feature-name",
+             "feature-names-not-strings", "two-counts", "no-counts", "negative-count",
+             "float-counts"],
+    )
+    def test_bad_part_refused_at_construction(self, model, change, match):
+        self.refused(DataError, match, lambda: dataclasses.replace(model, **change))
+
+    def test_quantizer_and_table_must_agree(self, model):
+        other = Quantizer(mins=np.zeros(2), maxs=np.ones(2), levels=4)
+        self.refused(ShapeError, r"budget shape \(2, 4\) does not match dataset N=2, M=4",
+                     lambda: dataclasses.replace(model, quantizer=other))
+
+    @pytest.mark.parametrize(
+        "label_names, match",
+        [(["a", "a"], "label list does not name 2 classes"),
+         ([1, 2], "label list does not name 2 classes")],
+        ids=["repeated-label", "labels-not-strings"],
+    )
+    def test_training_refuses_bad_label_names(self, label_names, match):
+        train = Dataset(features=np.array([[0.0, 1.0], [1.0, 0.0]]), labels=np.array([1, 2]),
+                        label_names=label_names)
+        quantizer = Quantizer(mins=np.zeros(2), maxs=np.ones(2), levels=3)
+        budget = uniform_flip_budget(16, 3, features=2)
+        self.refused(DataError, match, lambda: train_model(train, quantizer, budget, 0))
+
+    def test_dataset_refuses_feature_names_of_another_count(self):
+        self.refused(ShapeError, "1 feature names for 2 features", lambda: Dataset(
+            features=np.zeros((2, 2)), labels=np.array([1, 2]), label_names=["a", "b"],
+            feature_names=["only"],
+        ))
+
+    @pytest.mark.parametrize("n_features, levels", [(1, 5), (3, 5), (2, 4)],
+                             ids=["one-feature", "three-features", "four-levels"])
+    def test_training_refuses_budget_of_another_shape(self, toy_dataset, n_features, levels):
+        # The toy quantizer has N=2, M=5; refused before the table is built.
+        quantizer = Quantizer(mins=np.zeros(2), maxs=np.ones(2), levels=5)
+        budget = uniform_flip_budget(64, levels, features=n_features)
+        with mock.patch("hvdesign.model.build_level_table") as build:
+            self.refused(
+                ShapeError,
+                rf"budget shape \({n_features}, {levels - 1}\) does not match dataset N=2, M=5",
+                lambda: train_model(toy_dataset, quantizer, budget, 0),
+            )
+        build.assert_not_called()
 
 
 def level_signs(bases, flips, n_levels):
@@ -537,7 +612,7 @@ class TestLevelSpaceKernel:
             encoders=np.array([m * base + [o * base[0], 0] for m, o in zip(multiples, offsets)]),
             labels=[f"c{k}" for k in range(len(multiples))],
             feature_names=["f1"],
-            metadata={"seed": 5},
+            class_counts=[1] * len(multiples),
         )
         assert predict_batch(np.array([[0.2], [0.9]]), model).tolist() == [label, label]
         assert classify(np.array([0.2]), model).label == label
@@ -556,7 +631,7 @@ class TestLevelSpaceKernel:
             encoders=model.encoders * 2**46,
             labels=model.labels,
             feature_names=model.feature_names,
-            metadata=model.metadata,
+            class_counts=model.class_counts,
         )
         with pytest.raises(DataError, match="exact scoring"):
             predict_batch(toy_dataset.features, huge)

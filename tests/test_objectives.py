@@ -80,7 +80,7 @@ def reference_confusion(train, quantizer, seed, budget):
         encoders=encoders,
         labels=list(train.label_names),
         feature_names=[],
-        metadata={"seed": seed},
+        class_counts=np.bincount(train.labels, minlength=train.n_classes + 1)[1:],
     )
     predicted = predict_batch(train.features, model)
     return model, confusion_matrix(train.labels, predicted, train.n_classes)
@@ -489,7 +489,7 @@ class TestEvaluateCandidate:
                 evaluator.score(genes, 16)
 
     def test_quantizer_of_another_width_rejected(self, micro_dataset, toy_dataset):
-        with pytest.raises(ShapeError, match=r"expected \(S, 2\) values, got \(12, 1\)"):
+        with pytest.raises(ShapeError, match=r"expected 2 features, got shape \(12, 1\)"):
             CandidateEvaluator(micro_dataset, calibrate_quantizer(toy_dataset, 3), 0)
 
     def test_robustness_complements_avg_sim(self, micro_dataset, micro_quantizer):
@@ -621,14 +621,12 @@ class TestEvaluateCandidate:
 
     @pytest.mark.parametrize("label", [0, 3])
     def test_labels_outside_classes_rejected(self, label):
-        train = Dataset(
-            features=np.array([[0.0], [1.0]]),
-            labels=np.array([1, label]),
-            label_names=["a", "b"],
-        )
-        quantizer = calibrate_quantizer(train, 2)
         with pytest.raises(DataError, match=rf"\[{label}\] outside 1..2"):
-            CandidateEvaluator(train, quantizer, 0)
+            Dataset(
+                features=np.array([[0.0], [1.0]]),
+                labels=np.array([1, label]),
+                label_names=["a", "b"],
+            )
 
     @given(st.integers(0, 8), st.integers(0, 8))
     @settings(max_examples=30, deadline=None)
