@@ -33,9 +33,10 @@ from .data import (
     save_dataset_csv,
     save_model,
 )
-from .errors import ConfigError, HvError
+from .errors import ConfigError, DataError, HvError
 from .evolve import GAConfig, run_optimization
-from .model import fit_baseline, predict_batch, train_model
+from .hypervector import uniform_flip_budget
+from .model import predict_batch, train_model
 from .objectives import (
     _avg_similarities,
     confusion_matrix,
@@ -165,8 +166,13 @@ def _config_path(argv) -> str | None:
     return config.parse_known_args(argv)[0].config
 
 
-def _resolved(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+def _training_split(args):
+    """The training CSV and its quantizer, whose range error names the file."""
+    train = load_dataset_csv(args.data, args.label_col)
+    try:
+        return train, calibrate_quantizer(train, args.levels)
+    except DataError as exc:
+        raise DataError(f"{args.data}: {exc}") from None
 
 
 def _metrics(model, data: Dataset) -> dict:
@@ -196,8 +202,9 @@ def _print_metrics(tag: str, metrics: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    train = load_dataset_csv(args.data, args.label_col)
-    model = fit_baseline(train, args.dim, args.levels, args.seed)
+    train, quantizer = _training_split(args)
+    budget = uniform_flip_budget(args.dim, args.levels, features=train.n_features)
+    model = train_model(train, quantizer, budget, args.seed)
     report = {"train": _metrics(model, train)}
     _print_metrics("train", report["train"])
     if args.test:
@@ -215,8 +222,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    train = load_dataset_csv(args.data, args.label_col)
-    quantizer = calibrate_quantizer(train, args.levels)
+    train, quantizer = _training_split(args)
     config = GAConfig(
         population_size=args.pop,
         generations=args.gens,
@@ -247,10 +253,11 @@ def cmd_sweep(args) -> int:
         dims = []
     if not dims or any(d % 2 for d in dims):
         raise HvError(f"--dims must list even dimensions, got {args.dims!r}")
-    train = load_dataset_csv(args.data, args.label_col)
+    train, quantizer = _training_split(args)
     rows = []
     for dim in dims:
-        model = fit_baseline(train, dim, args.levels, args.seed)
+        budget = uniform_flip_budget(dim, args.levels, features=train.n_features)
+        model = train_model(train, quantizer, budget, args.seed)
         metrics = _metrics(model, train)
         size = len(model_bytes(model))
         rows.append((dim, metrics["wAcc"], metrics["totalAcc"], metrics["avgSim"], size))
@@ -325,7 +332,8 @@ def main(argv=None) -> int:
         if config is not None:
             argv = [argv[0], *_config_flags(config), *argv[1:]]
         args = parser.parse_args(argv)
-        log.info("resolved config: %s", json.dumps(_resolved(args), default=str, sort_keys=True))
+        resolved = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+        log.info("resolved config: %s", json.dumps(resolved, default=str, sort_keys=True))
         return COMMANDS[args.command](args)
     except (OSError, HvError) as exc:
         print(f"error: {exc}", file=sys.stderr)

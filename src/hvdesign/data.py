@@ -50,10 +50,14 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> None:
         raise DataError(f"labels {np.unique(bad).tolist()} outside 1..{n_classes}")
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix plus dense integer labels (1..K), one class for each
-    label name; feature names, if given, name the N features."""
+    distinct label name; feature names, if given, name the N features."""
 
     features: np.ndarray  # (S, N) float64
     labels: np.ndarray  # (S,) int64, values 1..K
@@ -61,6 +65,8 @@ class Dataset:
     feature_names: list | None = None
 
     def __post_init__(self):
+        if not (_strings(self.label_names) and len(set(self.label_names)) == self.n_classes):
+            raise DataError("label names must be distinct strings")
         f = np.asarray(self.features, dtype=np.float64)
         y = np.asarray(self.labels, dtype=np.int64)
         if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
@@ -457,11 +463,12 @@ def _table_bits(table) -> bytes:
 
 
 def load_model(path):
-    """Inverse of save_model. The load checks the header, which sizes the
-    reads, and that the stored table bytes are the `_table_bits` of the
-    table its seed and flip budget build. The model types own every other
-    rule (`Quantizer`, `FlipBudget`, `build_level_table`, `TrainedModel`),
-    and their errors raise as a FormatError naming the file."""
+    """Inverse of save_model. It checks the header, which sizes the reads,
+    and that the stored table bytes are the `_table_bits` of the table its
+    seed and budget build, on every load (a reload reuses the schedule
+    `_schedule` keeps). The model types own every other rule (`Quantizer`,
+    `FlipBudget`, `build_level_table`, `TrainedModel`), and their errors
+    raise as a FormatError naming the file."""
     from .model import TrainedModel  # here, not at the top: model imports data
 
     with open(path, "rb") as fh:

@@ -71,7 +71,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, Quantizer, calibrate_quantizer
+from .data import Dataset, Quantizer, _strings, calibrate_quantizer
 from .errors import DataError, ShapeError
 from .hypervector import (
     FlipBudget,
@@ -241,10 +241,6 @@ def _check_budget_shape(shape: tuple, quantizer: Quantizer) -> None:
     if tuple(shape) != (quantizer.features, quantizer.levels - 1):
         raise ShapeError(f"budget shape {tuple(shape)} does not match "
                          f"dataset N={quantizer.features}, M={quantizer.levels}")
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 @dataclass(frozen=True)

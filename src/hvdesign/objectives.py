@@ -157,9 +157,9 @@ class CandidateEvaluator:
 
     Work that does not depend on the budget is done once: the training rows
     are quantized into the (K, N*M) encoder weights of their class x level
-    histogram, their distinct rows are kept with a (K, U) class-count matrix
-    and an (N*M, U) incidence matrix, and the flip schedule is drawn once
-    per dimension. The distinct rows come from one 1-D `np.unique` over a
+    histogram, and their distinct rows are kept with a (K, U) class-count
+    matrix and an (N*M, U) incidence matrix; the flip schedule is the one
+    `_schedule` keeps. The distinct rows come from one 1-D `np.unique` over a
     byte key per row (its levels in big-endian `np.min_scalar_type(M)`, so
     keys sort bytewise as rows sort by value), in the order and with the
     inverse of `np.unique(axis=0)`; the class counts are one `bincount` of
@@ -193,7 +193,6 @@ class CandidateEvaluator:
         self.counts = np.bincount(pairs, minlength=self.n_classes * n_rows).reshape(-1, n_rows)
         self.class_sizes = self.counts.sum(axis=1)
         self.incidence = _row_incidence(self.rows, quantizer.levels)  # (N*M, U)
-        self._schedules = {}  # dim -> (bases, perms)
 
     def evaluate(self, budget: FlipBudget) -> ObjectiveScores:
         """The scores of one budget: a population of one."""
@@ -209,9 +208,7 @@ class CandidateEvaluator:
         _check_feasible(genes, dim)
         if not len(genes):
             return np.empty((0, 2))
-        if dim not in self._schedules:
-            self._schedules[dim] = _schedule(self.base_seed, n_features, dim)
-        bases, perms = self._schedules[dim]
+        bases, perms = _schedule(self.base_seed, n_features, dim)
         block = max(1, _BLOCK_ELEMENTS // (n_features * dim * self.n_classes + self.counts.size))
         hits, grams = [], []
         for start in range(0, len(genes), block):

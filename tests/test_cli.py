@@ -11,6 +11,7 @@ import pytest
 import hvdesign
 from hvdesign.cli import COMMANDS, build_parser, main
 from hvdesign.errors import ConfigError
+from hvdesign.hypervector import _schedule
 
 
 @pytest.fixture
@@ -211,6 +212,25 @@ class TestOptimize:
         assert os.path.exists(prefix + "-accuracy.hdcm")
         assert os.path.exists(prefix + "-robustness.hdcm")
 
+    def test_search_and_best_models_draw_one_schedule(self, tmp_path):
+        # Both best-member models are trained on the schedule the search
+        # drew: one (seed, N, D) key, drawn once in the process.
+        data = tmp_path / "d.csv"
+        rows = ["f1,f2,label"] + [f"{v},{1 - v},{'a' if v < 0.5 else 'b'}"
+                                  for v in np.linspace(0, 1, 12)]
+        data.write_text("\n".join(rows) + "\n")
+        prefix = str(tmp_path / "best")
+        _schedule.cache_clear()
+        code = main(["optimize", "--data", str(data), "--dim", "16", "--levels", "3",
+                     "--pop", "20", "--gens", "5", "--seed", "4",
+                     "--out", str(tmp_path / "front.csv"), "--best-models-out", prefix])
+        assert code == 0
+        info = _schedule.cache_info()
+        assert info.misses == 1 and info.hits >= 2
+        for tag in ("accuracy", "robustness"):
+            assert hvdesign.load_model(f"{prefix}-{tag}.hdcm").table.seed == 4
+        assert _schedule.cache_info().misses == 1
+
 
 class TestExportEmbeddings:
     def test_export(self, synth_csv, tmp_path):
@@ -337,12 +357,15 @@ class TestBadInput:
             ["train", "--data", "{data}", "--label-col", "nosuch"],
             ["train", "--data", "{data}", "--config", "{tmp}/array.json"],
             ["train", "--data", "{tmp}/huge.csv"],
+            ["optimize", "--data", "{tmp}/huge.csv", "--out", "{tmp}/front.csv"],
+            ["sweep", "--data", "{tmp}/huge.csv", "--dims", "32", "--out", "{tmp}/sweep.csv"],
         ],
         ids=["pop-3", "levels-1", "missing-config", "malformed-config", "dims-abc", "grid-5",
              "config-pop-list", "data-is-directory", "one-class", "not-utf8", "long-cell",
              "config-unknown-key", "dim-abc", "no-data", "unknown-flag", "seed-negative",
              "config-seed-negative", "seed-2-64", "optimize-dim-1", "empty-csv",
-             "label-col-9", "label-col-nosuch", "config-not-an-object", "range-overflows"],
+             "label-col-9", "label-col-nosuch", "config-not-an-object", "range-overflows",
+             "range-overflows-optimize", "range-overflows-sweep"],
     )
     def test_exits_2_with_one_error_line(self, argv, synth_csv, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{bad")
@@ -361,8 +384,9 @@ class TestBadInput:
         err = capsys.readouterr().err.splitlines()
         lines = [line for line in err if not line.startswith("INFO ")]
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        if argv[-1] == "{tmp}/huge.csv":  # a CSV's range error names its column
-            assert lines[0] == "error: features ['f1'] have ranges too wide to quantize"
+        if "{tmp}/huge.csv" in argv:  # a CSV's range error names its file and column
+            assert lines[0] == (f"error: {tmp_path}/huge.csv: features ['f1'] have ranges "
+                                "too wide to quantize")
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
         # The output path is a directory, so the final rename fails.

@@ -42,6 +42,7 @@ from hvdesign import (
 )
 import hvdesign.data
 from hvdesign.data import MOTIVATIONAL_LOOKUP, model_bytes, motivational_label
+from hvdesign.hypervector import _schedule
 
 
 def table_span(n_features, levels, dim):
@@ -679,6 +680,26 @@ class TestModelFile:
         signs = sign_oracle(21, model.table.budgets.budgets, dim)
         assert path.read_bytes()[start:end] == np.packbits(signs > 0).tobytes()
         assert load_model(str(path)) == model
+
+    def test_flipped_table_byte_refused_on_a_warm_memo(self, toy_dataset, tmp_path):
+        # A load of the intact file leaves its schedule in the memo, so each
+        # later load draws none; it still builds the table from the budget
+        # and compares every stored byte with it.
+        model = fit_baseline(toy_dataset, 64, 5, seed=21)
+        path = tmp_path / "m.hdcm"
+        save_model(model, str(path))
+        intact = path.read_bytes()
+        assert load_model(str(path)) == model
+        start, end = table_span(2, 5, 64)
+        misses = _schedule.cache_info().misses
+        for offset in range(start, end):
+            raw = bytearray(intact)
+            raw[offset] ^= 0xFF
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: stored level "
+                                                  "table does not match its seed and budget$"):
+                load_model(str(path))
+        assert _schedule.cache_info().misses == misses
 
     @pytest.mark.parametrize("dim", [10, 64, 2048])
     def test_swapped_flip_columns_rejected(self, toy_dataset, sign_oracle, tmp_path, dim):

@@ -216,6 +216,57 @@ class TestSchedule:
             assert bases[n].tolist() == (2 * rng.integers(0, 2, size=dim) - 1).tolist()
             assert perms[n].tolist() == rng.permutation(dim).tolist()
 
+    def test_repeated_call_returns_the_same_arrays(self):
+        first = _schedule(3, 4, 64)
+        again = _schedule(3, 4, 64)
+        assert again[0] is first[0] and again[1] is first[1]
+
+    def test_arrays_are_read_only(self):
+        bases, perms = _schedule(3, 4, 64)
+        for array in (bases, perms):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+        # A table built on the memo shares its base signs and cannot write them.
+        table = build_level_table(3, uniform_flip_budget(64, 5, features=4))
+        assert table.bases is bases
+        with pytest.raises(ValueError, match="read-only"):
+            table.bases[0, 0] = 1
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 8), st.integers(1, 600).map(lambda h: 2 * h))
+    @settings(max_examples=40, deadline=None)
+    def test_cold_draw_equals_warm_one(self, seed, n_features, dim):
+        _schedule.cache_clear()
+        cold = _schedule(seed, n_features, dim)
+        warm = _schedule(seed, n_features, dim)
+        assert _schedule.cache_info().hits == 1
+        _schedule.cache_clear()
+        again = _schedule(seed, n_features, dim)
+        assert again[0] is not cold[0]
+        for a, b in zip(again, warm):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_numpy_integer_seeds_share_one_entry(self):
+        budget = uniform_flip_budget(64, 5, features=2)
+        _schedule.cache_clear()
+        tables = [build_level_table(seed, budget) for seed in (5, np.int64(5), np.uint64(5))]
+        assert _schedule.cache_info().misses == 1 and _schedule.cache_info().hits == 2
+        assert all(t.bases is tables[0].bases and t.seed == 5 for t in tables)
+        assert _schedule(np.uint64(5), 2, 64)[0] is tables[0].bases
+        assert _schedule.cache_info().hits == 3
+
+    def test_new_key_evicts_the_old_one(self):
+        _schedule.cache_clear()
+        old = _schedule(1, 2, 64)
+        for key in [(2, 2, 64), (1, 3, 64), (1, 2, 66)]:
+            _schedule(*key)
+            assert _schedule.cache_info().currsize == 1
+            redrawn = _schedule(1, 2, 64)
+            assert redrawn[0] is not old[0] and np.array_equal(redrawn[0], old[0])
+            assert np.array_equal(redrawn[1], old[1])
+            old = redrawn
+        assert _schedule.cache_info().misses == 7 and _schedule.cache_info().hits == 0
+
     @pytest.mark.parametrize("candidates", [None, 1, 31])
     @pytest.mark.parametrize("n_features", [0, 1, 57])
     @pytest.mark.parametrize("levels", [2, 20, 300])

@@ -375,18 +375,16 @@ class TestModelRules:
         self.refused(ShapeError, r"budget shape \(2, 4\) does not match dataset N=2, M=4",
                      lambda: dataclasses.replace(model, quantizer=other))
 
-    @pytest.mark.parametrize(
-        "label_names, match",
-        [(["a", "a"], "label list does not name 2 classes"),
-         ([1, 2], "label list does not name 2 classes")],
-        ids=["repeated-label", "labels-not-strings"],
-    )
-    def test_training_refuses_bad_label_names(self, label_names, match):
-        train = Dataset(features=np.array([[0.0, 1.0], [1.0, 0.0]]), labels=np.array([1, 2]),
-                        label_names=label_names)
-        quantizer = Quantizer(mins=np.zeros(2), maxs=np.ones(2), levels=3)
-        budget = uniform_flip_budget(16, 3, features=2)
-        self.refused(DataError, match, lambda: train_model(train, quantizer, budget, 0))
+    @pytest.mark.parametrize("label_names", [["a", "a"], [1, 2], ("a", "b")],
+                             ids=["repeated-label", "labels-not-strings", "labels-not-a-list"])
+    def test_training_refuses_bad_label_names(self, label_names):
+        # A search on labels ['a', 'a', 'b', 'c'] used to run to its end, and
+        # only the training that followed refused them. The split itself
+        # refuses them when it is built, so no search or training can start.
+        self.refused(DataError, "^label names must be distinct strings$", lambda: Dataset(
+            features=np.array([[0.0, 1.0], [1.0, 0.0]]), labels=np.array([1, 2]),
+            label_names=label_names,
+        ))
 
     def test_dataset_refuses_feature_names_of_another_count(self):
         self.refused(ShapeError, "1 feature names for 2 features", lambda: Dataset(

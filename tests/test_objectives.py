@@ -295,7 +295,7 @@ class TestExactCosines:
             reordered = encoders[rng.permutation(k)]
             assert repr(avg_similarity(reordered)) == repr(avg_similarity(encoders))
 
-    def test_evaluator_invariant_under_permuting_dimensions(self, motivational):
+    def test_evaluator_invariant_under_permuting_dimensions(self, motivational, monkeypatch):
         # Permuting the D axis of the kernel's inputs (the base signs, and
         # the indices the flip permutations name) permutes every level
         # hypervector's D axis and the encoders' D axis, and leaves every
@@ -307,8 +307,16 @@ class TestExactCosines:
         want = evaluator.score(genes, 64)
         bases, perms = _schedule(5, 2, 64)
         # New index i is old index order[i], so old index d is argsort(order)[d].
-        evaluator._schedules[64] = (bases[:, order], np.argsort(order)[perms])
+        permuted = (bases[:, order], np.argsort(order)[perms])
+        asked = []
+
+        def schedule(*key):
+            asked.append(key)
+            return permuted
+
+        monkeypatch.setattr("hvdesign.objectives._schedule", schedule)
         got = evaluator.score(genes, 64)
+        assert asked == [(5, 2, 64)]
         assert got.tobytes() == want.tobytes()
 
     @given(integer_vectors(), st.booleans())
