@@ -12,7 +12,10 @@ Hamming control between any two levels of the same feature. So each index
 has a flip level: the last level at which it keeps its base sign. A level
 table is just that: the (N, D) base signs and flip levels, from which the
 model's kernel scores it and `level_vector` and `encode_quantized` read
-signs, without the (N, M, D) signs of every level.
+signs, without the (N, M, D) signs of every level. In permutation order a
+budget's flip levels are runs of equal levels, so the schedule keeps each
+permutation as its inverse, the slot of every index in that order, and the
+flip levels of any budget are one gather through the slots.
 """
 
 from __future__ import annotations
@@ -118,8 +121,10 @@ def repair_budget(budget: FlipBudget) -> FlipBudget:
 @functools.lru_cache(maxsize=1)
 def _schedule(base_seed, features: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The flip schedule of every feature: (N, D) int8 base signs and (N, D)
-    flip permutations of range(D), both read-only. Level m negates the first
-    b_1 + ... + b_{m-1} indices of its feature's permutation.
+    int64 slots, both read-only. Level m negates the first
+    b_1 + ... + b_{m-1} indices of its feature's flip permutation, and
+    slots[n, d] = n*D + the position of index d in feature n's permutation:
+    each row is its permutation's inverse, offset into a flat (N*D,) layout.
 
     Feature n draws from `default_rng([base_seed, n])`, never from the
     budget, so every candidate budget shares its schedule: first the base
@@ -129,51 +134,57 @@ def _schedule(base_seed, features: int, dim: int) -> tuple[np.ndarray, np.ndarra
     `integers` returns, because numpy draws a bound of 2 from 32-bit halves
     by Lemire's method, whose value is x >> 31 and whose rejection threshold
     (2**32 - 2) % 2 is 0, so no half is ever redrawn; and since D is even,
-    no half is left over for the permutation to consume.
+    no half is left over for the permutation to consume. Each feature's
+    base signs and slots are written as they are drawn, so the draw holds
+    no (N, D) words or permutations besides the result.
 
     The last schedule drawn, N*D*9 bytes (1 MB at N=57, D=2048), is kept:
     a call with the same (int(base_seed), N, D) returns the same arrays,
-    and a new key replaces it. Drawing it took 2.6 of a 3.8 ms wide
-    `load_model` (2 vCPU, numpy 2.4.6)."""
+    and a new key replaces it. At N=57, D=2048 a draw takes about 2.7 ms
+    and a warm `load_model` 0.9 ms (2 vCPU, numpy 2.4.6)."""
     bases = np.empty((features, dim), dtype=np.int8)
-    perms = np.empty((features, dim), dtype=np.int64)
-    words = np.empty((features, dim // 2), dtype="<u8")
+    slots = np.empty((features, dim), dtype=np.int64)
     for n in range(features):
         rng = np.random.default_rng([base_seed, n])
-        words[n] = rng.bit_generator.random_raw(dim // 2)
-        perms[n] = rng.permutation(dim)
-    np.right_shift(words.view("<u4"), 31, out=bases, casting="unsafe")
+        words = rng.bit_generator.random_raw(dim // 2).view("<u4")
+        np.right_shift(words, 31, out=bases[n], casting="unsafe")
+        slots[n][rng.permutation(dim)] = np.arange(n * dim, (n + 1) * dim)
     bases += bases
     bases -= 1
-    bases.flags.writeable = perms.flags.writeable = False
-    return bases, perms
+    bases.flags.writeable = slots.flags.writeable = False
+    return bases, slots
 
 
-def _flip_levels(perms: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+def _flip_levels(slots: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """(..., N, D) flip level of every index, in the smallest unsigned dtype
     that holds M: the last level (1..M) at which it keeps its base sign, for
-    (N, D) flip permutations and (..., N, M-1) feasible budgets (one budget,
-    or a leading axis of candidates).
+    the (N, D) slots of a schedule and (..., N, M-1) feasible budgets (one
+    budget, or a leading axis of candidates).
 
     In permutation order a feature's flip levels are runs: level 1 over the
     first b_1 positions, level m over the next b_m, and level M over the
     D - (b_1 + ... + b_{M-1}) positions past the row sum. One `np.repeat`
-    of levels 1..M by those run lengths lays out every row in permutation
-    order, and one scatter through the flat index n*D + perms[n] puts each
-    row's levels at its feature's indices."""
-    n_features, dim = perms.shape
+    of levels 1..M by those run lengths lays out every candidate's features
+    in permutation order, one flat (N*D,) row per candidate, and one gather
+    through the slots reads each index's level off its position there."""
+    dim = slots.shape[1]
     n_levels = budgets.shape[-1] + 1
     dtype = np.min_scalar_type(n_levels)
     rows = budgets.reshape(-1, n_levels - 1)  # M-1 >= 1, so even N = 0 reshapes
     runs = np.concatenate((rows, dim - rows.sum(1, keepdims=True)), axis=1)
-    # Levels 1..M once per row, repeated in the flip-level dtype: the same
-    # layout from int64 levels took 1.35 against 0.45 ms at N=57, D=2048,
-    # casting every value on its way through the index.
+    # Levels 1..M once per row, repeated in the flip-level dtype, so neither
+    # the layout nor the gather casts a value.
     levels = np.arange(1, n_levels + 1, dtype=dtype)[None].repeat(len(rows), 0)
+    # The flip levels are allocated first, so the layout and the copy `take`
+    # makes of the read-only slots (0.93 MB at N=57, D=2048) are freed from
+    # the top of the heap: allocated after them, the flip levels kept about
+    # 0.5 MB more of a wide load resident. Fancy indexing copies no index,
+    # but took 0.31 against 0.16 ms there for one candidate. `mode="clip"`
+    # skips the bounds check, which every slot passes, and with it the
+    # buffered copy into `out` that mode="raise" makes.
     flips = np.empty(budgets.shape[:-1] + (dim,), dtype=dtype)
-    index = (perms + np.arange(0, n_features * dim, dim)[:, None]).ravel()
-    flat = flips.reshape(math.prod(budgets.shape[:-2]), n_features * dim)
-    flat[:, index] = levels.repeat(runs.ravel()).reshape(flat.shape)
+    layout = levels.repeat(runs.ravel()).reshape(math.prod(budgets.shape[:-2]), slots.size)
+    np.take(layout, slots, axis=-1, out=flips.reshape(len(layout), *slots.shape), mode="clip")
     return flips
 
 
@@ -233,8 +244,8 @@ def build_level_table(base_seed, budget: FlipBudget) -> LevelTable:
     """The level table a flip budget gives from the schedule of `base_seed`;
     a budget with a row over D/2 raises ConstraintError."""
     _check_feasible(budget.budgets, budget.dim)
-    bases, perms = _schedule(int(base_seed), budget.features, budget.dim)
-    return LevelTable(bases=bases, flips=_flip_levels(perms, budget.budgets), budgets=budget,
+    bases, slots = _schedule(int(base_seed), budget.features, budget.dim)
+    return LevelTable(bases=bases, flips=_flip_levels(slots, budget.budgets), budgets=budget,
                       seed=int(base_seed))
 
 

@@ -13,10 +13,10 @@ fall in, x_s = sum_n L[n, l_sn]. Level m of feature n is its base vector
 with the first b_1 + ... + b_{m-1} indices of its flip permutation
 negated, so index d keeps its base sign up to its flip level t(n, d) and
 has the opposite sign above it. A `LevelTable` holds just those (N, D)
-base signs and flip levels, and `hypervector._flip_levels` lays the flip
-levels out for a block of candidates the same way. One kernel, shared by
-training, prediction and candidate scoring, works from them alone, in
-O(N*D*K) per candidate:
+base signs and flip levels, and `hypervector._flip_levels` gathers the
+flip levels of a block of candidates the same way, through the slots of
+the flip permutations. One kernel, shared by training, prediction and
+candidate scoring, works from them alone, in O(N*D*K) per candidate:
 
 - the encoders are E = H @ L, where H counts the training samples of each
   class at each (feature, level): E_k[d] = sum_n base[n, d] *

@@ -164,7 +164,7 @@ class CandidateEvaluator:
     keys sort bytewise as rows sort by value), in the order and with the
     inverse of `np.unique(axis=0)`; the class counts are one `bincount` of
     (class, row) pairs. Then, one block of candidates at a time, the flip
-    level of every index is laid out from the budgets and scored in level
+    level of every index is gathered from the budgets and scored in level
     space with the model's kernel: encoders from the weights, the winner
     mask of the U distinct rows from the level projection and the incidence
     matrix, and the confusion diagonal as the mask's integer product with
@@ -208,11 +208,11 @@ class CandidateEvaluator:
         _check_feasible(genes, dim)
         if not len(genes):
             return np.empty((0, 2))
-        bases, perms = _schedule(self.base_seed, n_features, dim)
+        bases, slots = _schedule(self.base_seed, n_features, dim)
         block = max(1, _BLOCK_ELEMENTS // (n_features * dim * self.n_classes + self.counts.size))
         hits, grams = [], []
         for start in range(0, len(genes), block):
-            flips = _flip_levels(perms, genes[start : start + block])
+            flips = _flip_levels(slots, genes[start : start + block])
             encoders = _class_encoders(bases, flips, self.weights)
             projection = _projection(bases, flips, encoders, n_levels)
             gram = _gram(encoders)  # (B, K, K)

@@ -522,8 +522,8 @@ class TestLevelSpaceKernel:
         seed, dim, budgets, histogram = problem
         n_levels = budgets.shape[2] + 1
         signs = sign_oracle(seed, budgets, dim)  # (P, N, M, D)
-        bases, perms = _schedule(seed, budgets.shape[1], dim)
-        flips = _flip_levels(perms, budgets)
+        bases, slots = _schedule(seed, budgets.shape[1], dim)
+        flips = _flip_levels(slots, budgets)
         assert flips.dtype == np.min_scalar_type(n_levels)
         assert np.array_equal(level_signs(bases, flips, n_levels), signs)
         encoders = _class_encoders(bases, flips, _encoder_weights(histogram, n_levels))

@@ -296,8 +296,8 @@ class TestExactCosines:
             assert repr(avg_similarity(reordered)) == repr(avg_similarity(encoders))
 
     def test_evaluator_invariant_under_permuting_dimensions(self, motivational, monkeypatch):
-        # Permuting the D axis of the kernel's inputs (the base signs, and
-        # the indices the flip permutations name) permutes every level
+        # Permuting the D axis of the kernel's inputs (the base signs and
+        # the slots of the flip permutations) permutes every level
         # hypervector's D axis and the encoders' D axis, and leaves every
         # dot product, so every label, as it was.
         quantizer = calibrate_quantizer(motivational, 20)
@@ -305,9 +305,9 @@ class TestExactCosines:
         genes = _repair(np.random.default_rng(3).integers(0, 4, size=(50, 2, 19)), 64)
         order = np.random.default_rng(4).permutation(64)
         want = evaluator.score(genes, 64)
-        bases, perms = _schedule(5, 2, 64)
-        # New index i is old index order[i], so old index d is argsort(order)[d].
-        permuted = (bases[:, order], np.argsort(order)[perms])
+        bases, slots = _schedule(5, 2, 64)
+        # New index i is old index order[i], so it has that index's slot.
+        permuted = (bases[:, order], slots[:, order])
         asked = []
 
         def schedule(*key):
