@@ -27,7 +27,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConstraintError, DimensionError, ShapeError
+from .errors import ConfigError, ConstraintError, DataError, DimensionError, ShapeError
+
+
+_WHOLE_BUDGETS = "flip budgets must be whole numbers"
+
+
+def _integer_valued(values, message: str) -> np.ndarray:
+    """`values` as an int64 array, or as a float64 one whose every value is
+    a finite whole number; any other value raises DataError(message), where
+    a cast would truncate it."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    values = values.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(values) & (values == np.round(values))):
+        raise DataError(message)
+    return values
+
+
+def _check_non_negative(budgets: np.ndarray) -> None:
+    """Raise DataError when (..., N, M-1) budgets hold a negative entry."""
+    if budgets.min(initial=0) < 0:
+        raise DataError("flip budgets must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -35,21 +57,24 @@ class FlipBudget:
     """Per-feature, per-transition bit-flip counts: the optimization variable.
 
     `budgets` has shape (N, M-1): one row per feature, one column per
-    consecutive-level transition. A row is feasible when its sum does not
-    exceed dim/2.
+    consecutive-level transition, each a non-negative whole number, held as
+    int64 (a fraction, NaN or infinity raises DataError, where a cast would
+    truncate it). A row is feasible when its sum does not exceed dim/2.
     """
 
     budgets: np.ndarray
     dim: int
 
     def __post_init__(self):
-        b = np.asarray(self.budgets, dtype=np.int64)
+        b = _integer_valued(self.budgets, _WHOLE_BUDGETS)
         if b.ndim != 2 or b.shape[1] < 1:
             raise ShapeError(f"budget matrix must be (N, M-1), got shape {b.shape}")
         if self.dim < 2 or self.dim % 2 != 0:
             raise DimensionError(f"dimension must be even and >= 2, got {self.dim}")
-        if np.any(b < 0):
-            raise ValueError("flip budgets must be non-negative")
+        _check_non_negative(b)
+        if int(b.max(initial=0)) >= 2**63:  # a whole float64 past int64
+            raise DataError("flip budgets must be below 2**63")
+        b = b.astype(np.int64, copy=False)
         b.flags.writeable = False
         object.__setattr__(self, "budgets", b)
 

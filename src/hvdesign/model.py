@@ -41,12 +41,13 @@ level scores of its rows instead. `classify` sums its one row's level
 scores into integer dots and settles its label exactly with
 `_best_class`, the rule `_winners` settles near ties with.
 
-E, P, the squared norms and the dot products are exact integers (float64
-products and sums are used only under a checked bound that keeps every
-partial sum below 2**53), and scores that come within float rounding of
-each other are compared exactly in integers. A winner therefore depends
-neither on the batch it is scored in nor on the BLAS and its summation
-order.
+E, P, the squared norms and the dot products are exact integers. P is held
+once, as the (P, K, N, M) float64 array of whole numbers its readers sum
+in place; float64 products and sums are used only under a checked bound
+that keeps every partial sum below 2**53. Scores that come within float
+rounding of each other are compared exactly in integers. A winner
+therefore depends neither on the batch it is scored in nor on the BLAS
+and its summation order.
 
 Every reported cosine (avgSim, `classify`'s similarities and the appendix
 experiment's decision) comes from an exact int64 Gram matrix of
@@ -76,6 +77,7 @@ from .errors import DataError, ShapeError
 from .hypervector import (
     FlipBudget,
     LevelTable,
+    _integer_valued,
     build_level_table,
     encode_quantized,
     level_vector,
@@ -135,9 +137,10 @@ def _class_encoders(bases: np.ndarray, flips: np.ndarray, weights: np.ndarray) -
 
 def _projection(bases: np.ndarray, flips: np.ndarray, encoders: np.ndarray,
                 n_levels: int) -> np.ndarray:
-    """(P, N, M, K) int64 P[p, n, m-1, k-1] = L[n, m] . e_k of each of the
-    P candidates, from the (N, D) base signs, the (P, N, D) flip levels and
-    the (P, K, D) encoders.
+    """(P, K, N, M) float64 P[p, k-1, n, m-1] = L[n, m] . e_k of each of
+    the P candidates, from the (N, D) base signs, the (P, N, D) flip levels
+    and the (P, K, D) encoders: every entry an exact integer, and the one
+    layout every reader sums in place.
 
     With a_k[n, d] = base[n, d] * E_k[d], level j adds a_k at the indices
     whose flip level is at least j and subtracts it at the rest:
@@ -152,7 +155,7 @@ def _projection(bases: np.ndarray, flips: np.ndarray, encoders: np.ndarray,
     if n_features * dim * top >= 2**53:
         raise DataError(f"encoder entries up to {top} are too large for exact scoring")
     columns = encoders.astype(np.float64)[:, :, None, :]  # exact: |E| < 2**53
-    sums = np.empty((n_classes, n_candidates, n_features, n_levels))
+    sums = np.empty((n_candidates, n_classes, n_features, n_levels))
     # A few features at a time, so the D-long temporaries stay small.
     step = max(1, _PROJECTION_ELEMENTS // (n_candidates * dim))
     for first in range(0, n_features, step):
@@ -162,12 +165,11 @@ def _projection(bases: np.ndarray, flips: np.ndarray, encoders: np.ndarray,
         bins = flips[:, chunk] - 1 + n_levels * rows
         for k in range(n_classes):
             spread = columns[:, k] * bases[chunk]  # (P, width, D) a_k
-            sums[k, :, chunk] = np.bincount(
+            sums[:, k, chunk] = np.bincount(
                 bins.ravel(), weights=spread.ravel(), minlength=bins.size // dim * n_levels
             ).reshape(n_candidates, width, n_levels)
     signs = np.where(np.arange(n_levels)[:, None] >= np.arange(n_levels), 1.0, -1.0)
-    projection = (sums.reshape(-1, n_levels) @ signs).reshape(sums.shape)
-    return projection.transpose(1, 2, 3, 0).astype(np.int64, order="C")
+    return (sums.reshape(-1, n_levels) @ signs).reshape(sums.shape)
 
 
 def _best_class(dots: list, sq_norms: list, classes) -> int:
@@ -197,23 +199,19 @@ def _winners(projection: np.ndarray, gram: np.ndarray, levels: np.ndarray,
     argmax of x_s . e_k / |e_k|, ties to the lowest k. The squared norms
     |e_k|**2 are the diagonal of the encoders' (P, K, K) `_gram` matrices.
 
-    The level scores of a row are summed in float64, exact under
-    `_projection`'s bound: gathered, or, given the rows' `_row_incidence`,
-    in one matrix product whose every partial sum is a sum of some of a
-    row's N level scores, so exact in any order. Integer dots are
-    recomputed from the projection only for rows where several classes come
-    within float rounding of the best, and those rows are settled exactly."""
-    n_candidates, n_features, n_levels, n_classes = projection.shape
-    rows = projection.reshape(n_candidates, -1, n_classes)  # (P, N*M, K)
+    The level scores of a row are summed off the (P, K, N, M) `_projection`
+    in place, exact under its bound: gathered, or, given the rows'
+    `_row_incidence`, in one matrix product whose every partial sum is a
+    sum of some of a row's N level scores, so exact in any order. Integer
+    dots are recomputed only for rows where several classes come within
+    float rounding of the best, and those rows are settled exactly."""
+    n_candidates, n_classes, n_features, n_levels = projection.shape
+    rows = projection.reshape(n_candidates, n_classes, -1)  # (P, K, N*M)
     if incidence is None:
-        # Gathering rows of K scores is fast for one model, and its (S, K)
-        # sum is small to transpose.
         picks = levels.T - 1 + n_levels * np.arange(n_features)[:, None]  # (N, S)
-        scores = np.take(rows.astype(np.float64), picks, axis=1).sum(axis=1)
-        scores = scores.transpose(0, 2, 1).copy()
+        scores = np.take(rows, picks, axis=2).sum(axis=2)
     else:
-        columns = rows.transpose(0, 2, 1).astype(np.float64, order="C")  # (P, K, N*M)
-        scores = (columns.reshape(n_candidates * n_classes, -1) @ incidence).reshape(
+        scores = (rows.reshape(n_candidates * n_classes, -1) @ incidence).reshape(
             n_candidates, n_classes, -1
         )
     sq_norms = np.diagonal(gram, axis1=1, axis2=2)
@@ -228,7 +226,7 @@ def _winners(projection: np.ndarray, gram: np.ndarray, levels: np.ndarray,
     if np.count_nonzero(won) > best.size:  # a row has several near-best classes
         features = np.arange(n_features)
         for p, s in zip(*np.nonzero(won.sum(axis=1) > 1)):  # settle them exactly
-            dots = projection[p, features, levels[s] - 1].sum(axis=0).tolist()
+            dots = projection[p, :, features, levels[s] - 1].sum(axis=0).astype(np.int64).tolist()
             k = _best_class(dots, sq_norms[p].tolist(), np.flatnonzero(won[p, :, s]).tolist())
             won[p, :, s] = False
             won[p, k, s] = True
@@ -284,9 +282,9 @@ class TrainedModel:
 
     @cached_property
     def _scoring(self) -> tuple[np.ndarray, np.ndarray]:
-        """The level projection and encoder Gram matrix `_winners` takes,
-        for this model as a population of one; `classify` and the CLI's
-        avgSim read them too."""
+        """The (1, K, N, M) float64 level projection and (1, K, K) int64
+        encoder Gram matrix `_winners` takes, for this model as a population
+        of one; `classify` and the CLI's avgSim read them too."""
         table = self.table
         encoders = self.encoders[None]
         projection = _projection(table.bases, table.flips[None], encoders, table.levels)
@@ -312,19 +310,6 @@ class TrainedModel:
 class Prediction:
     label: int  # class index in 1..K
     similarities: np.ndarray  # (K,)
-
-
-def _integer_valued(values, message: str) -> np.ndarray:
-    """`values` as an int64 array, or as a float64 one whose every value is
-    a finite whole number; any other value raises DataError(message), where
-    a cast would truncate it."""
-    values = np.asarray(values)
-    if values.dtype.kind in "iu":
-        return values.astype(np.int64, copy=False)
-    values = values.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(values) & (values == np.round(values))):
-        raise DataError(message)
-    return values
 
 
 def _gram(vectors) -> np.ndarray:
@@ -375,9 +360,10 @@ def classify(query, model: TrainedModel) -> Prediction:
     levels = model.quantizer.quantize_matrix(np.asarray(query, dtype=np.float64)[None])[0]
     projection, gram = model._scoring
     # The exact Gram of the stack (x, e_1..e_K): x . x from the encoded
-    # query, each x . e_k summed from the projection (exact under its
-    # bound), and the encoders' own Gram as scoring keeps it.
-    dots = projection[0, np.arange(len(levels)), levels - 1].sum(axis=0)
+    # query, each x . e_k the sum of the query's N level scores in the
+    # float64 projection (an exact integer under its bound), and the
+    # encoders' own Gram as scoring keeps it.
+    dots = projection[0, :, np.arange(len(levels)), levels - 1].sum(axis=0).astype(np.int64)
     full = np.empty((len(dots) + 1,) * 2, dtype=np.int64)
     full[0, 0] = _gram(encode_quantized(levels[None], model.table))[0, 0]
     full[0, 1:] = full[1:, 0] = dots

@@ -42,14 +42,21 @@ import numpy as np
 
 from .data import Dataset, Quantizer, _check_labels
 from .errors import DataError, ShapeError
-from .hypervector import FlipBudget, _check_feasible, _flip_levels, _schedule
+from .hypervector import (
+    _WHOLE_BUDGETS,
+    FlipBudget,
+    _check_feasible,
+    _check_non_negative,
+    _flip_levels,
+    _integer_valued,
+    _schedule,
+)
 from .model import (
     _check_budget_shape,
     _class_encoders,
     _cosines,
     _encoder_weights,
     _gram,
-    _integer_valued,
     _level_histogram,
     _projection,
     _row_incidence,
@@ -201,10 +208,15 @@ class CandidateEvaluator:
     def score(self, genes: np.ndarray, dim: int) -> np.ndarray:
         """(P, 2) float64 rows (wAcc, avgSim) of a (P, N, M-1) stack of
         budgets of dimension `dim`. Budgets of another (N, M-1) than the
-        training split's raise ShapeError, and a budget with a row over D/2
-        raises ConstraintError."""
+        training split's raise ShapeError, a stack of a non-integer dtype or
+        with a negative entry DataError, as `FlipBudget` would, and a budget
+        with a row over D/2 ConstraintError."""
         n_features, n_levels = self.train.n_features, self.quantizer.levels
         _check_budget_shape(genes.shape[1:], self.quantizer)
+        if genes.dtype.kind not in "iu":
+            raise DataError(_WHOLE_BUDGETS)
+        genes = genes.astype(np.int64, copy=False)
+        _check_non_negative(genes)
         _check_feasible(genes, dim)
         if not len(genes):
             return np.empty((0, 2))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hvdesign import (
     ConstraintError,
+    DataError,
     DimensionError,
     FlipBudget,
     LevelTable,
@@ -77,14 +78,21 @@ class TestFlipBudget:
         "budgets, dim, error, match",
         [
             ([4, 4], 16, ShapeError, r"\(N, M-1\), got shape \(2,\)"),
-            ([[4, -1]], 16, ValueError, "non-negative"),
+            ([[4, -1]], 16, DataError, "non-negative"),
             ([[4, -1]], 15, DimensionError, "even and >= 2, got 15"),
+            ([[0.5, 1.7, 2.9]], 16, DataError, "^flip budgets must be whole numbers$"),
+            ([[1.0, np.nan, 2.0]], 16, DataError, "^flip budgets must be whole numbers$"),
+            ([[1e30, 1.0]], 16, DataError, r"^flip budgets must be below 2\*\*63$"),
         ],
-        ids=["one-d", "negative", "odd-dim-before-sign"],
+        ids=["one-d", "negative", "odd-dim-before-sign", "fraction", "nan", "past-int64"],
     )
     def test_invalid_rejected(self, budgets, dim, error, match):
         with pytest.raises(error, match=match):
             FlipBudget(budgets=np.array(budgets), dim=dim)
+
+    def test_whole_floats_become_int64(self):
+        budget = FlipBudget(budgets=np.array([[2.0, 0.0, 5.0]]), dim=16)
+        assert budget.budgets.dtype == np.int64 and budget.budgets.tolist() == [[2, 0, 5]]
 
 
 class TestBuildLevelTable:

@@ -427,14 +427,14 @@ def sign_path_encoders(signs, histogram):
 
 
 def sign_path_projection(signs, encoders):
-    """(P, N, M, K) int64 projection L[n, m] . e_k, one float64 product a
+    """(P, K, N, M) int64 projection L[n, m] . e_k, one float64 product a
     feature, from (P, N, M, D) level signs."""
     n_candidates, n_features, n_levels, dim = signs.shape
     columns = encoders.transpose(0, 2, 1).astype(np.float64)
     projection = np.empty((n_candidates, n_features, n_levels, encoders.shape[1]))
     for n in range(n_features):
         np.matmul(signs[:, n], columns, out=projection[:, n])
-    return projection.astype(np.int64)
+    return projection.astype(np.int64).transpose(0, 3, 1, 2)
 
 
 @st.composite
@@ -531,8 +531,33 @@ class TestLevelSpaceKernel:
         assert encoders.dtype == want.dtype and encoders.tobytes() == want.tobytes()
         got = _projection(bases, flips, encoders, n_levels)
         want = sign_path_projection(signs, encoders)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert np.array_equal(got, np.round(got))  # every value a whole number
+        assert got.astype(np.int64).tobytes() == want.tobytes()
+
+    def test_projection_exact_at_its_bound(self):
+        # N=1, D=4 and max|E| = 2**51 - 1: N*D*max|E| = 2**53 - 4, the
+        # largest the bound lets through, and an encoder along the base
+        # vector projects level 1 onto 2**53 - 4, past 2**52, where float64
+        # no longer holds every integer.
+        dim, n_levels, top = 4, 3, 2**51 - 1
+        bases, slots = _schedule(3, 1, dim)
+        flips = _flip_levels(slots, np.array([[[1, 1]], [[2, 0]]]))
+        encoders = np.random.default_rng(0).integers(-top, top + 1, size=(2, 3, dim))
+        encoders[:, 0] = top * bases[0].astype(np.int64)
+        got = _projection(bases, flips, encoders, n_levels)
+        assert got.shape == (2, 3, 1, n_levels) and got.dtype == np.float64
+        assert np.abs(got).max() == 2**53 - 4
+        signs = level_signs(bases, flips, n_levels).tolist()  # (P, N, M, D)
+        want = [
+            [[[sum(s * e for s, e in zip(level, encoder)) for level in feature]
+              for feature in signs[p]] for encoder in encoders[p].tolist()]
+            for p in range(len(encoders))
+        ]
+        assert [[[[int(v) for v in row] for row in k] for k in p] for p in got.tolist()] == want
+        encoders[1, 2, 3] = top + 1  # N*D*max|E| = 2**53
+        with pytest.raises(DataError, match="exact scoring"):
+            _projection(bases, flips, encoders, n_levels)
 
     @given(winner_problems())
     @settings(max_examples=300, deadline=None)

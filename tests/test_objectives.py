@@ -476,6 +476,26 @@ class TestEvaluateCandidate:
             evaluator.score(genes, 64)
         assert evaluator.score(_repair(genes, 64), 64).shape == (3, 2)
 
+    @pytest.mark.parametrize(
+        "genes, match",
+        [
+            (np.array([[[1, 1, 1, 1], [2, -1, 0, 0]]]), "^flip budgets must be non-negative$"),
+            (np.ones((1, 2, 4)), "^flip budgets must be whole numbers$"),
+        ],
+        ids=["negative", "float"],
+    )
+    def test_bad_entries_refused_like_budget(self, toy_dataset, genes, match):
+        # FlipBudget's messages, where numpy's repeat would raise its own.
+        evaluator = CandidateEvaluator(toy_dataset, calibrate_quantizer(toy_dataset, 5), 7)
+        with pytest.raises(DataError, match=match):
+            evaluator.score(genes, 64)
+
+    def test_unsigned_genes_score_as_int64(self, toy_dataset):
+        evaluator = CandidateEvaluator(toy_dataset, calibrate_quantizer(toy_dataset, 5), 7)
+        genes = uniform_flip_budget(64, 5, features=2).budgets[None]
+        want = evaluator.score(genes, 64)
+        assert evaluator.score(genes.astype(np.uint8), 64).tobytes() == want.tobytes()
+
     def test_empty_population_scores_nothing(self, toy_dataset):
         evaluator = CandidateEvaluator(toy_dataset, calibrate_quantizer(toy_dataset, 5), 7)
         scores = evaluator.score(np.zeros((0, 2, 4), dtype=np.int64), 64)
