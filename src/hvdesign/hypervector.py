@@ -46,10 +46,13 @@ def _integer_valued(values, message: str) -> np.ndarray:
     return values
 
 
-def _check_non_negative(budgets: np.ndarray) -> None:
-    """Raise DataError when (..., N, M-1) budgets hold a negative entry."""
+def _check_counts(budgets: np.ndarray) -> None:
+    """Raise DataError when whole-valued (..., N, M-1) budgets hold a
+    negative entry or one past int64."""
     if budgets.min(initial=0) < 0:
         raise DataError("flip budgets must be non-negative")
+    if int(budgets.max(initial=0)) >= 2**63:  # a whole float64 past int64
+        raise DataError("flip budgets must be below 2**63")
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,7 @@ class FlipBudget:
             raise ShapeError(f"budget matrix must be (N, M-1), got shape {b.shape}")
         if self.dim < 2 or self.dim % 2 != 0:
             raise DimensionError(f"dimension must be even and >= 2, got {self.dim}")
-        _check_non_negative(b)
-        if int(b.max(initial=0)) >= 2**63:  # a whole float64 past int64
-            raise DataError("flip budgets must be below 2**63")
+        _check_counts(b)
         b = b.astype(np.int64, copy=False)
         b.flags.writeable = False
         object.__setattr__(self, "budgets", b)

@@ -226,7 +226,7 @@ def _winners(projection: np.ndarray, gram: np.ndarray, levels: np.ndarray,
     if np.count_nonzero(won) > best.size:  # a row has several near-best classes
         features = np.arange(n_features)
         for p, s in zip(*np.nonzero(won.sum(axis=1) > 1)):  # settle them exactly
-            dots = projection[p, :, features, levels[s] - 1].sum(axis=0).astype(np.int64).tolist()
+            dots = projection[p][:, features, levels[s] - 1].sum(axis=1).astype(np.int64).tolist()
             k = _best_class(dots, sq_norms[p].tolist(), np.flatnonzero(won[p, :, s]).tolist())
             won[p, :, s] = False
             won[p, k, s] = True
@@ -363,7 +363,7 @@ def classify(query, model: TrainedModel) -> Prediction:
     # query, each x . e_k the sum of the query's N level scores in the
     # float64 projection (an exact integer under its bound), and the
     # encoders' own Gram as scoring keeps it.
-    dots = projection[0, :, np.arange(len(levels)), levels - 1].sum(axis=0).astype(np.int64)
+    dots = projection[0][:, np.arange(len(levels)), levels - 1].sum(axis=1).astype(np.int64)
     full = np.empty((len(dots) + 1,) * 2, dtype=np.int64)
     full[0, 0] = _gram(encode_quantized(levels[None], model.table))[0, 0]
     full[0, 1:] = full[1:, 0] = dots

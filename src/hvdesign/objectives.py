@@ -45,8 +45,8 @@ from .errors import DataError, ShapeError
 from .hypervector import (
     _WHOLE_BUDGETS,
     FlipBudget,
+    _check_counts,
     _check_feasible,
-    _check_non_negative,
     _flip_levels,
     _integer_valued,
     _schedule,
@@ -208,15 +208,14 @@ class CandidateEvaluator:
     def score(self, genes: np.ndarray, dim: int) -> np.ndarray:
         """(P, 2) float64 rows (wAcc, avgSim) of a (P, N, M-1) stack of
         budgets of dimension `dim`. Budgets of another (N, M-1) than the
-        training split's raise ShapeError, a stack of a non-integer dtype or
-        with a negative entry DataError, as `FlipBudget` would, and a budget
+        training split's raise ShapeError, an entry that is not a whole
+        number in 0..2**63-1 DataError, as `FlipBudget` would, and a budget
         with a row over D/2 ConstraintError."""
         n_features, n_levels = self.train.n_features, self.quantizer.levels
         _check_budget_shape(genes.shape[1:], self.quantizer)
-        if genes.dtype.kind not in "iu":
-            raise DataError(_WHOLE_BUDGETS)
+        genes = _integer_valued(genes, _WHOLE_BUDGETS)
+        _check_counts(genes)
         genes = genes.astype(np.int64, copy=False)
-        _check_non_negative(genes)
         _check_feasible(genes, dim)
         if not len(genes):
             return np.empty((0, 2))

@@ -480,9 +480,10 @@ class TestEvaluateCandidate:
         "genes, match",
         [
             (np.array([[[1, 1, 1, 1], [2, -1, 0, 0]]]), "^flip budgets must be non-negative$"),
-            (np.ones((1, 2, 4)), "^flip budgets must be whole numbers$"),
+            (np.full((1, 2, 4), 0.5), "^flip budgets must be whole numbers$"),
+            (np.full((1, 2, 4), 1e30), r"^flip budgets must be below 2\*\*63$"),
         ],
-        ids=["negative", "float"],
+        ids=["negative", "fraction", "past-int64"],
     )
     def test_bad_entries_refused_like_budget(self, toy_dataset, genes, match):
         # FlipBudget's messages, where numpy's repeat would raise its own.
@@ -490,11 +491,12 @@ class TestEvaluateCandidate:
         with pytest.raises(DataError, match=match):
             evaluator.score(genes, 64)
 
-    def test_unsigned_genes_score_as_int64(self, toy_dataset):
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_whole_genes_score_as_int64(self, toy_dataset, dtype):
         evaluator = CandidateEvaluator(toy_dataset, calibrate_quantizer(toy_dataset, 5), 7)
         genes = uniform_flip_budget(64, 5, features=2).budgets[None]
         want = evaluator.score(genes, 64)
-        assert evaluator.score(genes.astype(np.uint8), 64).tobytes() == want.tobytes()
+        assert evaluator.score(genes.astype(dtype), 64).tobytes() == want.tobytes()
 
     def test_empty_population_scores_nothing(self, toy_dataset):
         evaluator = CandidateEvaluator(toy_dataset, calibrate_quantizer(toy_dataset, 5), 7)
