@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
-from .hypervector import FlipBudget, build_level_table, encode_quantized
+from .hypervector import FlipBudget, _Value, _frozen, build_level_table, encode_quantized
 
 MODEL_MAGIC = b"HDCM"
 MODEL_VERSION = 1
@@ -54,8 +54,8 @@ def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-@dataclass(frozen=True)
-class Dataset:
+@dataclass(frozen=True, eq=False)
+class Dataset(_Value):
     """Feature matrix plus dense integer labels (1..K), one class for each
     distinct label name; feature names, if given, name the N features."""
 
@@ -67,8 +67,8 @@ class Dataset:
     def __post_init__(self):
         if not (_strings(self.label_names) and len(set(self.label_names)) == self.n_classes):
             raise DataError("label names must be distinct strings")
-        f = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        f = _frozen(self.features, np.float64)
+        y = _frozen(self.labels, np.int64)
         if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
             raise ShapeError(f"feature matrix must be (S>=1, N>=1), got {f.shape}")
         if y.shape != (f.shape[0],):
@@ -101,8 +101,8 @@ def _too_wide(mins: np.ndarray, maxs: np.ndarray, levels: int) -> list:
         return np.flatnonzero(~np.isfinite((maxs - mins) * levels)).tolist()
 
 
-@dataclass(frozen=True)
-class Quantizer:
+@dataclass(frozen=True, eq=False)
+class Quantizer(_Value):
     """Uniform per-feature quantizer into levels 1..M, calibrated on training data.
 
     Values below the calibrated minimum clamp to level 1, values at or above
@@ -122,8 +122,8 @@ class Quantizer:
     levels: int
 
     def __post_init__(self):
-        mins = np.asarray(self.mins, dtype=np.float64)
-        maxs = np.asarray(self.maxs, dtype=np.float64)
+        mins = _frozen(self.mins, np.float64)
+        maxs = _frozen(self.maxs, np.float64)
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise ShapeError("mins and maxs must be equal-length 1-D arrays")
         if self.levels < 2:
@@ -325,6 +325,8 @@ def _dataset(path, features, raw_labels, label_names, feature_names) -> Dataset:
             raise DataError(f"{path}: labels {unseen} never appeared in training data")
     index = {name: k + 1 for k, name in enumerate(names)}
     labels = np.array([index[lab] for lab in raw_labels], dtype=np.int64)
+    # Both readers build `features` fresh: the Dataset keeps it, uncopied.
+    features.flags.writeable = labels.flags.writeable = False
     return Dataset(features=features, labels=labels, label_names=names,
                    feature_names=feature_names)
 
@@ -505,14 +507,14 @@ def load_model(path):
     if n_cls < 2:
         raise FormatError(f"{path}: {n_cls} classes, need at least 2")
     (seed,) = struct.unpack("<Q", take(8))
-    mins = np.frombuffer(take(8 * n_feat), dtype="<f8").copy()
-    maxs = np.frombuffer(take(8 * n_feat), dtype="<f8").copy()
-    budgets = np.frombuffer(take(4 * n_feat * (n_lvl - 1)), dtype="<i4")
-    budgets = budgets.reshape(n_feat, n_lvl - 1).astype(np.int64)
+    # Read-only views of the file's bytes: the model types keep them as
+    # they are, or convert them once.
+    mins = np.frombuffer(take(8 * n_feat), dtype="<f8")
+    maxs = np.frombuffer(take(8 * n_feat), dtype="<f8")
+    budgets = np.frombuffer(take(4 * n_feat * (n_lvl - 1)), dtype="<i4").reshape(n_feat, n_lvl - 1)
     n_table_bytes = -(-n_feat * n_lvl * dim // 8)
     table_bits = take(n_table_bytes)
-    encoders = np.frombuffer(take(4 * n_cls * dim), dtype="<i4")
-    encoders = encoders.reshape(n_cls, dim).astype(np.int64)
+    encoders = np.frombuffer(take(4 * n_cls * dim), dtype="<i4").reshape(n_cls, dim)
     counts = np.frombuffer(take(4 * n_cls), dtype="<u4").tolist()
     labels = take_json()
     feature_names = take_json()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +46,31 @@ def _integer_valued(values, message: str) -> np.ndarray:
     return values
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """`values` as a read-only array of `dtype`: a read-only array of that
+    dtype as it is, anything else as a read-only copy, so no caller's array
+    is frozen or left writable under a value type."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    values = np.array(values, dtype=dtype)
+    values.flags.writeable = False
+    return values
+
+
+class _Value:
+    """Base of the frozen dataclasses that hold arrays: equal to a value of
+    the same type whose every field is equal, arrays by `np.array_equal`
+    and anything else by `==`; unhashable, as its arrays are."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    __hash__ = None
+
+
 def _check_counts(budgets: np.ndarray) -> None:
     """Raise DataError when whole-valued (..., N, M-1) budgets hold a
     negative entry or one past int64."""
@@ -55,8 +80,8 @@ def _check_counts(budgets: np.ndarray) -> None:
         raise DataError("flip budgets must be below 2**63")
 
 
-@dataclass(frozen=True)
-class FlipBudget:
+@dataclass(frozen=True, eq=False)
+class FlipBudget(_Value):
     """Per-feature, per-transition bit-flip counts: the optimization variable.
 
     `budgets` has shape (N, M-1): one row per feature, one column per
@@ -75,9 +100,7 @@ class FlipBudget:
         if self.dim < 2 or self.dim % 2 != 0:
             raise DimensionError(f"dimension must be even and >= 2, got {self.dim}")
         _check_counts(b)
-        b = b.astype(np.int64, copy=False)
-        b.flags.writeable = False
-        object.__setattr__(self, "budgets", b)
+        object.__setattr__(self, "budgets", _frozen(b, np.int64))
 
     @property
     def features(self) -> int:
@@ -94,15 +117,6 @@ class FlipBudget:
     @property
     def feasible(self) -> bool:
         return bool(np.all(self.row_sums <= self.dim // 2))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FlipBudget)
-            and self.dim == other.dim
-            and np.array_equal(self.budgets, other.budgets)
-        )
-
-    __hash__ = None
 
 
 def uniform_flip_budget(dim: int, levels: int, features: int = 1) -> FlipBudget:
@@ -126,15 +140,17 @@ def uniform_flip_budget(dim: int, levels: int, features: int = 1) -> FlipBudget:
 
 
 def _repair(budgets: np.ndarray, dim: int) -> np.ndarray:
-    """Rows of (..., N, M-1) budgets whose sum exceeds D/2, each entry
-    scaled by (D/2) / sum and floored; the other rows unchanged."""
+    """(..., N, M-1) budgets with each row whose sum exceeds D/2 scaled by
+    (D/2) / sum and floored: an int64 copy with only those rows rewritten,
+    or `budgets` itself when no row exceeds D/2."""
     half = dim // 2
-    sums = budgets.sum(axis=-1, keepdims=True)
+    sums = budgets.sum(axis=-1)
     bad = sums > half
     if not bad.any():
         return budgets
-    scale = np.where(bad, half, 1) / np.where(bad, sums, 1)
-    return np.where(bad, np.floor(budgets * scale).astype(np.int64), budgets)
+    repaired = budgets.astype(np.int64)
+    repaired[bad] = np.floor(budgets[bad] * (half / sums[bad])[:, None])
+    return repaired
 
 
 def repair_budget(budget: FlipBudget) -> FlipBudget:
@@ -214,8 +230,8 @@ def _flip_levels(slots: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     return flips
 
 
-@dataclass(frozen=True)
-class LevelTable:
+@dataclass(frozen=True, eq=False)
+class LevelTable(_Value):
     """All N x M level hypervectors of a flip budget, held as what fixes
     them: level m of feature n is its base sign at the indices whose flip
     level is at least m, and the opposite sign at the rest. It owns the seed
@@ -227,8 +243,8 @@ class LevelTable:
     seed: int
 
     def __post_init__(self):
-        self.bases.flags.writeable = False
-        self.flips.flags.writeable = False
+        object.__setattr__(self, "bases", _frozen(self.bases, np.int8))
+        object.__setattr__(self, "flips", _frozen(self.flips, np.min_scalar_type(self.levels)))
 
     @property
     def dim(self) -> int:
@@ -241,18 +257,6 @@ class LevelTable:
     @property
     def levels(self) -> int:
         return self.budgets.levels
-
-    def __eq__(self, other) -> bool:
-        # The flip levels fix the budget: b_m indices have flip level m.
-        return (
-            isinstance(other, LevelTable)
-            and self.seed == other.seed
-            and self.levels == other.levels
-            and np.array_equal(self.bases, other.bases)
-            and np.array_equal(self.flips, other.flips)
-        )
-
-    __hash__ = None
 
 
 def _check_feasible(budgets: np.ndarray, dim: int) -> None:
@@ -271,8 +275,9 @@ def build_level_table(base_seed, budget: FlipBudget) -> LevelTable:
     a budget with a row over D/2 raises ConstraintError."""
     _check_feasible(budget.budgets, budget.dim)
     bases, slots = _schedule(int(base_seed), budget.features, budget.dim)
-    return LevelTable(bases=bases, flips=_flip_levels(slots, budget.budgets), budgets=budget,
-                      seed=int(base_seed))
+    flips = _flip_levels(slots, budget.budgets)
+    flips.flags.writeable = False  # fresh: the table keeps it, uncopied
+    return LevelTable(bases=bases, flips=flips, budgets=budget, seed=int(base_seed))
 
 
 def _signs(bases: np.ndarray, flips: np.ndarray, levels) -> np.ndarray:

@@ -77,6 +77,8 @@ from .errors import DataError, ShapeError
 from .hypervector import (
     FlipBudget,
     LevelTable,
+    _Value,
+    _frozen,
     _integer_valued,
     build_level_table,
     encode_quantized,
@@ -87,13 +89,6 @@ from .hypervector import (
 # Scores closer than this (relative) to a row's best are compared exactly;
 # float rounding of an exact dot over a rounded norm is below 1e-15.
 _NEAR_TIE = 1e-9
-
-# Elements of the D-long temporaries `_projection` holds at once (one
-# float64 and one int64 array). Larger ones, such as the 2 x 0.9 MB of a
-# whole N=57, D=2048 model, cost about 1,450 minor page faults each time a
-# model was loaded and first scored, where the per-feature sign products
-# this kernel replaced took none.
-_PROJECTION_ELEMENTS = 2**14
 
 
 def _level_histogram(levels: np.ndarray, labels: np.ndarray, n_classes: int,
@@ -156,18 +151,13 @@ def _projection(bases: np.ndarray, flips: np.ndarray, encoders: np.ndarray,
         raise DataError(f"encoder entries up to {top} are too large for exact scoring")
     columns = encoders.astype(np.float64)[:, :, None, :]  # exact: |E| < 2**53
     sums = np.empty((n_candidates, n_classes, n_features, n_levels))
-    # A few features at a time, so the D-long temporaries stay small.
-    step = max(1, _PROJECTION_ELEMENTS // (n_candidates * dim))
-    for first in range(0, n_features, step):
-        chunk = slice(first, first + step)
-        width = len(bases[chunk])
-        rows = np.arange(n_candidates * width).reshape(-1, width, 1)
-        bins = flips[:, chunk] - 1 + n_levels * rows
-        for k in range(n_classes):
-            spread = columns[:, k] * bases[chunk]  # (P, width, D) a_k
-            sums[:, k, chunk] = np.bincount(
-                bins.ravel(), weights=spread.ravel(), minlength=bins.size // dim * n_levels
-            ).reshape(n_candidates, width, n_levels)
+    rows = np.arange(n_candidates * n_features).reshape(n_candidates, n_features, 1)
+    bins = (flips - 1 + n_levels * rows).ravel()  # one bin per (candidate, feature, level)
+    spread = np.empty(flips.shape)  # (P, N, D) a_k, one class at a time
+    for k in range(n_classes):
+        np.multiply(columns[:, k], bases, out=spread)
+        level_sums = np.bincount(bins, weights=spread.ravel(), minlength=sums[:, k].size)
+        sums[:, k] = level_sums.reshape(n_candidates, n_features, n_levels)
     signs = np.where(np.arange(n_levels)[:, None] >= np.arange(n_levels), 1.0, -1.0)
     return (sums.reshape(-1, n_levels) @ signs).reshape(sums.shape)
 
@@ -241,8 +231,8 @@ def _check_budget_shape(shape: tuple, quantizer: Quantizer) -> None:
                          f"dataset N={quantizer.features}, M={quantizer.levels}")
 
 
-@dataclass(frozen=True)
-class TrainedModel:
+@dataclass(frozen=True, eq=False)
+class TrainedModel(_Value):
     """The serializable artifact: quantizer + level table + class encoders,
     valid by construction. It owns the rules that tie its parts together:
     the quantizer and the table agree on N and M, K >= 2 encoders have the
@@ -258,7 +248,7 @@ class TrainedModel:
 
     def __post_init__(self):
         _check_budget_shape(self.table.budgets.budgets.shape, self.quantizer)
-        e = np.asarray(self.encoders, dtype=np.int64)
+        e = _frozen(self.encoders, np.int64)
         if e.ndim != 2 or e.shape[1] != self.table.dim:
             raise ShapeError(f"encoders must be (K, {self.table.dim}), got {e.shape}")
         n_classes = e.shape[0]
@@ -272,7 +262,6 @@ class TrainedModel:
         counts = np.asarray(self.class_counts)
         if counts.shape != (n_classes,) or counts.dtype.kind not in "iu" or np.any(counts < 0):
             raise DataError(f"need {n_classes} non-negative integer class counts")
-        e.flags.writeable = False
         object.__setattr__(self, "encoders", e)
         object.__setattr__(self, "class_counts", tuple(counts.tolist()))
 
@@ -290,26 +279,14 @@ class TrainedModel:
         projection = _projection(table.bases, table.flips[None], encoders, table.levels)
         return projection, _gram(encoders)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TrainedModel)
-            and self.quantizer.levels == other.quantizer.levels
-            and np.array_equal(self.quantizer.mins, other.quantizer.mins)
-            and np.array_equal(self.quantizer.maxs, other.quantizer.maxs)
-            and self.table == other.table
-            and np.array_equal(self.encoders, other.encoders)
-            and self.labels == other.labels
-            and self.feature_names == other.feature_names
-            and self.class_counts == other.class_counts
-        )
 
-    __hash__ = None
-
-
-@dataclass(frozen=True)
-class Prediction:
+@dataclass(frozen=True, eq=False)
+class Prediction(_Value):
     label: int  # class index in 1..K
-    similarities: np.ndarray  # (K,)
+    similarities: np.ndarray  # (K,) float64
+
+    def __post_init__(self):
+        object.__setattr__(self, "similarities", _frozen(self.similarities, np.float64))
 
 
 def _gram(vectors) -> np.ndarray:

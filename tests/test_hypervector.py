@@ -20,7 +20,7 @@ from hvdesign import (
     repair_budget,
     uniform_flip_budget,
 )
-from hvdesign.hypervector import _flip_levels, _schedule
+from hvdesign.hypervector import _flip_levels, _repair, _schedule
 
 
 def dot(a, b):
@@ -448,3 +448,30 @@ class TestRepairBudget:
         once = repair_budget(budget)
         assert once.feasible
         assert repair_budget(once) == once
+
+    @staticmethod
+    def scaled_everywhere(budgets, dim):
+        """The earlier repair, the oracle: every row scaled by its own
+        factor, 1 where its sum fits in D/2, and one `np.where`."""
+        half = dim // 2
+        sums = budgets.sum(axis=-1, keepdims=True)
+        bad = sums > half
+        scale = np.where(bad, half, 1) / np.where(bad, sums, 1)
+        return np.where(bad, np.floor(budgets * scale).astype(np.int64), budgets)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rewrites_only_the_rows_over_half(self, data):
+        shape = data.draw(st.lists(st.integers(0, 6), max_size=2))
+        shape += [data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))]
+        dim = data.draw(st.integers(1, 200)) * 2
+        top = data.draw(st.sampled_from([dim // 2, dim, 2**40]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        genes = np.random.default_rng(seed).integers(0, top + 1, size=shape)
+        before = genes.copy()
+        repaired = _repair(genes, dim)
+        want = self.scaled_everywhere(genes, dim)
+        assert repaired.dtype == np.int64 and repaired.tobytes() == want.tobytes()
+        assert np.array_equal(genes, before)  # the input is never written
+        if np.all(genes.sum(axis=-1) <= dim // 2):
+            assert repaired is genes
