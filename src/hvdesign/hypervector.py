@@ -30,9 +30,6 @@ import numpy as np
 from .errors import ConfigError, ConstraintError, DataError, DimensionError, ShapeError
 
 
-_WHOLE_BUDGETS = "flip budgets must be whole numbers"
-
-
 def _integer_valued(values, message: str) -> np.ndarray:
     """`values` as an int64 array, or as a float64 one whose every value is
     a finite whole number; any other value raises DataError(message), where
@@ -71,13 +68,23 @@ class _Value:
     __hash__ = None
 
 
-def _check_counts(budgets: np.ndarray) -> None:
-    """Raise DataError when whole-valued (..., N, M-1) budgets hold a
-    negative entry or one past int64."""
+def _budget_array(values, dim) -> np.ndarray:
+    """(..., N, M-1) budgets as int64, by the one rule for flip budgets:
+    DimensionError unless `dim` is an even integer >= 2, DataError unless
+    every entry is a whole number in 0..2**63-1. An array cast here is
+    fresh, so it is made read-only, for `_frozen` to keep uncopied."""
+    if not isinstance(dim, (int, np.integer)) or dim < 2 or dim % 2 != 0:
+        raise DimensionError(f"dimension must be even and >= 2, got {dim}")
+    given = np.asarray(values)
+    budgets = _integer_valued(given, "flip budgets must be whole numbers")
     if budgets.min(initial=0) < 0:
         raise DataError("flip budgets must be non-negative")
     if int(budgets.max(initial=0)) >= 2**63:  # a whole float64 past int64
         raise DataError("flip budgets must be below 2**63")
+    budgets = budgets.astype(np.int64, copy=False)
+    if budgets is not given:
+        budgets.flags.writeable = False
+    return budgets
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,21 +92,17 @@ class FlipBudget(_Value):
     """Per-feature, per-transition bit-flip counts: the optimization variable.
 
     `budgets` has shape (N, M-1): one row per feature, one column per
-    consecutive-level transition, each a non-negative whole number, held as
-    int64 (a fraction, NaN or infinity raises DataError, where a cast would
-    truncate it). A row is feasible when its sum does not exceed dim/2.
+    consecutive-level transition, held as int64 and checked by `_budget_array`.
+    A row is feasible when its sum does not exceed dim/2.
     """
 
     budgets: np.ndarray
     dim: int
 
     def __post_init__(self):
-        b = _integer_valued(self.budgets, _WHOLE_BUDGETS)
+        b = _budget_array(self.budgets, self.dim)
         if b.ndim != 2 or b.shape[1] < 1:
             raise ShapeError(f"budget matrix must be (N, M-1), got shape {b.shape}")
-        if self.dim < 2 or self.dim % 2 != 0:
-            raise DimensionError(f"dimension must be even and >= 2, got {self.dim}")
-        _check_counts(b)
         object.__setattr__(self, "budgets", _frozen(b, np.int64))
 
     @property

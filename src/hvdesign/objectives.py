@@ -4,9 +4,9 @@ Two objectives drive the flip-budget search: maximize the macro-averaged
 recall on the training split (wAcc) and minimize the geometric mean of
 pairwise class-encoder cosine similarities (avgSim). Robustness is
 1 - avgSim. Feasibility is the per-feature row-sum constraint on the
-budget, `FlipBudget.feasible`; scoring refuses a budget with a row over
-D/2 with the ConstraintError `build_level_table` raises, so every score is
-of a feasible budget.
+budget, `FlipBudget.feasible`. Scoring applies FlipBudget's rules through
+the validator they share, and refuses a row over D/2 with the ConstraintError
+`build_level_table` raises, so every score is of a valid, feasible budget.
 
 `CandidateEvaluator.score` scores a population as arrays: a (P, N, M-1)
 stack of budget matrices in, (P, 2) float64 rows of (wAcc, avgSim) out. The
@@ -43,9 +43,8 @@ import numpy as np
 from .data import Dataset, Quantizer, _check_labels
 from .errors import DataError, ShapeError
 from .hypervector import (
-    _WHOLE_BUDGETS,
     FlipBudget,
-    _check_counts,
+    _budget_array,
     _check_feasible,
     _flip_levels,
     _integer_valued,
@@ -207,15 +206,13 @@ class CandidateEvaluator:
 
     def score(self, genes: np.ndarray, dim: int) -> np.ndarray:
         """(P, 2) float64 rows (wAcc, avgSim) of a (P, N, M-1) stack of
-        budgets of dimension `dim`. Budgets of another (N, M-1) than the
-        training split's raise ShapeError, an entry that is not a whole
-        number in 0..2**63-1 DataError, as `FlipBudget` would, and a budget
-        with a row over D/2 ConstraintError."""
+        budgets of dimension `dim`. A bad `dim` or entry raises what
+        `FlipBudget` raises, DimensionError or DataError; budgets of another
+        (N, M-1) than the training split's ShapeError, and a budget with a
+        row over D/2 ConstraintError."""
         n_features, n_levels = self.train.n_features, self.quantizer.levels
+        genes = _budget_array(genes, dim)
         _check_budget_shape(genes.shape[1:], self.quantizer)
-        genes = _integer_valued(genes, _WHOLE_BUDGETS)
-        _check_counts(genes)
-        genes = genes.astype(np.int64, copy=False)
         _check_feasible(genes, dim)
         if not len(genes):
             return np.empty((0, 2))

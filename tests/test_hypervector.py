@@ -83,8 +83,10 @@ class TestFlipBudget:
             ([[0.5, 1.7, 2.9]], 16, DataError, "^flip budgets must be whole numbers$"),
             ([[1.0, np.nan, 2.0]], 16, DataError, "^flip budgets must be whole numbers$"),
             ([[1e30, 1.0]], 16, DataError, r"^flip budgets must be below 2\*\*63$"),
+            ([[4, 4]], 64.0, DimensionError, r"^dimension must be even and >= 2, got 64\.0$"),
         ],
-        ids=["one-d", "negative", "odd-dim-before-sign", "fraction", "nan", "past-int64"],
+        ids=["one-d", "negative", "odd-dim-before-sign", "fraction", "nan", "past-int64",
+             "float-dim"],
     )
     def test_invalid_rejected(self, budgets, dim, error, match):
         with pytest.raises(error, match=match):
@@ -93,6 +95,15 @@ class TestFlipBudget:
     def test_whole_floats_become_int64(self):
         budget = FlipBudget(budgets=np.array([[2.0, 0.0, 5.0]]), dim=16)
         assert budget.budgets.dtype == np.int64 and budget.budgets.tolist() == [[2, 0, 5]]
+
+    def test_read_only_int32_budgets_are_cast_once(self):
+        # The (57, 19) block every wide load_model reads: one int64 cast,
+        # kept as it is, and no second copy of it.
+        block = np.arange(57 * 19, dtype=np.int32).reshape(57, 19) % 3
+        block.flags.writeable = False
+        FlipBudget(budgets=block, dim=2048)  # warm
+        peak = traced_peak(lambda: FlipBudget(budgets=block, dim=2048))
+        assert peak <= 1.25 * block.size * 8
 
 
 class TestBuildLevelTable:

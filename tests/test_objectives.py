@@ -15,6 +15,7 @@ from hvdesign import (
     ConstraintError,
     DataError,
     Dataset,
+    DimensionError,
     FlipBudget,
     ObjectiveScores,
     Quantizer,
@@ -490,6 +491,40 @@ class TestEvaluateCandidate:
         evaluator = CandidateEvaluator(toy_dataset, calibrate_quantizer(toy_dataset, 5), 7)
         with pytest.raises(DataError, match=match):
             evaluator.score(genes, 64)
+
+    @pytest.mark.parametrize(
+        "budgets, dim, error",
+        [
+            ([[4, -1]], 16, DataError),
+            ([[4, -1]], 15, DimensionError),
+            ([[0.5, 1.7, 2.9]], 16, DataError),
+            ([[1.0, np.nan, 2.0]], 16, DataError),
+            ([[1e30, 1.0]], 16, DataError),
+            ([[4, 4]], 64.0, DimensionError),
+            ([[0, 0, 0, 0], [0, 0, 0, 0]], 7, DimensionError),
+            ([[0, 0, 0, 0], [0, 0, 0, 0]], 1, DimensionError),
+            ([[0, 0, 0, 0], [0, 0, 0, 0]], 0, DimensionError),
+            ([[0, 0, 0, 0], [0, 0, 0, 0]], -2, DimensionError),
+        ],
+        ids=["negative", "odd-dim-before-sign", "fraction", "nan", "past-int64", "float-dim",
+             "dim-7", "dim-1", "dim-0", "dim-minus-2"],
+    )
+    def test_refuses_what_flip_budget_refuses(self, toy_dataset, budgets, dim, error):
+        # The same error, type and message, whether or not the budget's
+        # shape fits the dataset's (N, M-1) = (2, 4).
+        evaluator = CandidateEvaluator(toy_dataset, calibrate_quantizer(toy_dataset, 5), 7)
+        with pytest.raises(error) as alone:
+            FlipBudget(budgets=np.array(budgets), dim=dim)
+        with pytest.raises(error) as scored:
+            evaluator.score(np.array(budgets)[None], dim)
+        assert type(scored.value) is type(alone.value)
+        assert str(scored.value) == str(alone.value)
+
+    def test_nested_lists_score_as_the_array(self, toy_dataset):
+        evaluator = CandidateEvaluator(toy_dataset, calibrate_quantizer(toy_dataset, 5), 7)
+        genes = np.stack([uniform_flip_budget(64, 5, features=2).budgets, [[1, 2, 3, 4]] * 2])
+        want = evaluator.score(genes, 64)
+        assert evaluator.score(genes.tolist(), 64).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     def test_whole_genes_score_as_int64(self, toy_dataset, dtype):
