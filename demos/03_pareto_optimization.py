@@ -19,7 +19,7 @@ from hvdesign import (
     FlipBudget,
     GAConfig,
     calibrate_quantizer,
-    dominates,
+    rank_population,
     run_optimization,
 )
 
@@ -41,11 +41,9 @@ scored = {
     for b1, b2 in candidates
     if b1 + b2 <= 8
 }
-oracle = sorted(
-    key
-    for key, s in scored.items()
-    if not any(dominates(o, s) for k, o in scored.items() if k != key)
-)
+# The brute-force front: the rank-0 rows of one ranking of all 45.
+ranks, _ = rank_population([[s.wacc, s.avg_sim] for s in scored.values()])
+oracle = sorted(key for key, rank in zip(scored, ranks) if rank == 0)
 print(f"brute-force Pareto-optimal budgets over the {len(scored)} feasible candidates:")
 for key in oracle:
     s = scored[key]

@@ -27,7 +27,6 @@ from .errors import (
 from .evolve import (
     GAConfig,
     ParetoFront,
-    dominates,
     evolve_generation,
     hypervolume,
     initialize_population,

@@ -38,7 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
-from .hypervector import FlipBudget, _Value, _frozen, build_level_table, encode_quantized
+from .hypervector import (
+    FlipBudget,
+    _Value,
+    _check_levels,
+    _frozen,
+    build_level_table,
+    encode_quantized,
+)
 
 MODEL_MAGIC = b"HDCM"
 MODEL_VERSION = 1
@@ -126,8 +133,7 @@ class Quantizer(_Value):
         maxs = _frozen(self.maxs, np.float64)
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise ShapeError("mins and maxs must be equal-length 1-D arrays")
-        if self.levels < 2:
-            raise ConfigError(f"need at least 2 quantization levels, got {self.levels}")
+        _check_levels(self.levels)
         if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
             raise DataError("non-finite calibration minima or maxima")
         if np.any(mins > maxs):

@@ -1,10 +1,10 @@
 """NSGA-II-style search over flip-budget matrices.
 
 The two objectives are (maximize wAcc, minimize avgSim). Dominance is
-decided in one place, `_ranks`, a sort-based non-dominated sort that
-ranking, front extraction and the hypervolume (both the rows of rank 0)
-share; `dominates` is the reference predicate, plain Pareto dominance on
-a single pair of ObjectiveScores.
+decided in one place, `_ranks`, a sort-based non-dominated sort under
+Pareto dominance on (max wAcc, min avgSim): a point dominates another when
+it is no worse in both objectives and better in one. Ranking, front
+extraction and the hypervolume (both the rows of rank 0) share it.
 
 A search ranks its initial population once, then one population per
 generation: the 2P parents and children merged for survival. The P
@@ -47,13 +47,14 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import Dataset, Quantizer, atomic_open
-from .errors import ConfigError
-from .hypervector import FlipBudget, _repair, uniform_flip_budget
+from .errors import ConfigError, ShapeError
+from .hypervector import FlipBudget, _check_levels, _repair, _whole_number, uniform_flip_budget
 from .objectives import CandidateEvaluator, ObjectiveScores
 
 
@@ -68,6 +69,15 @@ class GAConfig:
     levels: int = 20
 
     def __post_init__(self):
+        for name in ("population_size", "generations", "seed", "dim"):
+            if not _whole_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("crossover_rate", "mutation_rate"):
+            rate = getattr(self, name)
+            if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {rate!r}")
+        if not 0 <= self.seed < 2**64:  # the seed a model file stores
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.population_size < 4 or self.population_size % 2 != 0:
             raise ConfigError("population size must be even and >= 4")
         if self.generations < 1:
@@ -79,8 +89,7 @@ class GAConfig:
         # `_loop_draws`; an odd D makes no FlipBudget.
         if self.dim < 2 or self.dim % 2 != 0:
             raise ConfigError(f"dimension must be even and >= 2, got {self.dim}")
-        if self.levels < 2:
-            raise ConfigError(f"need at least 2 quantization levels, got {self.levels}")
+        _check_levels(self.levels)
 
 
 @dataclass(frozen=True)
@@ -112,16 +121,19 @@ class ParetoFront:
                 )
 
 
-def dominates(a: ObjectiveScores, b: ObjectiveScores) -> bool:
-    """Pareto dominance on (max wAcc, min avgSim)."""
-    if a.wacc < b.wacc or a.avg_sim > b.avg_sim:
-        return False
-    return a.wacc > b.wacc or a.avg_sim < b.avg_sim
+def _score_rows(scores) -> np.ndarray:
+    """An array-like of (wAcc, avgSim) rows as a (P, 2) float64 array; any
+    other shape raises ShapeError."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] != 2:
+        raise ShapeError(f"scores must be (P, 2) (wAcc, avgSim) rows, got shape {scores.shape}")
+    return scores
 
 
 def _ranks(scores: np.ndarray) -> np.ndarray:
     """Non-dominated rank of each row of a (P, 2) (wAcc, avgSim) score
-    array under `dominates`; rank 0 is the non-dominated front."""
+    array under Pareto dominance on (max wAcc, min avgSim), the package's
+    one dominance rule; rank 0 is the non-dominated front."""
     if np.isnan(scores).any():
         raise ValueError("cannot rank scores that hold NaN")
     wacc, sim = scores.T
@@ -142,9 +154,9 @@ def _ranks(scores: np.ndarray) -> np.ndarray:
     return out
 
 
-def rank_population(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def rank_population(scores) -> tuple[np.ndarray, np.ndarray]:
     """Non-dominated sorting plus per-front crowding distance of a (P, 2)
-    score array of (wAcc, avgSim) rows.
+    array-like of (wAcc, avgSim) rows; any other shape raises ShapeError.
 
     Returns (ranks, crowding); rank 0 is the non-dominated front. The rows
     are sorted once on (wAcc desc, avgSim asc), and each point joins the
@@ -154,6 +166,7 @@ def rank_population(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Crowding is `_crowding` on those ranks. A NaN anywhere in the array
     raises ValueError: a sort cannot order it.
     """
+    scores = _score_rows(scores)
     ranks = _ranks(scores)
     return ranks, _crowding(scores, ranks)
 
@@ -304,10 +317,12 @@ def evolve_generation(
     return genes[survivors], scores[survivors], merged_ranks[survivors]
 
 
-def hypervolume(scores: np.ndarray) -> float:
-    """Area dominated by the points of a (P, 2) (wAcc, avgSim) score array
-    relative to the worst corner of the objective space, wAcc 0 and
-    avgSim 1; a point outside that box adds nothing."""
+def hypervolume(scores) -> float:
+    """Area dominated by the points of a (P, 2) array-like of (wAcc, avgSim)
+    rows relative to the worst corner of the objective space, wAcc 0 and
+    avgSim 1; a point outside that box adds nothing. Any other shape raises
+    ShapeError."""
+    scores = _score_rows(scores)
     kept = scores[_ranks(scores) == 0]
     coords = sorted(kept.tolist(), key=lambda p: -p[1])
     area = 0.0

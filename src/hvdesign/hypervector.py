@@ -43,6 +43,19 @@ def _integer_valued(values, message: str) -> np.ndarray:
     return values
 
 
+def _whole_number(value) -> bool:
+    """Whether a setting is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_levels(levels) -> None:
+    """ConfigError unless a quantization level count M is an integer >= 2."""
+    if not _whole_number(levels):
+        raise ConfigError(f"levels must be an integer, got {levels!r}")
+    if levels < 2:
+        raise ConfigError(f"need at least 2 quantization levels, got {levels}")
+
+
 def _frozen(values, dtype) -> np.ndarray:
     """`values` as a read-only array of `dtype`: a read-only array of that
     dtype as it is, anything else as a read-only copy, so no caller's array
@@ -73,7 +86,7 @@ def _budget_array(values, dim) -> np.ndarray:
     DimensionError unless `dim` is an even integer >= 2, DataError unless
     every entry is a whole number in 0..2**63-1. An array cast here is
     fresh, so it is made read-only, for `_frozen` to keep uncopied."""
-    if not isinstance(dim, (int, np.integer)) or dim < 2 or dim % 2 != 0:
+    if not _whole_number(dim) or dim < 2 or dim % 2 != 0:
         raise DimensionError(f"dimension must be even and >= 2, got {dim}")
     given = np.asarray(values)
     budgets = _integer_valued(given, "flip budgets must be whole numbers")
@@ -129,8 +142,7 @@ def uniform_flip_budget(dim: int, levels: int, features: int = 1) -> FlipBudget:
     feasible by construction. Below D = 2(M-1) the floor is zero: every
     level is the same vector, which warns.
     """
-    if levels < 2:
-        raise ConfigError(f"need at least 2 quantization levels, got {levels}")
+    _check_levels(levels)
     per_transition = dim // (2 * (levels - 1))
     budget = FlipBudget(budgets=np.full((features, levels - 1), per_transition), dim=dim)
     if per_transition == 0:
@@ -305,9 +317,14 @@ def level_vector(table: LevelTable, feature: int, level: int) -> np.ndarray:
     return row
 
 
-def encode_quantized(levels: np.ndarray, table: LevelTable) -> np.ndarray:
+def encode_quantized(levels, table: LevelTable) -> np.ndarray:
     """Bundle pre-quantized samples: the (S, D) int64 sums of the level
-    hypervectors each (S, N) row of levels (values 1..M) picks."""
+    hypervectors each (S, N) row of levels (whole numbers 1..M) picks. A
+    level that is not a whole number raises DataError, another shape
+    ShapeError, and a level outside 1..M IndexError."""
+    levels = _integer_valued(levels, "levels must be whole numbers")
+    if levels.ndim != 2 or levels.shape[1] != table.features:
+        raise ShapeError(f"levels must be (S, {table.features}), got shape {levels.shape}")
     if levels.min(initial=1) < 1 or levels.max(initial=1) > table.levels:
         raise IndexError(f"levels out of range [1, {table.levels}]")
     # Compared in the flip levels' own dtype, which holds 1..M: against int64

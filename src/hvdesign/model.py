@@ -367,11 +367,12 @@ def train_model(
     weights = _encoder_weights(
         _level_histogram(levels, train.labels, train.n_classes, table.levels), table.levels
     )
-    encoders = _class_encoders(table.bases, table.flips[None], weights)[0]
+    encoders = _class_encoders(table.bases, table.flips[None], weights)
+    encoders.flags.writeable = False  # fresh: the model keeps its row, uncopied
     return TrainedModel(
         quantizer=quantizer,
         table=table,
-        encoders=encoders,
+        encoders=encoders[0],
         labels=list(train.label_names),
         feature_names=list(train.feature_names or []),
         class_counts=counts,

@@ -7,6 +7,15 @@ import pytest
 from hvdesign import Dataset, FlipBudget, calibrate_quantizer, generate_motivational
 
 
+def dominates(a, b) -> bool:
+    """Pareto dominance of one (wacc, avg_sim) pair over another on
+    (max wAcc, min avgSim): the plain pairwise predicate, the independent
+    oracle the package's sort-based ranking is checked against."""
+    if a.wacc < b.wacc or a.avg_sim > b.avg_sim:
+        return False
+    return a.wacc > b.wacc or a.avg_sim < b.avg_sim
+
+
 def oracle_signs(seed, budgets, dim: int) -> np.ndarray:
     """(..., N, M, D) int8 signs of every level that (..., N, M-1) flip
     budgets give under `seed`, from the draws alone: feature n draws its

@@ -18,7 +18,6 @@ from hvdesign import (
     build_level_table,
     calibrate_quantizer,
     confusion_matrix,
-    dominates,
     fit_baseline,
     level_vector,
     predict_batch,
@@ -32,6 +31,8 @@ from hvdesign import (
 )
 from hvdesign.cli import main as cli_main
 from hvdesign.data import Dataset
+
+from conftest import dominates
 
 
 def report(number: int, description: str, passed: bool):

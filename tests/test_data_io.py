@@ -367,6 +367,21 @@ class TestQuantizer:
         with pytest.raises(ConfigError, match="at least 2"):
             Quantizer(mins=np.array([0.0]), maxs=np.array([1.0]), levels=levels)
 
+    @pytest.mark.parametrize("levels", [20.0, 2.5, True, "20"])
+    def test_levels_that_are_not_integers_rejected(self, levels):
+        # Refused at construction: a float count would reach the first
+        # quantize_matrix, where numpy cannot cast its level cap.
+        with pytest.raises(ConfigError, match="levels must be an integer"):
+            Quantizer(mins=np.array([0.0]), maxs=np.array([1.0]), levels=levels)
+        ds = Dataset(features=np.array([[0.0], [1.0]]), labels=np.array([1, 2]),
+                     label_names=["a", "b"])
+        with pytest.raises(ConfigError, match="levels must be an integer"):
+            calibrate_quantizer(ds, levels)
+
+    def test_numpy_integer_levels_accepted(self):
+        q = Quantizer(mins=np.array([0.0]), maxs=np.array([1.0]), levels=np.int64(4))
+        assert levels_of(q, [1.0]).tolist() == [4]
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_range_rejected(self, bad):
         with pytest.raises(DataError, match="finite"):

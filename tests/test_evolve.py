@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ from hvdesign import (
     ObjectiveScores,
     ShapeError,
     calibrate_quantizer,
-    dominates,
     evolve_generation,
     generate_linear,
     hypervolume,
@@ -31,6 +31,8 @@ from hvdesign.evolve import (
     _selection_order,
     _variation_draws,
 )
+
+from conftest import dominates
 
 MICRO_CONFIG = dict(population_size=40, generations=50, dim=16, levels=3, mutation_rate=0.3)
 
@@ -165,6 +167,25 @@ class TestInitializePopulation:
         for fields in ({"dim": 0}, {"dim": 1}, {"dim": 63}, {"levels": 1}):
             with pytest.raises(ConfigError):
                 GAConfig(**fields)
+        # Settings that are not whole numbers, or rates that are not real
+        # numbers, are refused at construction, not at the search's first
+        # use of them.
+        for fields in (
+            {"dim": 64.0}, {"population_size": 20.0}, {"generations": 2.5},
+            {"levels": 20.0}, {"seed": 1.5}, {"seed": True}, {"dim": True},
+            {"crossover_rate": "0.5"}, {"mutation_rate": True},
+        ):
+            with pytest.raises(ConfigError, match="must be an integer|must be a real number"):
+                GAConfig(**fields)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+                GAConfig(seed=seed)
+
+    def test_whole_numpy_settings_accepted(self):
+        config = GAConfig(population_size=np.int64(4), generations=np.uint8(1),
+                          seed=2**64 - 1, dim=np.int32(16), levels=np.int64(3),
+                          crossover_rate=np.float32(0.5), mutation_rate=1)
+        assert config.seed == 2**64 - 1 and config.dim == 16
 
 
 class TestRepair:
@@ -200,6 +221,31 @@ class TestRankPopulation:
         assert ranks.tolist() == [0, 0, 0]
         assert crowding[0] == crowding[2] == np.inf
         assert np.isfinite(crowding[1])
+
+    def test_nested_lists_rank_as_the_array(self):
+        rows = [[0.9, 0.9], [0.5, 0.5], [0.5, 0.5], [0.1, 0.1], [0.4, 0.6]]
+        ranks, crowding = rank_population(rows)
+        want_ranks, want_crowding = rank_population(np.array(rows))
+        assert np.array_equal(ranks, want_ranks) and np.array_equal(crowding, want_crowding)
+        assert ranks.tolist() == [0, 0, 0, 0, 1]
+        assert hypervolume(rows) == hypervolume(np.array(rows))
+        assert hypervolume([[1, 0]]) == 1.0  # whole numbers rank as floats
+
+    @pytest.mark.parametrize(
+        "scores", [np.zeros((3, 3)), np.zeros(3), np.zeros((2, 2, 2)), [], [[0.5]]],
+        ids=["3-columns", "1-d", "3-d", "empty-list", "1-column"],
+    )
+    def test_other_shapes_refused(self, scores):
+        shape = np.shape(scores)
+        with pytest.raises(ShapeError, match=rf"\(P, 2\).*got shape {re.escape(str(shape))}"):
+            rank_population(scores)
+        with pytest.raises(ShapeError, match=r"\(P, 2\)"):
+            hypervolume(scores)
+
+    def test_no_rows_rank_as_nothing(self):
+        ranks, crowding = rank_population(np.empty((0, 2)))
+        assert ranks.shape == crowding.shape == (0,)
+        assert hypervolume(np.empty((0, 2))) == 0.0
 
     @given(populations)
     @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvdesign import (
+    ConfigError,
     ConstraintError,
     DataError,
     DimensionError,
@@ -62,6 +64,11 @@ class TestUniformFlipBudget:
     def test_odd_dim_rejected(self):
         with pytest.raises(DimensionError):
             uniform_flip_budget(63, 4)
+
+    @pytest.mark.parametrize("levels", [20.0, True])
+    def test_levels_that_are_not_integers_rejected(self, levels):
+        with pytest.raises(ConfigError, match="levels must be an integer"):
+            uniform_flip_budget(64, levels)
 
     @pytest.mark.parametrize("dim", [0, -2])
     def test_dimension_rejected_before_any_warning(self, dim):
@@ -426,6 +433,30 @@ class TestEncodeSample:
         table = build_level_table(3, uniform_flip_budget(32, 4, features=2))
         with pytest.raises(IndexError, match=r"levels out of range \[1, 4\]"):
             encode_quantized(np.array([[1, level]]), table)
+
+    def test_fractional_level_rejected(self):
+        # A cast would truncate 1.5 to level 1.
+        table = build_level_table(3, uniform_flip_budget(32, 4, features=2))
+        with pytest.raises(DataError, match="levels must be whole numbers"):
+            encode_quantized(np.array([[1, 1.5]]), table)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DataError, match="levels must be whole numbers"):
+                encode_quantized(np.array([[1, bad]]), table)
+
+    def test_array_likes_encode_as_the_array(self):
+        table = build_level_table(3, uniform_flip_budget(32, 4, features=2))
+        want = encode_quantized(np.array([[1, 4], [2, 3]]), table)
+        assert np.array_equal(encode_quantized([[1, 4], [2, 3]], table), want)
+        assert np.array_equal(encode_quantized(np.array([[1.0, 4.0], [2.0, 3.0]]), table), want)
+        assert np.array_equal(encode_quantized(np.array([[1, 4], [2, 3]], np.uint8), table), want)
+
+    @pytest.mark.parametrize("levels", [[[1, 2, 3]], [[1]], [1, 2], [[[1, 2]]]],
+                             ids=["wider", "narrower", "1-d", "3-d"])
+    def test_other_shapes_rejected(self, levels):
+        table = build_level_table(3, uniform_flip_budget(32, 4, features=2))
+        shape = re.escape(str(np.shape(levels)))
+        with pytest.raises(ShapeError, match=rf"levels must be \(S, 2\), got shape {shape}"):
+            encode_quantized(np.array(levels), table)
 
     @given(st.integers(0, 1000), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)

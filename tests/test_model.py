@@ -304,6 +304,14 @@ class TestSinglePassTraining:
         assert np.array_equal(a.encoders, b.encoders)
         assert a == b
 
+    def test_encoders_are_kept_uncopied(self, toy_dataset):
+        # The kernel's fresh (1, K, D) output is marked read-only, so the
+        # model holds a view of its row 0, not a copy.
+        model = fit_baseline(toy_dataset, 64, 5, seed=3)
+        assert not model.encoders.flags.writeable
+        assert model.encoders.base is not None
+        assert model.encoders.shape == (3, 64) and model.encoders.dtype == np.int64
+
     def test_batch_partition_independent(self, toy_dataset):
         model = fit_baseline(toy_dataset, 64, 5, seed=3)
         whole = predict_batch(toy_dataset.features, model)

@@ -1,5 +1,6 @@
 """Source checks on `src/hvdesign`: no module-level private name that
-nothing reads, and no import a module never reads."""
+nothing reads, no public function or class that is neither exported nor
+read, and no import a module never reads."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,15 @@ def private_definitions(tree: ast.Module) -> list:
     return [name for name in names if is_private(name)]
 
 
+def public_definitions(tree: ast.Module) -> list:
+    """The public functions and classes a module defines at its top level."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        node.name for node in tree.body
+        if isinstance(node, defs) and not node.name.startswith("_")
+    ]
+
+
 def imported_names(tree: ast.Module) -> list:
     """The names a module's imports bind, anywhere in it."""
     names = []
@@ -62,6 +72,20 @@ def test_every_private_name_is_read():
         if name not in read
     ]
     assert not unused, f"private names nothing in src/ reads: {unused}"
+
+
+def test_every_public_name_is_exported_or_read():
+    # The package's names are what `__init__` exports; a public function or
+    # class outside that list lives only as long as some module reads it.
+    exported = set(imported_names(MODULES["__init__.py"]))
+    read = set().union(*map(reads, MODULES.values()))
+    orphans = [
+        f"{module}:{name}"
+        for module, tree in MODULES.items()
+        for name in public_definitions(tree)
+        if name not in exported and name not in read
+    ]
+    assert not orphans, f"public names neither exported nor read in src/: {orphans}"
 
 
 @pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__.py"}))
