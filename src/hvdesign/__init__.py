@@ -39,7 +39,6 @@ from .hypervector import (
     build_level_table,
     encode_quantized,
     level_vector,
-    repair_budget,
     uniform_flip_budget,
 )
 from .model import (

@@ -35,7 +35,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, HvError
 from .evolve import GAConfig, run_optimization
-from .hypervector import uniform_flip_budget
+from .hypervector import _check_seed, uniform_flip_budget
 from .model import predict_batch, train_model
 from .objectives import (
     _avg_similarities,
@@ -55,10 +55,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def u64(value: str) -> int:
-    """An integer in [0, 2**64), the range of the seed a model file stores."""
-    if not 0 <= int(value) < 2**64:
-        raise ValueError(value)
-    return int(value)
+    """A seed: an integer in [0, 2**64), the range a model file stores. A
+    ValueError (ConfigError is one) is argparse's "invalid u64 value"."""
+    return _check_seed(int(value))
 
 
 def _label_column(value: str):

@@ -37,11 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
+from .errors import DataError, FormatError, ParseError, ShapeError
 from .hypervector import (
     FlipBudget,
     _Value,
+    _check_count,
     _check_levels,
+    _check_seed,
     _frozen,
     build_level_table,
     encode_quantized,
@@ -176,6 +178,7 @@ def calibrate_quantizer(train: Dataset, levels: int) -> Quantizer:
     to quantize is named by its column where the split has feature names."""
     mins = train.features.min(axis=0)
     maxs = train.features.max(axis=0)
+    mins.flags.writeable = maxs.flags.writeable = False  # fresh: the quantizer keeps them
     try:
         q = Quantizer(mins=mins, maxs=maxs, levels=levels)
     except DataError:
@@ -374,8 +377,8 @@ def motivational_label(x1: float, x2: float) -> int:
 
 def generate_motivational(grid_per_axis: int, seed=0) -> Dataset:
     """Deterministic grid over the unit square with the four-class layout."""
-    if grid_per_axis < 20:
-        raise ConfigError(f"grid_per_axis must be >= 20, got {grid_per_axis}")
+    _check_count("grid_per_axis", grid_per_axis, 20)
+    seed = _check_seed(seed)
     axis = np.linspace(0.0, 1.0, grid_per_axis)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     features = np.column_stack([xx.ravel(), yy.ravel()])
@@ -400,7 +403,9 @@ def generate_linear(n_samples: int, n_features: int, seed=0) -> Dataset:
     A longer draw starts with the rows of a shorter one, so the rows past
     the first n of `generate_linear(n + t, ...)` are a test set for
     `generate_linear(n, ...)`."""
-    rng = np.random.default_rng([int(seed), int(n_features)])
+    _check_count("n_samples", n_samples, 1)
+    _check_count("n_features", n_features, 1)
+    rng = np.random.default_rng([_check_seed(seed), int(n_features)])
     features = rng.uniform(0.0, 1.0, size=(n_samples, n_features))
     half = n_features // 2
     labels = 1 + (features[:, :half].sum(axis=1) > features[:, half : 2 * half].sum(axis=1))
@@ -424,14 +429,13 @@ def atomic_open(path, mode="w"):
 
 def model_bytes(model) -> bytes:
     """The `.hdcm` serialization of a trained model (layout in the module
-    docstring); a seed, count or encoder too wide for its field raises."""
+    docstring); a count or encoder too wide for its field raises. The seed
+    always fits: `LevelTable` holds it in [0, 2**64)."""
     dim = model.table.dim
     n_feat, n_lvl = model.table.features, model.table.levels
     n_cls = model.n_classes
     if np.any(np.abs(model.encoders) > np.iinfo(np.int32).max):
         raise FormatError("encoder entries exceed the int32 range of the model format")
-    if model.table.seed >= 2**64:
-        raise FormatError(f"seed {model.table.seed} exceeds the u64 range of the model format")
     if max(model.class_counts) >= 2**32:
         raise FormatError("class counts exceed the u32 range of the model format")
     labels_blob = json.dumps(model.labels).encode("utf-8")

@@ -31,11 +31,11 @@ each kind of draw as fixed column slices of it, computed with numpy's own
 formulas. If a bounded draw in it is one numpy would reject and redraw, the
 generation runs the loop itself, which also stays as the reference.
 Winners and children are then formed with array operations on the draws.
-The children are repaired in one array operation, the same floor-rescale
-`repair_budget` applies, which keeps every row sum within D/2: scoring
-refuses an infeasible budget, so the GA repairs every budget before it
-scores it, and ranking is plain Pareto dominance. All of a generation's
-children are scored in one call, as is the initial population.
+The children are repaired in one array operation, `_repair`, a
+floor-rescale that keeps every row sum within D/2: scoring refuses an
+infeasible budget, as a `FlipBudget` does, so the GA repairs every budget
+before it scores it, and ranking is plain Pareto dominance. All of a
+generation's children are scored in one call, as is the initial population.
 
 Randomness comes from explicitly indexed substreams of the master seed
 (one for initialization, one per generation for variation), so results are
@@ -54,7 +54,14 @@ import numpy as np
 
 from .data import Dataset, Quantizer, atomic_open
 from .errors import ConfigError, ShapeError
-from .hypervector import FlipBudget, _check_levels, _repair, _whole_number, uniform_flip_budget
+from .hypervector import (
+    FlipBudget,
+    _check_levels,
+    _check_seed,
+    _repair,
+    _whole_number,
+    uniform_flip_budget,
+)
 from .objectives import CandidateEvaluator, ObjectiveScores
 
 
@@ -69,15 +76,14 @@ class GAConfig:
     levels: int = 20
 
     def __post_init__(self):
-        for name in ("population_size", "generations", "seed", "dim"):
+        _check_seed(self.seed)
+        for name in ("population_size", "generations", "dim"):
             if not _whole_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("crossover_rate", "mutation_rate"):
             rate = getattr(self, name)
             if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
                 raise ConfigError(f"{name} must be a real number, got {rate!r}")
-        if not 0 <= self.seed < 2**64:  # the seed a model file stores
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.population_size < 4 or self.population_size % 2 != 0:
             raise ConfigError("population size must be even and >= 4")
         if self.generations < 1:

@@ -24,6 +24,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,6 +47,30 @@ def _integer_valued(values, message: str) -> np.ndarray:
 def _whole_number(value) -> bool:
     """Whether a setting is a Python or numpy integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """ConfigError unless a count setting is an integer >= `least`."""
+    if not _whole_number(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_seed(seed) -> int:
+    """A seed as an int: ConfigError unless it is an integer in [0, 2**64),
+    the range of the seed a model file stores."""
+    if not _whole_number(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    return int(seed)
+
+
+def _check_dim(dim) -> None:
+    """DimensionError unless a hypervector dimension is an even integer >= 2."""
+    if not _whole_number(dim) or dim < 2 or dim % 2 != 0:
+        raise DimensionError(f"dimension must be even and >= 2, got {dim}")
 
 
 def _check_levels(levels) -> None:
@@ -86,8 +111,7 @@ def _budget_array(values, dim) -> np.ndarray:
     DimensionError unless `dim` is an even integer >= 2, DataError unless
     every entry is a whole number in 0..2**63-1. An array cast here is
     fresh, so it is made read-only, for `_frozen` to keep uncopied."""
-    if not _whole_number(dim) or dim < 2 or dim % 2 != 0:
-        raise DimensionError(f"dimension must be even and >= 2, got {dim}")
+    _check_dim(dim)
     given = np.asarray(values)
     budgets = _integer_valued(given, "flip budgets must be whole numbers")
     if budgets.min(initial=0) < 0:
@@ -100,22 +124,38 @@ def _budget_array(values, dim) -> np.ndarray:
     return budgets
 
 
+def _check_feasible(budgets: np.ndarray, dim: int) -> None:
+    """Raise ConstraintError when a row of (..., N, M-1) budgets sums past
+    D/2, naming the row sums of the first budget that holds one."""
+    sums = budgets.sum(axis=-1).reshape(math.prod(budgets.shape[:-2]), budgets.shape[-2])
+    over = (sums > dim // 2).any(axis=1)
+    if over.any():
+        raise ConstraintError(
+            f"budget row sums {sums[over.argmax()].tolist()} exceed D/2 = {dim // 2}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class FlipBudget(_Value):
     """Per-feature, per-transition bit-flip counts: the optimization variable.
 
     `budgets` has shape (N, M-1): one row per feature, one column per
     consecutive-level transition, held as int64 and checked by `_budget_array`.
-    A row is feasible when its sum does not exceed dim/2.
+    A row is feasible when its sum does not exceed dim/2, and a budget is
+    feasible by construction: one with a row over dim/2 raises
+    ConstraintError.
     """
 
     budgets: np.ndarray
     dim: int
+    # True by construction, as FlipBudget refuses a row over D/2; bench/ reads it.
+    feasible: ClassVar[bool] = True
 
     def __post_init__(self):
         b = _budget_array(self.budgets, self.dim)
         if b.ndim != 2 or b.shape[1] < 1:
             raise ShapeError(f"budget matrix must be (N, M-1), got shape {b.shape}")
+        _check_feasible(b, self.dim)
         object.__setattr__(self, "budgets", _frozen(b, np.int64))
 
     @property
@@ -130,10 +170,6 @@ class FlipBudget(_Value):
     def row_sums(self) -> np.ndarray:
         return self.budgets.sum(axis=1)
 
-    @property
-    def feasible(self) -> bool:
-        return bool(np.all(self.row_sums <= self.dim // 2))
-
 
 def uniform_flip_budget(dim: int, levels: int, features: int = 1) -> FlipBudget:
     """The baseline budget: floor(D / (2(M-1))) flips at every transition.
@@ -143,8 +179,11 @@ def uniform_flip_budget(dim: int, levels: int, features: int = 1) -> FlipBudget:
     level is the same vector, which warns.
     """
     _check_levels(levels)
+    _check_count("features", features, 0)
     per_transition = dim // (2 * (levels - 1))
-    budget = FlipBudget(budgets=np.full((features, levels - 1), per_transition), dim=dim)
+    budgets = np.full((features, levels - 1), per_transition, dtype=np.int64)
+    budgets.flags.writeable = False  # fresh: the budget keeps it, uncopied
+    budget = FlipBudget(budgets=budgets, dim=dim)
     if per_transition == 0:
         warnings.warn(
             f"D={dim} is below 2(M-1)={2 * (levels - 1)}: the uniform budget flips no "
@@ -166,13 +205,6 @@ def _repair(budgets: np.ndarray, dim: int) -> np.ndarray:
     repaired = budgets.astype(np.int64)
     repaired[bad] = np.floor(budgets[bad] * (half / sums[bad])[:, None])
     return repaired
-
-
-def repair_budget(budget: FlipBudget) -> FlipBudget:
-    """Scale down violating rows so every row sum fits in D/2. Idempotent."""
-    if budget.feasible:
-        return budget
-    return FlipBudget(budgets=_repair(budget.budgets, budget.dim), dim=budget.dim)
 
 
 @functools.lru_cache(maxsize=1)
@@ -250,7 +282,10 @@ class LevelTable(_Value):
     """All N x M level hypervectors of a flip budget, held as what fixes
     them: level m of feature n is its base sign at the indices whose flip
     level is at least m, and the opposite sign at the rest. It owns the seed
-    its schedule was drawn from, so a model's seed cannot contradict it."""
+    its schedule was drawn from, so a model's seed cannot contradict it.
+    Arrays that cannot be its budget's are refused: another shape than
+    (N, D) with ShapeError, a base sign other than +-1 or a flip level
+    outside 1..M with DataError."""
 
     bases: np.ndarray  # (N, D) int8 base signs: level 1 of every feature
     flips: np.ndarray  # (N, D) flip levels 1..M, dtype np.min_scalar_type(M)
@@ -258,8 +293,21 @@ class LevelTable(_Value):
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "bases", _frozen(self.bases, np.int8))
-        object.__setattr__(self, "flips", _frozen(self.flips, np.min_scalar_type(self.levels)))
+        shape = (self.features, self.dim)
+        # Scanned as given, before the casts below could wrap a value.
+        bases, flips = np.asarray(self.bases), np.asarray(self.flips)
+        for name, values in (("bases", bases), ("flips", flips)):
+            if values.shape != shape:
+                raise ShapeError(f"{name} must be {shape}, got shape {values.shape}")
+        if bases.dtype.kind not in "iu" or bases.min(initial=-1) < -1 \
+                or bases.max(initial=1) > 1 or not bases.all():
+            raise DataError("base signs must be -1 or +1")
+        if flips.dtype.kind not in "iu" or flips.min(initial=1) < 1 \
+                or flips.max(initial=1) > self.levels:
+            raise DataError(f"flip levels must be integers in 1..{self.levels}")
+        object.__setattr__(self, "bases", _frozen(bases, np.int8))
+        object.__setattr__(self, "flips", _frozen(flips, np.min_scalar_type(self.levels)))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     @property
     def dim(self) -> int:
@@ -274,25 +322,15 @@ class LevelTable(_Value):
         return self.budgets.levels
 
 
-def _check_feasible(budgets: np.ndarray, dim: int) -> None:
-    """Raise ConstraintError when a row of (..., N, M-1) budgets sums past
-    D/2, naming the row sums of the first budget that holds one."""
-    sums = budgets.sum(axis=-1).reshape(math.prod(budgets.shape[:-2]), budgets.shape[-2])
-    over = (sums > dim // 2).any(axis=1)
-    if over.any():
-        raise ConstraintError(
-            f"budget row sums {sums[over.argmax()].tolist()} exceed D/2 = {dim // 2}"
-        )
-
-
 def build_level_table(base_seed, budget: FlipBudget) -> LevelTable:
     """The level table a flip budget gives from the schedule of `base_seed`;
-    a budget with a row over D/2 raises ConstraintError."""
-    _check_feasible(budget.budgets, budget.dim)
-    bases, slots = _schedule(int(base_seed), budget.features, budget.dim)
+    a seed outside [0, 2**64) raises ConfigError. The budget needs no check:
+    a `FlipBudget` is feasible by construction."""
+    seed = _check_seed(base_seed)
+    bases, slots = _schedule(seed, budget.features, budget.dim)
     flips = _flip_levels(slots, budget.budgets)
     flips.flags.writeable = False  # fresh: the table keeps it, uncopied
-    return LevelTable(bases=bases, flips=flips, budgets=budget, seed=int(base_seed))
+    return LevelTable(bases=bases, flips=flips, budgets=budget, seed=seed)
 
 
 def _signs(bases: np.ndarray, flips: np.ndarray, levels) -> np.ndarray:

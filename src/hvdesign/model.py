@@ -78,6 +78,9 @@ from .hypervector import (
     FlipBudget,
     LevelTable,
     _Value,
+    _check_count,
+    _check_dim,
+    _check_seed,
     _frozen,
     _integer_valued,
     build_level_table,
@@ -397,22 +400,23 @@ def appendix_experiment(dim: int, trials: int, mode: str, seed=0) -> float:
     hypervector independently, which makes the query nearly orthogonal to
     both encoders and the decision close to a coin flip.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_dim(dim)
+    _check_count("trials", trials, 1)
+    seed = _check_seed(seed)
     if mode not in ("chained", "orthogonal"):
         raise ValueError(f"mode must be 'chained' or 'orthogonal', got {mode!r}")
     n_levels = 10
     correct = 0
     for t in range(trials):
         if mode == "chained":
-            rng_seed = np.random.default_rng([int(seed), t]).integers(0, 2**32)
+            rng_seed = np.random.default_rng([seed, t]).integers(0, 2**32)
             budget = uniform_flip_budget(dim, n_levels, features=1)
             table = build_level_table(int(rng_seed), budget)
             level_signs = np.stack(
                 [level_vector(table, 0, m) for m in range(1, n_levels + 1)]
             ).astype(np.int64)
         else:
-            rng = np.random.default_rng([int(seed), t])
+            rng = np.random.default_rng([seed, t])
             level_signs = (rng.integers(0, 2, size=(n_levels, dim)) * 2 - 1).astype(np.int64)
         # Training samples occupy levels 1..9; levels 1-5 are class 1,
         # levels 6-9 class 2. The query sits at level 10.

@@ -4,9 +4,10 @@ Two objectives drive the flip-budget search: maximize the macro-averaged
 recall on the training split (wAcc) and minimize the geometric mean of
 pairwise class-encoder cosine similarities (avgSim). Robustness is
 1 - avgSim. Feasibility is the per-feature row-sum constraint on the
-budget, `FlipBudget.feasible`. Scoring applies FlipBudget's rules through
-the validator they share, and refuses a row over D/2 with the ConstraintError
-`build_level_table` raises, so every score is of a valid, feasible budget.
+budget, which every `FlipBudget` meets by construction (`FlipBudget.feasible`
+is always True). Scoring applies FlipBudget's rules through the checks they
+share, and refuses a row over D/2 with the ConstraintError `FlipBudget`
+raises, so every score is of a valid, feasible budget.
 
 `CandidateEvaluator.score` scores a population as arrays: a (P, N, M-1)
 stack of budget matrices in, (P, 2) float64 rows of (wAcc, avgSim) out. The
@@ -46,6 +47,7 @@ from .hypervector import (
     FlipBudget,
     _budget_array,
     _check_feasible,
+    _check_seed,
     _flip_levels,
     _integer_valued,
     _schedule,
@@ -183,7 +185,7 @@ class CandidateEvaluator:
             raise DataError("need at least 2 classes")
         self.train = train
         self.quantizer = quantizer
-        self.base_seed = int(base_seed)
+        self.base_seed = _check_seed(base_seed)
         self.n_classes = train.n_classes
         levels = quantizer.quantize_matrix(train.features)
         histogram = _level_histogram(levels, train.labels, self.n_classes, quantizer.levels)

@@ -1,10 +1,12 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hvdesign import Dataset, FlipBudget, calibrate_quantizer, generate_motivational
+from hvdesign.hypervector import _repair
 
 
 def dominates(a, b) -> bool:
@@ -14,6 +16,25 @@ def dominates(a, b) -> bool:
     if a.wacc < b.wacc or a.avg_sim > b.avg_sim:
         return False
     return a.wacc > b.wacc or a.avg_sim < b.avg_sim
+
+
+def repaired(raw, dim: int) -> FlipBudget:
+    """The FlipBudget of raw (N, M-1) flip counts, with each row whose sum
+    exceeds D/2 scaled down as the GA repairs its genes (`_repair`)."""
+    return FlipBudget(budgets=_repair(np.asarray(raw, dtype=np.int64), dim), dim=dim)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes `tracemalloc` traces above the starting level while
+    `call()` runs, what it returns included."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def oracle_signs(seed, budgets, dim: int) -> np.ndarray:

@@ -388,6 +388,14 @@ class TestBadInput:
             assert lines[0] == (f"error: {tmp_path}/huge.csv: features ['f1'] have ranges "
                                 "too wide to quantize")
 
+    @pytest.mark.parametrize("seed", ["1.5", "-1", str(2**64), "abc"])
+    def test_seed_outside_u64_is_an_invalid_u64_value(self, seed, capsys):
+        # The table's seed rule, through argparse's message for a bad type.
+        assert main(["synth", "--seed", seed, "--out", "unused.csv"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: argument --seed: invalid u64 value: '{seed}'"
+        ]
+
     def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
         # The output path is a directory, so the final rename fails.
         (tmp_path / "out").mkdir()

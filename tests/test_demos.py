@@ -1,4 +1,5 @@
-"""Every demo prints the stdout recorded under `tests/demo_stdout/`.
+"""Every demo prints the stdout recorded under `tests/demo_stdout/`, and
+the README's library quick start runs as written.
 
 The demos are the project's worked examples, and their printed numbers are
 what a reader checks against the paper; a change that alters any of them
@@ -33,3 +34,19 @@ def test_stdout_is_byte_identical(demo):
     assert run.returncode == 0, run.stderr.decode()
     expected = (ROOT / "tests" / "demo_stdout" / f"{demo.stem}.txt").read_bytes()
     assert run.stdout == expected
+
+
+def readme_quick_start() -> str:
+    """The `python` block under the README's "Library quick start" heading."""
+    section = (ROOT / "README.md").read_text().split("\n## Library quick start\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    # The documented API stays the package's: the block searches, trains,
+    # predicts and saves as written, in a fresh directory.
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(compile(readme_quick_start(), "README.md", "exec"), names)
+    assert len(names["predicted"]) == names["data"].n_samples
+    assert (tmp_path / "model.hdcm").stat().st_size > 0

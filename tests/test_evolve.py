@@ -19,7 +19,6 @@ from hvdesign import (
     hypervolume,
     initialize_population,
     rank_population,
-    repair_budget,
     run_optimization,
     uniform_flip_budget,
 )
@@ -31,8 +30,9 @@ from hvdesign.evolve import (
     _selection_order,
     _variation_draws,
 )
+from hvdesign.hypervector import _repair
 
-from conftest import dominates
+from conftest import dominates, repaired
 
 MICRO_CONFIG = dict(population_size=40, generations=50, dim=16, levels=3, mutation_rate=0.3)
 
@@ -153,7 +153,7 @@ class TestInitializePopulation:
         config = GAConfig(population_size=30, generations=1, seed=4, dim=64, levels=levels)
         rng = np.random.default_rng([config.seed, 0])
         members = [rng.integers(0, 33, size=(n_features, levels - 1)) for _ in range(29)]
-        want = repair_budget(FlipBudget(budgets=np.concatenate(members), dim=64)).budgets
+        want = repaired(np.concatenate(members), 64).budgets
         genes = initialize_population(config, n_features)
         assert np.array_equal(genes[1:].reshape(-1, levels - 1), want)
 
@@ -190,11 +190,12 @@ class TestInitializePopulation:
 
 class TestRepair:
     def test_examples(self):
-        feasible = FlipBudget(budgets=np.array([[2, 2]]), dim=16)
-        assert repair_budget(feasible) == feasible
-        violating = FlipBudget(budgets=np.array([[6, 6]]), dim=16)
-        assert repair_budget(violating).budgets.tolist() == [[4, 4]]
-        assert repair_budget(repair_budget(violating)) == repair_budget(violating)
+        feasible = np.array([[2, 2]])
+        assert _repair(feasible, 16) is feasible
+        once = _repair(np.array([[6, 6]]), 16)
+        assert once.tolist() == [[4, 4]]
+        assert _repair(once, 16) is once
+        assert repaired([[6, 6]], 16) == FlipBudget(budgets=once, dim=16)
 
 
 class TestRankPopulation:
@@ -347,8 +348,7 @@ def reference_generation(genes, scores, evaluator, config, generation):
         for child in (np.where(swap, genes[j], genes[i]), np.where(swap, genes[i], genes[j])):
             mutate = rng.random(shape) < config.mutation_rate
             fresh = rng.integers(0, config.dim // 2 + 1, size=shape)
-            budget = FlipBudget(budgets=np.where(mutate, fresh, child), dim=config.dim)
-            children.append(repair_budget(budget))
+            children.append(repaired(np.where(mutate, fresh, child), config.dim))
     genes = np.concatenate([genes, [child.budgets for child in children]])
     scores = np.concatenate([scores, as_array(evaluator.evaluate(c) for c in children)])
     ranks, crowding = rank_population(scores)

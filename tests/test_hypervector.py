@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hvdesign
 from hvdesign import (
     ConfigError,
     ConstraintError,
@@ -19,10 +19,11 @@ from hvdesign import (
     build_level_table,
     encode_quantized,
     level_vector,
-    repair_budget,
     uniform_flip_budget,
 )
 from hvdesign.hypervector import _flip_levels, _repair, _schedule
+
+from conftest import traced_peak
 
 
 def dot(a, b):
@@ -70,6 +71,19 @@ class TestUniformFlipBudget:
         with pytest.raises(ConfigError, match="levels must be an integer"):
             uniform_flip_budget(64, levels)
 
+    @pytest.mark.parametrize("features", [2.0, True, -1])
+    def test_feature_counts_that_are_not_counts_rejected(self, features):
+        with pytest.raises(ConfigError, match="^features must be"):
+            uniform_flip_budget(64, 20, features=features)
+
+    def test_wide_budget_is_held_once(self):
+        # The fresh fill is handed to FlipBudget read-only, so it is kept,
+        # not copied: 1.06x its int64 bytes measured (the feasibility
+        # check's row sums), where a copy made it 2.0x.
+        uniform_flip_budget(2048, 20, features=10_000)  # warm
+        peak = traced_peak(lambda: uniform_flip_budget(2048, 20, features=10_000))
+        assert peak <= 1.25 * 10_000 * 19 * 8
+
     @pytest.mark.parametrize("dim", [0, -2])
     def test_dimension_rejected_before_any_warning(self, dim):
         # FlipBudget checks the dimension, before the -1 fill of D=-2 could
@@ -98,6 +112,14 @@ class TestFlipBudget:
     def test_invalid_rejected(self, budgets, dim, error, match):
         with pytest.raises(error, match=match):
             FlipBudget(budgets=np.array(budgets), dim=dim)
+
+    def test_feasible_by_construction(self):
+        # A row over D/2 makes no budget, so there is none to repair: the
+        # package has no `repair_budget`, and `feasible` is a constant.
+        with pytest.raises(ConstraintError, match=r"^budget row sums \[8, 9\] exceed D/2 = 8$"):
+            FlipBudget(budgets=np.array([[4, 4], [5, 4]]), dim=16)
+        assert FlipBudget.feasible is True
+        assert not hasattr(hvdesign, "repair_budget")
 
     def test_whole_floats_become_int64(self):
         budget = FlipBudget(budgets=np.array([[2.0, 0.0, 5.0]]), dim=16)
@@ -144,9 +166,10 @@ class TestBuildLevelTable:
         assert table.bases.shape == table.flips.shape == (0, 16)
 
     def test_infeasible_rejected(self):
-        budget = FlipBudget(budgets=np.array([[9, 9]]), dim=16)
+        # A budget is feasible by construction, so no table is ever built
+        # from a row over D/2.
         with pytest.raises(ConstraintError, match=r"^budget row sums \[18\] exceed D/2 = 8$"):
-            build_level_table(0, budget)
+            FlipBudget(budgets=np.array([[9, 9]]), dim=16)
 
     def test_uniform_budget_even_spacing(self):
         table = build_level_table(9, uniform_flip_budget(128, 9, features=3))
@@ -243,17 +266,67 @@ def bincount_flip_levels(perms, budgets):
     return flips
 
 
-def traced_peak(call) -> int:
-    """Peak bytes `tracemalloc` traces above the starting level while
-    `call()` runs, what it returns included."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+class TestSeedRule:
+    """One rule for a level table's seed: an integer in [0, 2**64), the
+    range a model file stores."""
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True, None])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        with pytest.raises(ConfigError, match="^seed must be an integer, got "):
+            build_level_table(seed, uniform_flip_budget(16, 3))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(ConfigError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            build_level_table(seed, uniform_flip_budget(16, 3))
+
+    def test_numpy_seed_is_held_as_an_int(self):
+        budget = uniform_flip_budget(16, 3)
+        table = build_level_table(np.uint64(2**64 - 1), budget)
+        assert type(table.seed) is int and table.seed == 2**64 - 1
+        assert table == build_level_table(2**64 - 1, budget)
+
+    def test_hand_built_table_checks_its_seed(self):
+        table = build_level_table(0, uniform_flip_budget(16, 3))
+        with pytest.raises(ConfigError, match=r"^seed must be in \[0, 2\*\*64\), got -3$"):
+            LevelTable(bases=table.bases, flips=table.flips, budgets=table.budgets, seed=-3)
+
+
+class TestLevelTableRules:
+    """A level table refuses arrays that cannot be its budget's."""
+
+    BUDGET = FlipBudget(budgets=np.zeros((2, 1), dtype=int), dim=8)  # N=2, M=2, D=8
+
+    def table(self, bases, flips):
+        return LevelTable(bases=bases, flips=flips, budgets=self.BUDGET, seed=0)
+
+    @pytest.mark.parametrize("bases_shape, flips_shape, name", [
+        ((3, 5), (2, 8), "bases"), ((2, 8), (2, 7), "flips"), ((16,), (2, 8), "bases"),
+    ])
+    def test_other_shape_rejected(self, bases_shape, flips_shape, name):
+        with pytest.raises(ShapeError, match=rf"^{name} must be \(2, 8\), got shape"):
+            self.table(np.ones(bases_shape, np.int8), np.ones(flips_shape, np.uint8))
+
+    @pytest.mark.parametrize("base", [7, 0, -2, 0.5])
+    def test_base_other_than_a_sign_rejected(self, base):
+        # Checked as given: a float base is refused, not cast to int8.
+        bases = np.ones((2, 8), dtype=np.asarray(base).dtype)
+        bases[1, 3] = base
+        with pytest.raises(DataError, match=r"^base signs must be -1 or \+1$"):
+            self.table(bases, np.ones((2, 8), np.uint8))
+
+    @pytest.mark.parametrize("flip", [0, 3, 9, 1.0])
+    def test_flip_level_outside_levels_rejected(self, flip):
+        flips = np.ones((2, 8), dtype=np.asarray(flip).dtype)
+        flips[0, 0] = flip
+        with pytest.raises(DataError, match=r"^flip levels must be integers in 1..2$"):
+            self.table(np.ones((2, 8), np.int8), flips)
+
+    def test_valid_table_constructs(self):
+        bases = np.array([[1, -1] * 4, [-1] * 8], dtype=np.int8)
+        flips = np.array([[1, 2] * 4, [2] * 8], dtype=np.uint8)
+        table = self.table(bases, flips)
+        assert table.bases.tolist() == bases.tolist() and table.flips.tolist() == flips.tolist()
 
 
 class TestSchedule:
@@ -473,23 +546,23 @@ class TestEncodeSample:
 
 
 class TestRepairBudget:
+    """`_repair`, the floor-rescale the GA applies to its raw genes."""
+
     def test_identity_on_feasible(self):
-        budget = FlipBudget(budgets=np.array([[2, 3]]), dim=16)
-        assert repair_budget(budget) is budget
+        genes = np.array([[2, 3]])
+        assert _repair(genes, 16) is genes
 
     def test_floor_rescale(self):
-        budget = FlipBudget(budgets=np.array([[6, 6]]), dim=16)
-        repaired = repair_budget(budget)
-        assert repaired.budgets.tolist() == [[4, 4]]
-        assert repaired.feasible
+        repaired = _repair(np.array([[6, 6]]), 16)
+        assert repaired.tolist() == [[4, 4]]
+        FlipBudget(budgets=repaired, dim=16)  # feasible: a budget accepts it
 
     @given(st.lists(st.integers(0, 40), min_size=3, max_size=3))
     @settings(max_examples=50)
     def test_idempotent_and_feasible(self, row):
-        budget = FlipBudget(budgets=np.array([row]), dim=16)
-        once = repair_budget(budget)
-        assert once.feasible
-        assert repair_budget(once) == once
+        once = _repair(np.array([row]), 16)
+        FlipBudget(budgets=once, dim=16)
+        assert _repair(once, 16) is once
 
     @staticmethod
     def scaled_everywhere(budgets, dim):

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvdesign import (
+    ConfigError,
     DataError,
     Dataset,
+    DimensionError,
     FlipBudget,
     LevelTable,
     Quantizer,
@@ -23,7 +25,6 @@ from hvdesign import (
     fit_baseline,
     pairwise_similarities,
     predict_batch,
-    repair_budget,
     train_model,
     uniform_flip_budget,
 )
@@ -36,6 +37,8 @@ from hvdesign.model import (
     _row_incidence,
     _winners,
 )
+
+from conftest import repaired
 
 
 def score_beats(dot_a, sq_norm_a, dot_b, sq_norm_b):
@@ -94,7 +97,7 @@ def training_problems(draw):
     quantizer = Quantizer(
         mins=np.ones(n_feat), maxs=np.full(n_feat, levels + 1.0), levels=levels
     )
-    budget = repair_budget(FlipBudget(budgets=np.array(budget), dim=dim))
+    budget = repaired(budget, dim)
     return train, quantizer, budget, np.array(queries, dtype=np.float64)
 
 
@@ -688,3 +691,20 @@ class TestAppendixExperiment:
             appendix_experiment(256, 0, "chained")
         with pytest.raises(ValueError):
             appendix_experiment(256, 5, "diagonal")
+
+    @pytest.mark.parametrize("trials, seed, match", [
+        (True, 0, "^trials must be an integer, got True$"),
+        (2.0, 0, "^trials must be an integer, got 2.0$"),
+        (2, 1.5, "^seed must be an integer, got 1.5$"),
+        (2, -1, r"^seed must be in \[0, 2\*\*64\), got -1$"),
+    ])
+    def test_counts_and_seeds_must_be_integers(self, trials, seed, match):
+        for mode in ("chained", "orthogonal"):
+            with pytest.raises(ConfigError, match=match):
+                appendix_experiment(64, trials, mode, seed=seed)
+
+    @pytest.mark.parametrize("dim", [63, 0, 1, -2, 64.0])
+    @pytest.mark.parametrize("mode", ["chained", "orthogonal"])
+    def test_dimension_must_be_even_and_at_least_two(self, dim, mode):
+        with pytest.raises(DimensionError, match="^dimension must be even and >= 2, got "):
+            appendix_experiment(dim, 2, mode)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hvdesign import objectives
 from hvdesign import (
     CandidateEvaluator,
+    ConfigError,
     ConstraintError,
     DataError,
     Dataset,
@@ -31,12 +32,13 @@ from hvdesign import (
     generate_linear,
     pairwise_similarities,
     predict_batch,
-    repair_budget,
     total_accuracy,
     uniform_flip_budget,
     weighted_accuracy,
 )
 from hvdesign.hypervector import _repair, _schedule
+
+from conftest import repaired
 
 CLAMP = 1e-12
 
@@ -98,8 +100,9 @@ def reference_scores(train, quantizer, seed, budget):
 @st.composite
 def scoring_problems(draw):
     """A small training split whose features are already level numbers
-    (so rows repeat), K classes of which some may be empty, and a budget
-    whose rows may sum to zero, to D/2 or beyond."""
+    (so rows repeat), K classes of which some may be empty, and raw
+    (N, M-1) flip counts of dimension D, whose rows may sum to zero, to D/2
+    or beyond."""
     dim = draw(st.sampled_from([2, 4, 16, 64]))
     n_feat = draw(st.integers(1, 3))
     levels = draw(st.integers(2, 5))
@@ -123,7 +126,12 @@ def scoring_problems(draw):
     quantizer = Quantizer(
         mins=np.ones(n_feat), maxs=np.full(n_feat, levels + 1.0), levels=levels
     )
-    return train, quantizer, FlipBudget(budgets=np.array(budget), dim=dim)
+    return train, quantizer, np.array(budget, dtype=np.int64), dim
+
+
+def over_half(raw, dim) -> bool:
+    """Whether a row of raw flip counts sums past D/2."""
+    return bool(np.any(np.asarray(raw).sum(axis=-1) > dim // 2))
 
 
 class TestConfusionMatrix:
@@ -374,7 +382,9 @@ class TestFeasibility:
         assert FlipBudget(budgets=np.array([[4, 4]]), dim=16).feasible
 
     def test_one_over(self):
-        assert not FlipBudget(budgets=np.array([[4, 5]]), dim=16).feasible
+        # A budget is feasible by construction: one row over D/2 is refused.
+        with pytest.raises(ConstraintError, match=r"^budget row sums \[9\] exceed D/2 = 8$"):
+            FlipBudget(budgets=np.array([[4, 5]]), dim=16)
 
 
 @st.composite
@@ -393,55 +403,53 @@ def wide_scoring_problems(draw):
     quantizer = Quantizer(
         mins=np.ones(n_feat), maxs=np.full(n_feat, levels + 1.0), levels=levels
     )
-    budget = rng.integers(0, dim + 1, size=(n_feat, levels - 1))
-    return train, quantizer, FlipBudget(budgets=budget, dim=dim)
+    return train, quantizer, rng.integers(0, dim + 1, size=(n_feat, levels - 1)), dim
 
 
 @st.composite
 def scoring_populations(draw):
-    """A scoring problem of 1 to 60 features and 1-40 budgets drawn from a
-    small pool (so budgets repeat) that always holds a zero budget, a row at
-    D/2 and the problem's own budget, whose rows may exceed D/2; plus an
-    element budget for the scoring blocks, so blocks run from one candidate
-    to the whole population."""
-    train, quantizer, budget = draw(st.one_of(scoring_problems(), wide_scoring_problems()))
-    (n_feat, gaps), dim = budget.budgets.shape, budget.dim
+    """A scoring problem of 1 to 60 features and (P, N, M-1) raw genes of
+    1-40 budgets drawn from a small pool (so budgets repeat) that always
+    holds a zero budget, a row at D/2 and the problem's own budget, whose
+    rows may exceed D/2; plus an element budget for the scoring blocks, so
+    blocks run from one candidate to the whole population."""
+    train, quantizer, budget, dim = draw(st.one_of(scoring_problems(), wide_scoring_problems()))
+    n_feat, gaps = budget.shape
     at_half = np.zeros((n_feat, gaps), dtype=np.int64)
     at_half[0, 0] = dim // 2
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     matrices = rng.integers(0, dim + 1, size=(draw(st.integers(0, 6)), n_feat, gaps))
-    pool = [np.zeros((n_feat, gaps), dtype=np.int64), at_half, budget.budgets, *matrices]
+    pool = [np.zeros((n_feat, gaps), dtype=np.int64), at_half, budget, *matrices]
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
-    population = [FlipBudget(budgets=np.array(pool[i]), dim=dim) for i in picks]
+    genes = np.array([pool[i] for i in picks], dtype=np.int64)
     block_elements = draw(st.one_of(st.integers(1, 2**12), st.integers(2**12, 2**24)))
-    return train, quantizer, population, block_elements
+    return train, quantizer, genes, dim, block_elements
 
 
-def assert_refused_like_pipeline(evaluator, budget):
-    """`evaluate` refuses a budget with a row over D/2 with the error
-    `build_level_table` raises on it."""
+def assert_refused_like_pipeline(evaluator, raw, dim):
+    """`score` refuses raw (N, M-1) flip counts with a row over D/2 with the
+    error `FlipBudget` raises on them."""
     with pytest.raises(ConstraintError) as refused:
-        evaluator.evaluate(budget)
+        evaluator.score(raw[None], dim)
     with pytest.raises(ConstraintError) as built:
-        build_level_table(evaluator.base_seed, budget)
+        FlipBudget(budgets=raw, dim=dim)
     assert str(refused.value) == str(built.value)
 
 
-def assert_population_matches_pipeline(train, quantizer, seed, population):
-    """`score`, the (P, 2) array routine the GA calls, refuses a population
-    that holds an infeasible budget, as `evaluate` refuses that budget
-    alone. Repaired, as the GA holds it, the population is scored: each
-    budget gets the bytes of the public pipeline, as `evaluate` gives them
-    on that budget alone."""
+def assert_population_matches_pipeline(train, quantizer, seed, genes, dim):
+    """`score`, the (P, 2) array routine the GA calls, refuses raw (P, N, M-1)
+    genes that hold a row over D/2, as it and `FlipBudget` refuse each such
+    budget alone. Repaired, as the GA holds it, the population is scored:
+    each budget gets the bytes of the public pipeline, as `evaluate` gives
+    them on that budget alone."""
     evaluator = CandidateEvaluator(train, quantizer, seed)
-    dim = population[0].dim
-    if not all(b.feasible for b in population):
+    if over_half(genes, dim):
         with pytest.raises(ConstraintError):
-            evaluator.score(np.array([b.budgets for b in population]), dim)
-    for budget in population:
-        if not budget.feasible:
-            assert_refused_like_pipeline(evaluator, budget)
-    population = [repair_budget(b) for b in population]
+            evaluator.score(genes, dim)
+    for raw in genes:
+        if over_half(raw, dim):
+            assert_refused_like_pipeline(evaluator, raw, dim)
+    population = [repaired(raw, dim) for raw in genes]
     rows = evaluator.score(np.array([b.budgets for b in population]), dim)
     assert rows.shape == (len(population), 2)
     for budget, row in zip(population, rows.tolist()):
@@ -468,14 +476,25 @@ class TestEvaluateCandidate:
         # sums of the first infeasible budget.
         quantizer = calibrate_quantizer(toy_dataset, 5)
         evaluator = CandidateEvaluator(toy_dataset, quantizer, 7)
-        budget = FlipBudget(budgets=np.array([[8, 8, 8, 8], [9, 9, 9, 9]]), dim=64)
-        assert_refused_like_pipeline(evaluator, budget)
+        raw = np.array([[8, 8, 8, 8], [9, 9, 9, 9]])
+        assert_refused_like_pipeline(evaluator, raw, 64)
         uniform = uniform_flip_budget(64, 5, features=2).budgets
-        genes = np.stack([uniform, budget.budgets, budget.budgets[::-1]])
+        genes = np.stack([uniform, raw, raw[::-1]])
         message = r"^budget row sums \[32, 36\] exceed D/2 = 32$"
         with pytest.raises(ConstraintError, match=message):
             evaluator.score(genes, 64)
         assert evaluator.score(_repair(genes, 64), 64).shape == (3, 2)
+
+    @pytest.mark.parametrize("seed, match", [
+        (2**70, r"^seed must be in \[0, 2\*\*64\), got 1180591620717411303424$"),
+        (-1, r"^seed must be in \[0, 2\*\*64\), got -1$"),
+        (1.5, "^seed must be an integer, got 1.5$"),
+    ])
+    def test_seed_outside_the_tables_rule_refused(self, toy_dataset, seed, match):
+        # The seed rule of the level table: a seed no model could hold is
+        # refused before any budget is scored.
+        with pytest.raises(ConfigError, match=match):
+            CandidateEvaluator(toy_dataset, calibrate_quantizer(toy_dataset, 5), seed)
 
     @pytest.mark.parametrize(
         "genes, match",
@@ -585,7 +604,8 @@ class TestEvaluateCandidate:
                 label_names=["a", "b", "c"],
             ),
             Quantizer(mins=np.ones(1), maxs=np.full(1, 3.0), levels=2),
-            FlipBudget(budgets=np.array([[0]]), dim=2),
+            np.array([[0]]),
+            2,
         ),
         0,
     )
@@ -597,16 +617,17 @@ class TestEvaluateCandidate:
                 label_names=["a", "b"],
             ),
             Quantizer(mins=np.ones(2), maxs=np.full(2, 4.0), levels=3),
-            FlipBudget(budgets=np.array([[4, 4], [9, 2]]), dim=16),
+            np.array([[4, 4], [9, 2]]),
+            16,
         ),
         7,
     )
     def test_matches_public_pipeline(self, problem, seed):
-        train, quantizer, budget = problem
+        train, quantizer, raw, dim = problem
         evaluator = CandidateEvaluator(train, quantizer, seed)
-        if not budget.feasible:
-            assert_refused_like_pipeline(evaluator, budget)
-            budget = repair_budget(budget)
+        if over_half(raw, dim):
+            assert_refused_like_pipeline(evaluator, raw, dim)
+        budget = repaired(raw, dim)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty classes warn
             expected = reference_scores(train, quantizer, seed, budget)
@@ -615,18 +636,18 @@ class TestEvaluateCandidate:
     @given(scoring_populations(), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_population_matches_public_pipeline(self, problem, seed):
-        train, quantizer, population, block_elements = problem
+        train, quantizer, genes, dim, block_elements = problem
         with warnings.catch_warnings(), \
                 mock.patch.object(objectives, "_BLOCK_ELEMENTS", block_elements):
             warnings.simplefilter("ignore")  # empty classes warn
-            assert_population_matches_pipeline(train, quantizer, seed, population)
+            assert_population_matches_pipeline(train, quantizer, seed, genes, dim)
 
     @given(scoring_populations(), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_hits_are_the_pipelines_confusion_diagonals(self, problem, seed):
-        train, quantizer, population, block_elements = problem
+        train, quantizer, genes, dim, block_elements = problem
         evaluator = CandidateEvaluator(train, quantizer, seed)
-        population = [repair_budget(b) for b in population]
+        population = [repaired(raw, dim) for raw in genes]
         genes = np.array([b.budgets for b in population])
         with warnings.catch_warnings(), \
                 mock.patch.object(objectives, "_BLOCK_ELEMENTS", block_elements), \
@@ -646,21 +667,17 @@ class TestEvaluateCandidate:
         # until repaired, span two blocks.
         quantizer = calibrate_quantizer(motivational, 20)
         rng = np.random.default_rng(3)
-        population = [
-            FlipBudget(budgets=rng.integers(0, 4, size=(2, 19)), dim=64) for _ in range(50)
-        ]
-        assert_population_matches_pipeline(motivational, quantizer, 5, population)
+        genes = np.array([rng.integers(0, 4, size=(2, 19)) for _ in range(50)])
+        assert_population_matches_pipeline(motivational, quantizer, 5, genes, 64)
         # The wide problem (N=57, K=2), in blocks of one candidate and in one
         # block: avgSim, finished once over the Grams of every block, keeps
         # each candidate's own bytes.
         wide = generate_linear(400, 57)
         quantizer = calibrate_quantizer(wide, 20)
-        population = [
-            FlipBudget(budgets=rng.integers(0, 4, size=(57, 19)), dim=64) for _ in range(12)
-        ]
+        genes = np.array([rng.integers(0, 4, size=(57, 19)) for _ in range(12)])
         for block_elements in (1, 2**24):
             with mock.patch.object(objectives, "_BLOCK_ELEMENTS", block_elements):
-                assert_population_matches_pipeline(wide, quantizer, 5, population)
+                assert_population_matches_pipeline(wide, quantizer, 5, genes, 64)
 
     @pytest.mark.parametrize("n_features", [1, 2, 57])
     @pytest.mark.parametrize("levels", [2, 20, 255, 256, 300])
@@ -697,10 +714,9 @@ class TestEvaluateCandidate:
     @settings(max_examples=30, deadline=None)
     def test_score_ranges(self, micro_dataset, micro_quantizer, b1, b2):
         evaluator = CandidateEvaluator(micro_dataset, micro_quantizer, 1)
-        budget = FlipBudget(budgets=np.array([[b1, b2]]), dim=16)
+        raw = np.array([[b1, b2]])
         if b1 + b2 > 8:
-            assert_refused_like_pipeline(evaluator, budget)
-            budget = repair_budget(budget)
-        scores = evaluator.evaluate(budget)
+            assert_refused_like_pipeline(evaluator, raw, 16)
+        scores = evaluator.evaluate(repaired(raw, 16))
         assert 0.0 <= scores.wacc <= 1.0
         assert 0.0 < scores.avg_sim <= 1.0
